@@ -8,6 +8,7 @@ from .states import (
     EPS_NORM,
     EPS_POLE,
     AngleSet,
+    ConsistencyError,
     MaximalEntanglement,
     PoleSingularity,
     SeparableGamma,

@@ -1,13 +1,11 @@
 """Head-to-head timing of the 4x4 and two-spinor evolution backends.
 
-Both backends walk the same seeded piecewise-constant schedule, step by
-step, recomputing their per-step operators as a simulator driven by
-changing fields would.  Only the pure evolution loops are timed (monotonic
-clock, median across trials); the one-off decomposition and reconstruction
-bracketing the separable run stay outside the clock.  End states are
-compared exactly, ledger phase applied, so the timings are certified to
-describe equivalent computations.  The speedup is informational: at 2x2
-vs 4x4 scale, constant overheads can dominate.
+Times the public evolve_full_schedule and evolve_separable_schedule calls
+on one seeded piecewise-constant schedule pair (monotonic clock, median
+across trials); the decomposition and reconstruction around the separable
+run stay outside the clock.  End states are compared exactly, ledger phase
+applied, so the timings describe equivalent computations.  The speedup is
+informational: at 2x2 vs 4x4 scale, constant overheads can dominate.
 """
 
 from __future__ import annotations
@@ -17,11 +15,11 @@ import time
 
 import numpy as np
 
-from .dynamics import LocalHamiltonian, PhaseLedger, local_unitary, su2_operator
+from .dynamics import (DEVIATION_BOUND, LocalHamiltonian, PhaseLedger, evolve_full_schedule,
+                       evolve_separable_schedule)
 from .measurement import sample_haar
-from .states import SpinorDecomposition, decompose, reconstruct
+from .states import decompose, reconstruct
 
-DEVIATION_BOUND = 1e-9
 LOW_CONFIDENCE_STEPS = 1000
 
 
@@ -41,32 +39,11 @@ class BenchReport:
 
 
 def _make_schedule(rng: np.random.Generator, steps: int):
-    hams1, hams2, dts = [], [], []
-    for _ in range(steps):
-        hams1.append(LocalHamiltonian(float(rng.normal()), rng.normal(size=3)))
-        hams2.append(LocalHamiltonian(float(rng.normal()), rng.normal(size=3)))
-        dts.append(float(rng.uniform(0.01, 0.1)))
-    return hams1, hams2, dts
-
-
-def _run_full(psi, hams1, hams2, dts):
-    start = time.perf_counter_ns()
-    for h1, h2, dt in zip(hams1, hams2, dts):
-        psi = np.kron(local_unitary(h1, dt), local_unitary(h2, dt)) @ psi
-    return psi, time.perf_counter_ns() - start
-
-
-def _run_separable(d, hams1, hams2, dts):
-    s1, s2 = d.spinor1, d.spinor2
-    beta1 = beta2 = 0.0
-    start = time.perf_counter_ns()
-    for h1, h2, dt in zip(hams1, hams2, dts):
-        s1 = su2_operator(h1, dt) @ s1
-        s2 = su2_operator(h2, dt) @ s2
-        beta1 += h1.h_i * dt
-        beta2 += h2.h_i * dt
-    elapsed = time.perf_counter_ns() - start
-    return SpinorDecomposition(d.chi, s1, s2), PhaseLedger(beta1, beta2), elapsed
+    """Two (LocalHamiltonian, dt) schedules; step k of both shares one dt."""
+    draws = [(LocalHamiltonian(float(rng.normal()), rng.normal(size=3)),
+              LocalHamiltonian(float(rng.normal()), rng.normal(size=3)),
+              float(rng.uniform(0.01, 0.1))) for _ in range(steps)]
+    return [(h1, dt) for h1, _, dt in draws], [(h2, dt) for _, h2, dt in draws]
 
 
 def run_benchmark(steps: int, trials: int, seed: int) -> BenchReport:
@@ -74,18 +51,21 @@ def run_benchmark(steps: int, trials: int, seed: int) -> BenchReport:
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be at least 1")
     rng = np.random.default_rng(seed)
-    hams1, hams2, dts = _make_schedule(rng, steps)
+    schedule1, schedule2 = _make_schedule(rng, steps)
     psi0 = sample_haar(1, seed)[0]
     d0 = decompose(psi0)
 
     full_ns, sep_ns, deviations = [], [], []
     for _ in range(trials):
-        psi_full, t_full = _run_full(psi0.copy(), hams1, hams2, dts)
-        d_end, ledger, t_sep = _run_separable(d0, hams1, hams2, dts)
+        start = time.perf_counter_ns()
+        psi_full = evolve_full_schedule(psi0, schedule1, schedule2)
+        mid = time.perf_counter_ns()
+        d_end, ledger = evolve_separable_schedule(d0, PhaseLedger(), schedule1, schedule2)
+        end = time.perf_counter_ns()
         psi_sep = ledger.phase * reconstruct(d_end)
         deviations.append(float(np.max(np.abs(psi_full - psi_sep))))
-        full_ns.append(t_full / steps)
-        sep_ns.append(t_sep / steps)
+        full_ns.append((mid - start) / steps)
+        sep_ns.append((end - mid) / steps)
 
     ns_full = float(np.median(full_ns))
     ns_sep = float(np.median(sep_ns))

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import fileio
 from .bench import run_benchmark
-from .dynamics import compare_backends, evolve_full_schedule, evolve_separable_schedule, PhaseLedger
+from .dynamics import (DEVIATION_BOUND, PhaseLedger, compare_backends, evolve_full_schedule,
+                       evolve_separable_schedule)
 from .measurement import SampleSpec, sample_states
 from .states import (
     HALF_PI,
@@ -33,7 +34,6 @@ from .states import (
 from .verify import run_suite
 
 FORMATS = ("amplitudes", "angles", "spinors")
-DEVIATION_BOUND = 1e-9
 
 _ERROR_CODES = (
     (SeparableGamma, "SEPARABLE_GAMMA"),
@@ -55,6 +55,11 @@ def _fail(code: str, message: str) -> int:
     print(f"error [{code}]: {message}", file=sys.stderr)
     _emit({"error": {"code": code, "message": message}}, None)
     return 2
+
+
+def _check_count(option: str, value: int) -> None:
+    if value < 1:
+        raise fileio.ParseError(f"{option} must be at least 1, got {value}")
 
 
 def _load_state_as(path: str, fmt: str) -> np.ndarray:
@@ -138,6 +143,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_count("--trials", args.trials)
     results = run_suite(args.suite, args.trials, args.seed)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -158,6 +164,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_count("--steps", args.steps)
+    _check_count("--trials", args.trials)
     report = run_benchmark(args.steps, args.trials, args.seed)
     _emit(report.to_dict(), args.out_path)
     print(f"bench: {report.ns_per_step_full:.0f} ns/step full, "
@@ -168,6 +176,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_count("--count", args.count)
     if args.fixed_chi is not None and not 0.0 <= args.fixed_chi <= HALF_PI:
         raise fileio.ParseError(f"--fixed-chi out of [0, pi/2]: {args.fixed_chi!r}")
     spec = SampleSpec(args.count, args.seed, args.fixed_chi)
@@ -236,10 +245,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(exc for exc, _ in _ERROR_CODES) as exc:
-        for cls, code in _ERROR_CODES:
-            if isinstance(exc, cls):
-                return _fail(code, str(exc))
-        raise AssertionError("unreachable")
+        return _fail(next(code for cls, code in _ERROR_CODES if isinstance(exc, cls)), str(exc))
     except OSError as exc:
         return _fail("PARSE", str(exc))
 

@@ -22,6 +22,7 @@ from .states import (
     EPS_DEGEN,
     HALF_PI,
     AngleSet,
+    ConsistencyError,
     MaximalEntanglement,
     SeparableGamma,
     SpinorDecomposition,
@@ -37,6 +38,7 @@ from .states import (
 )
 
 ID2 = np.eye(2, dtype=complex)
+DEVIATION_BOUND = 1e-9  # largest amplitude difference at which the backends agree
 
 
 class NonUnitDirection(ValueError):
@@ -132,50 +134,55 @@ def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
     return s, ledger.advanced(qubit, h.h_i * t)
 
 
-def evolve_full(psi, h1: LocalHamiltonian, h2: LocalHamiltonian, t: float) -> np.ndarray:
-    """Evolve the full 4-vector under h1 x I + I x h2 for time t.
-
-    Scalar parts included, so this is the ground-truth backend.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    return np.kron(local_unitary(h1, t), local_unitary(h2, t)) @ psi
-
-
-def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
-                     h1: LocalHamiltonian, h2: LocalHamiltonian,
-                     t: float) -> tuple[SpinorDecomposition, PhaseLedger]:
-    """Evolve both spinors locally for time t; chi never changes."""
-    s1, ledger = evolve_spinor(d.spinor1, h1, t, ledger, 1)
-    s2, ledger = evolve_spinor(d.spinor2, h2, t, ledger, 2)
-    return SpinorDecomposition(d.chi, s1, s2), ledger
+def _full_steps(psi: np.ndarray, schedule1, schedule2):
+    """Yield the full state after each paired step (one 4x4 product unitary)."""
+    for pair in itertools.zip_longest(schedule1, schedule2):
+        # a schedule that has run out contributes identity steps
+        psi = np.kron(*(ID2 if step is None else local_unitary(*step) for step in pair)) @ psi
+        yield psi
 
 
 def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     """Run two per-qubit piecewise-constant schedules on the full state.
 
-    Schedules are sequences of (LocalHamiltonian, duration).  The two
-    qubits' unitaries commute, so each schedule may be applied in sequence
-    regardless of the other's timing.
+    Schedules are sequences of (LocalHamiltonian, duration).  Steps are
+    paired into one product unitary each, the shorter schedule padded with
+    identity steps; the two qubits' unitaries commute, so the pairing does
+    not depend on either schedule's timing.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    for h, dt in schedule1:
-        psi = np.kron(local_unitary(h, dt), ID2) @ psi
-    for h, dt in schedule2:
-        psi = np.kron(ID2, local_unitary(h, dt)) @ psi
-    return psi
+    final = np.asarray(psi, dtype=complex).reshape(4)
+    for final in _full_steps(final, schedule1, schedule2):
+        pass
+    return final
 
 
 def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
                               schedule1, schedule2) -> tuple[SpinorDecomposition, PhaseLedger]:
     """Run the same schedules entirely on the two 2-dim spinors."""
     s1, s2 = d.spinor1, d.spinor2
+    beta1, beta2 = ledger.beta1, ledger.beta2
     for h, dt in schedule1:
         s1 = su2_operator(h, dt) @ s1
-        ledger = ledger.advanced(1, h.h_i * dt)
+        beta1 += h.h_i * dt
     for h, dt in schedule2:
         s2 = su2_operator(h, dt) @ s2
-        ledger = ledger.advanced(2, h.h_i * dt)
-    return SpinorDecomposition(d.chi, s1, s2), ledger
+        beta2 += h.h_i * dt
+    return SpinorDecomposition(d.chi, s1, s2), PhaseLedger(beta1, beta2)
+
+
+def evolve_full(psi, h1: LocalHamiltonian, h2: LocalHamiltonian, t: float) -> np.ndarray:
+    """Evolve the full 4-vector under h1 x I + I x h2 for time t.
+
+    Scalar parts included, so this is the ground-truth backend.
+    """
+    return next(_full_steps(np.asarray(psi, dtype=complex).reshape(4), [(h1, t)], [(h2, t)]))
+
+
+def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
+                     h1: LocalHamiltonian, h2: LocalHamiltonian,
+                     t: float) -> tuple[SpinorDecomposition, PhaseLedger]:
+    """Evolve both spinors locally for time t; chi never changes."""
+    return evolve_separable_schedule(d, ledger, [(h1, t)], [(h2, t)])
 
 
 def _trace_angles(psi) -> AngleSet | None:
@@ -188,25 +195,19 @@ def _trace_angles(psi) -> AngleSet | None:
 
 
 def compare_backends(psi, schedule1, schedule2, trace: bool = False) -> EvolutionReport:
-    """Evolve on both backends step by step and report the raw deviation.
+    """Evolve on both backends and report the raw deviation.
 
-    Steps of the two schedules are paired up (shorter one padded with
-    do-nothing steps); with trace=True the six angles of the full state are
-    recorded after every step, entries None where undefined.
+    The full state steps through the paired schedules (see
+    evolve_full_schedule); with trace=True its six angles are recorded
+    after every step, entries None where undefined.
     """
     psi = as_state(psi)
-    d = decompose(psi)
-    ledger = PhaseLedger()
     full = psi
     traces: list[AngleSet | None] | None = [] if trace else None
-    pad = (ZERO_HAMILTONIAN, 0.0)
-    for (h1, t1), (h2, t2) in itertools.zip_longest(schedule1, schedule2, fillvalue=pad):
-        full = np.kron(local_unitary(h1, t1), local_unitary(h2, t2)) @ full
-        s1, ledger = evolve_spinor(d.spinor1, h1, t1, ledger, 1)
-        s2, ledger = evolve_spinor(d.spinor2, h2, t2, ledger, 2)
-        d = SpinorDecomposition(d.chi, s1, s2)
+    for full in _full_steps(psi, schedule1, schedule2):
         if traces is not None:
             traces.append(_trace_angles(full))
+    d, ledger = evolve_separable_schedule(decompose(psi), PhaseLedger(), schedule1, schedule2)
     separable = ledger.phase * reconstruct(d)
     deviation = float(np.max(np.abs(full - separable)))
     return EvolutionReport(full, separable, deviation, traces)
@@ -236,8 +237,9 @@ def aligned_hamiltonian(direction, energy: float) -> LocalHamiltonian:
     h = LocalHamiltonian(0.0, energy * direction)
     plus, minus = aligned_eigenvectors(direction)
     m = h.matrix()
-    assert np.linalg.norm(m @ plus - energy * plus) < 1e-10
-    assert np.linalg.norm(m @ minus + energy * minus) < 1e-10
+    if not (np.linalg.norm(m @ plus - energy * plus) < 1e-10
+            and np.linalg.norm(m @ minus + energy * minus) < 1e-10):
+        raise ConsistencyError("psi_plus, psi_minus are not eigenvectors at +-energy")
     return h
 
 
@@ -249,7 +251,7 @@ def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarr
     qubit's partial-trace axis (tensor order swapped for qubit 2).  The
     first two modes share eigenvalue +E, the last two -E, so an aligned
     evolution only counter-rotates the two halves.  Completeness of the
-    four coefficients is asserted to 1e-12.
+    four coefficients is checked to 1e-12 (ConsistencyError).
     """
     psi = as_state(psi)
     n = state_bloch_vector(psi, qubit)
@@ -264,7 +266,8 @@ def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarr
         basis = [np.kron(e0, plus), np.kron(e1, plus), np.kron(e0, minus), np.kron(e1, minus)]
     coeffs = np.array([np.vdot(b, psi) for b in basis])
     rebuilt = sum(c * b for c, b in zip(coeffs, basis))
-    assert np.linalg.norm(rebuilt - psi) < 1e-12
+    if not np.linalg.norm(rebuilt - psi) < 1e-12:
+        raise ConsistencyError("the four aligned modes do not rebuild the state")
     return coeffs, np.array(basis)
 
 
@@ -288,8 +291,8 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     (projection method, unwrapped by nearest-branch continuation), and
     returns (slope, residual): the fitted d(gamma)/dt and the largest
     absolute deviation from the fit.  The five other angles must stay
-    constant to 1e-8 across the grid (asserted).  In these conventions the
-    slope comes out at -2*energy.
+    constant to 1e-8 across the grid (ConsistencyError otherwise).  In
+    these conventions the slope comes out at -2*energy.
     """
     psi = as_state(psi)
     chi = _schmidt_chi(psi)  # edge-stable, so exact singlets cannot slip the gate
@@ -303,11 +306,11 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     gammas = _unwrap_nearest(np.array([r.gamma for r in records]))
     slope, intercept = np.polyfit(t_grid, gammas, 1)
     residual = float(np.max(np.abs(gammas - (slope * t_grid + intercept))))
-    assert max(r.chi for r in records) - min(r.chi for r in records) < 1e-8
-    assert max(r.theta1 for r in records) - min(r.theta1 for r in records) < 1e-8
-    assert max(r.theta2 for r in records) - min(r.theta2 for r in records) < 1e-8
-    assert _circular_spread([r.phi1 for r in records]) < 1e-8
-    assert _circular_spread([r.phi2 for r in records]) < 1e-8
+    for name in ("chi", "theta1", "theta2", "phi1", "phi2"):
+        values = [getattr(r, name) for r in records]
+        spread = _circular_spread(values) if name.startswith("phi") else max(values) - min(values)
+        if not spread < 1e-8:
+            raise ConsistencyError(f"{name} moved by {spread:.3e} under an aligned rotation")
     return float(slope), residual
 
 

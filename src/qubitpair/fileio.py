@@ -17,6 +17,7 @@ saved file reproduces every value bit for bit.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -82,8 +83,10 @@ def read_json(path):
 
 
 def _real(obj, where: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ParseError(f"{where}: expected a real number, got {obj!r}")
+    # stdlib json also parses Infinity, NaN and integers past the float range
+    if (isinstance(obj, bool) or not isinstance(obj, (int, float))
+            or not abs(obj) <= sys.float_info.max):
+        raise ParseError(f"{where}: expected a finite real number, got {obj!r}")
     return float(obj)
 
 

@@ -21,6 +21,7 @@ from .dynamics import LocalHamiltonian
 from .states import (
     HALF_PI,
     AngleSet,
+    ConsistencyError,
     as_spinor,
     as_state,
     fix_global_phase,
@@ -70,7 +71,7 @@ def born_local(chi: float, spinor, direction) -> float:
     cos^2(chi/2) |<dir|s>|^2 + sin^2(chi/2) |<dir|P s>|^2, which collapses
     to the ordinary Born rule at chi = 0 and to a flat 1/2 at chi = pi/2.
     The reduced form cos(chi) |<dir|s>|^2 + sin^2(chi/2) is evaluated too
-    and the two must agree to 1e-12.
+    and the two must agree to 1e-12 (ConsistencyError otherwise).
     """
     spinor = as_spinor(spinor)
     direction = as_spinor(direction)
@@ -78,7 +79,8 @@ def born_local(chi: float, spinor, direction) -> float:
     flip = abs(np.vdot(direction, parity(spinor))) ** 2
     p = float(np.cos(chi / 2) ** 2 * keep + np.sin(chi / 2) ** 2 * flip)
     reduced = float(np.cos(chi) * keep + np.sin(chi / 2) ** 2)
-    assert abs(p - reduced) <= 1e-12
+    if not abs(p - reduced) <= 1e-12:
+        raise ConsistencyError(f"two-term and reduced Born forms differ by {abs(p - reduced):.3e}")
     return p
 
 

@@ -54,6 +54,10 @@ class PoleSingularity(ValueError):
     recurrence formula, which inherits the coordinate singularity of phi."""
 
 
+class ConsistencyError(ValueError):
+    """An internal cross-check or invariant failed beyond its tolerance."""
+
+
 def wrap_angle(x: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
     return float(np.pi - (np.pi - x) % (2.0 * np.pi))
@@ -282,8 +286,8 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
             angles=AngleSet(chi, theta1, phi1, theta2, phi2, None))
     u = np.kron(spinor_from_angles(theta1, phi1), spinor_from_angles(theta2, phi2))
     gamma = wrap_angle(2.0 * float(np.angle(np.vdot(u, psi))))
-    if cross_check:
-        assert abs(np.sin(gamma) - recurrence_sine(psi)) <= EPS_MATCH
+    if cross_check and not abs(np.sin(gamma) - recurrence_sine(psi)) <= EPS_MATCH:
+        raise ConsistencyError("projection and sine-quotient recurrences disagree")
     return AngleSet(chi, theta1, phi1, theta2, phi2, gamma)
 
 

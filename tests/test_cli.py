@@ -158,6 +158,17 @@ class TestEvolve:
         assert np.max(np.abs(full - sep)) < 1e-9
         assert {"chi", "spinor1", "spinor2", "beta1", "beta2"} <= set(sep_obj)
 
+    @pytest.mark.parametrize("backend", ["full", "separable", "both"])
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_schedule_value_is_parse_error(self, tmp_path, capsys, backend, literal):
+        state, _, s2 = self._files(tmp_path, seed=66)
+        s1 = tmp_path / "bad.json"
+        s1.write_text('[{"qubit": 1, "h_i": %s, "v": [0, 0, 1], "duration": 0.1}]' % literal)
+        code = main(["evolve", "--in", state, "--schedule1", str(s1), "--schedule2", s2,
+                     "--backend", backend])
+        assert code == 2
+        assert stdout_json(capsys)["error"]["code"] == "PARSE"
+
     def test_swapped_schedule_tag_rejected(self, tmp_path, capsys):
         state, s1, s2 = self._files(tmp_path, seed=55)
         code = main(["evolve", "--in", state, "--schedule1", s2, "--schedule2", s1])
@@ -207,6 +218,19 @@ class TestBenchCommand:
         assert main(["bench", "--steps", "300", "--trials", "2", "--seed", "5",
                      "--out", str(b)]) == 0
         assert read_json(a)["max_deviation"] == read_json(b)["max_deviation"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--steps", "0"],
+    ["bench", "--trials", "0"],
+    ["sample", "--count", "0"],
+    ["verify", "--trials", "0"],
+])
+def test_count_below_one_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    error = stdout_json(capsys)["error"]
+    assert error["code"] == "PARSE"
+    assert argv[1] in error["message"]
 
 
 class TestSampleCommand:

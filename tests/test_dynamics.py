@@ -161,9 +161,18 @@ class TestSeparableBackend:
 
     def test_mismatched_schedule_lengths(self):
         rng = np.random.default_rng(21)
-        report = qp.compare_backends(entangled_state(22), random_schedule(rng, 7, True),
-                                     random_schedule(rng, 3, True))
+        psi = entangled_state(22)
+        long, short = random_schedule(rng, 7, True), random_schedule(rng, 3, True)
+        report = qp.compare_backends(psi, long, short)
         assert report.max_component_deviation < 1e-9
+        # the shorter schedule is padded, and every path agrees on the result
+        full = qp.evolve_full_schedule(psi, long, short)
+        assert np.max(np.abs(full - report.final_state_full)) < 1e-9
+        d, ledger = qp.evolve_separable_schedule(qp.decompose(psi), qp.PhaseLedger(), long, short)
+        separable = ledger.phase * qp.reconstruct(d)
+        assert np.max(np.abs(separable - report.final_state_full)) < 1e-9
+        traced = qp.compare_backends(psi, long, short, trace=True)
+        assert len(traced.angle_traces) == 7
 
 
 class TestPhaseStructure:
