@@ -13,8 +13,10 @@ times.  Natural units, hbar = 1; time dependence is piecewise constant.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .states import (
     MaximalEntanglement,
     SeparableGamma,
     SpinorDecomposition,
+    _kron2,
     _schmidt_chi,
     angles_from_state,
     as_state,
@@ -59,6 +62,9 @@ class LocalHamiltonian:
     def __post_init__(self):
         object.__setattr__(self, "h_i", float(self.h_i))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float).reshape(3))
+        x, y, z = self.v.tolist()
+        if not (math.isfinite(self.h_i) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"Hamiltonian entries must be finite: h_i = {self.h_i!r}, v = {self.v!r}")
 
     def matrix(self) -> np.ndarray:
         vx, vy, vz = self.v
@@ -90,7 +96,7 @@ class PhaseLedger:
     @property
     def phase(self) -> complex:
         """e^(-i(beta1+beta2))."""
-        return complex(np.exp(-1j * (self.beta1 + self.beta2)))
+        return cmath.exp(-1j * (self.beta1 + self.beta2))
 
 
 @dataclasses.dataclass
@@ -112,19 +118,22 @@ def su2_operator(h: LocalHamiltonian, t: float) -> np.ndarray:
     """exp(-i (v.sigma) t) in closed form; the scalar part h_i is excluded.
 
     cos(|v|t) I - i sin(|v|t) (v_hat . sigma), the identity for v = 0.
+    The entries are computed on Python floats (math.hypot, so a finite
+    |v| never overflows) and only the finished 2x2 is a numpy array.
     """
-    speed = float(np.linalg.norm(h.v))
+    x, y, z = h.v.tolist()
+    speed = math.hypot(x, y, z)
     if speed == 0.0:
         return ID2.copy()
-    x, y, z = h.v / speed
-    angle = speed * t
-    axis = np.array([[z, x - 1j * y], [x + 1j * y, -z]])
-    return np.cos(angle) * ID2 - 1j * np.sin(angle) * axis
+    c = math.cos(speed * t)
+    s = math.sin(speed * t) / speed
+    return np.array([[complex(c, -s * z), complex(-s * y, -s * x)],
+                     [complex(s * y, -s * x), complex(c, s * z)]])
 
 
 def local_unitary(h: LocalHamiltonian, t: float) -> np.ndarray:
     """The complete one-qubit evolution operator, scalar phase included."""
-    return np.exp(-1j * h.h_i * t) * su2_operator(h, t)
+    return cmath.exp(-1j * h.h_i * t) * su2_operator(h, t)
 
 
 def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
@@ -135,10 +144,10 @@ def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
 
 
 def _full_steps(psi: np.ndarray, schedule1, schedule2):
-    """Yield the full state after each paired step (one 4x4 product unitary)."""
+    """Yield the full state after each paired step (one explicit 4x4 product unitary, by _kron2)."""
     for pair in itertools.zip_longest(schedule1, schedule2):
         # a schedule that has run out contributes identity steps
-        psi = np.kron(*(ID2 if step is None else local_unitary(*step) for step in pair)) @ psi
+        psi = _kron2(*(ID2 if step is None else local_unitary(*step) for step in pair)) @ psi
         yield psi
 
 
@@ -261,9 +270,9 @@ def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarr
     plus, minus = aligned_eigenvectors(n / r)
     e0, e1 = ID2
     if qubit == 1:
-        basis = [np.kron(plus, e0), np.kron(plus, e1), np.kron(minus, e0), np.kron(minus, e1)]
+        basis = [_kron2(plus, e0), _kron2(plus, e1), _kron2(minus, e0), _kron2(minus, e1)]
     else:
-        basis = [np.kron(e0, plus), np.kron(e1, plus), np.kron(e0, minus), np.kron(e1, minus)]
+        basis = [_kron2(e0, plus), _kron2(e1, plus), _kron2(e0, minus), _kron2(e1, minus)]
     coeffs = np.array([np.vdot(b, psi) for b in basis])
     rebuilt = sum(c * b for c, b in zip(coeffs, basis))
     if not np.linalg.norm(rebuilt - psi) < 1e-12:

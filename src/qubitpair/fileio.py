@@ -17,6 +17,7 @@ saved file reproduces every value bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -198,6 +199,7 @@ def load_schedule(path) -> tuple[int, list[tuple[LocalHamiltonian, float]]]:
         raise ParseError(f"{path}: expected a non-empty list of schedule entries")
     qubit = None
     steps = []
+    span = 0.0  # running sum of |h_i| * duration + |v| * duration
     for i, entry in enumerate(obj):
         where = f"{path}: entry {i}"
         if not isinstance(entry, dict):
@@ -217,6 +219,9 @@ def load_schedule(path) -> tuple[int, list[tuple[LocalHamiltonian, float]]]:
         duration = _real(entry.get("duration"), f"{where}: duration")
         if not duration > 0.0:
             raise ParseError(f"{where}: duration must be positive, got {duration!r}")
+        span += (abs(h_i) + math.hypot(*v)) * duration
+        if not math.isfinite(span):
+            raise ParseError(f"{where}: the schedule's phases and rotation angles overflow")
         steps.append((LocalHamiltonian(h_i, v), duration))
     return qubit, steps
 

@@ -63,30 +63,35 @@ def wrap_angle(x: float) -> float:
     return float(np.pi - (np.pi - x) % (2.0 * np.pi))
 
 
+def _as_unit(values, size: int, what: str, normalize: bool) -> np.ndarray:
+    # ``what`` heads the not-normalized message; NaN and inf fail both checks
+    v = np.asarray(values, dtype=complex).reshape(size)
+    nsq = float(np.real(np.vdot(v, v)))
+    if normalize:
+        if not 0.0 < nsq < np.inf:
+            raise ValueError(f"cannot normalize a vector of squared norm {nsq!r}")
+        return v / np.sqrt(nsq)
+    if not abs(nsq - 1.0) <= EPS_NORM:
+        raise ValueError(f"{what} = {nsq!r}")
+    return v
+
+
 def as_state(amplitudes, normalize: bool = False) -> np.ndarray:
     """Coerce to a complex 4-vector, checking (or restoring) unit norm."""
-    psi = np.asarray(amplitudes, dtype=complex).reshape(4)
-    nsq = float(np.real(np.vdot(psi, psi)))
-    if normalize:
-        if nsq == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return psi / np.sqrt(nsq)
-    if abs(nsq - 1.0) > EPS_NORM:
-        raise ValueError(f"amplitudes are not normalized: |psi|^2 = {nsq!r}")
-    return psi
+    return _as_unit(amplitudes, 4, "amplitudes are not normalized: |psi|^2", normalize)
 
 
 def as_spinor(components, normalize: bool = False) -> np.ndarray:
     """Coerce to a complex 2-vector, checking (or restoring) unit norm."""
-    s = np.asarray(components, dtype=complex).reshape(2)
-    nsq = float(np.real(np.vdot(s, s)))
-    if normalize:
-        if nsq == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return s / np.sqrt(nsq)
-    if abs(nsq - 1.0) > EPS_NORM:
-        raise ValueError(f"spinor is not normalized: |s|^2 = {nsq!r}")
-    return s
+    return _as_unit(components, 2, "spinor is not normalized: |s|^2", normalize)
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron for two 2-vectors or two 2x2 matrices, the same products without its overhead."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 1:
+        return (a[:, None] * b).ravel()
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def _require_qubit(qubit: int) -> None:
@@ -284,7 +289,7 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
         raise SeparableGamma(
             "the recurrence of a separable state is indistinguishable from a global phase",
             angles=AngleSet(chi, theta1, phi1, theta2, phi2, None))
-    u = np.kron(spinor_from_angles(theta1, phi1), spinor_from_angles(theta2, phi2))
+    u = _kron2(spinor_from_angles(theta1, phi1), spinor_from_angles(theta2, phi2))
     gamma = wrap_angle(2.0 * float(np.angle(np.vdot(u, psi))))
     if cross_check and not abs(np.sin(gamma) - recurrence_sine(psi)) <= EPS_MATCH:
         raise ConsistencyError("projection and sine-quotient recurrences disagree")
@@ -366,9 +371,9 @@ def decompose(psi) -> SpinorDecomposition:
         u1 = bloch_direction_spinor(state_bloch_vector(psi, 1))
     u2 = u1.conj() @ m
     u2 = u2 / np.linalg.norm(u2)
-    phase = np.exp(1j * np.angle(np.vdot(np.kron(u1, u2), psi)))
+    phase = np.exp(1j * np.angle(np.vdot(_kron2(u1, u2), psi)))
     # the parity pair must carry the opposite phase with weight sin(chi/2)
-    residual = phase * np.vdot(np.kron(parity(u1), parity(u2)), psi) - np.sin(chi / 2)
+    residual = phase * np.vdot(_kron2(parity(u1), parity(u2)), psi) - np.sin(chi / 2)
     if abs(residual) > EPS_MATCH:
         raise ValueError("decomposition consistency check failed; input is not a unit state")
     return SpinorDecomposition(chi, phase * u1, u2)
@@ -376,8 +381,8 @@ def decompose(psi) -> SpinorDecomposition:
 
 def reconstruct(d: SpinorDecomposition) -> np.ndarray:
     """Rebuild the full state: cos(chi/2) s1 x s2 + sin(chi/2) P(s1) x P(s2)."""
-    return (np.cos(d.chi / 2) * np.kron(d.spinor1, d.spinor2)
-            + np.sin(d.chi / 2) * np.kron(parity(d.spinor1), parity(d.spinor2)))
+    return (np.cos(d.chi / 2) * _kron2(d.spinor1, d.spinor2)
+            + np.sin(d.chi / 2) * _kron2(parity(d.spinor1), parity(d.spinor2)))
 
 
 def reconstruct_from_products(d: SpinorDecomposition) -> np.ndarray:

@@ -169,6 +169,23 @@ class TestEvolve:
         assert code == 2
         assert stdout_json(capsys)["error"]["code"] == "PARSE"
 
+    @pytest.mark.parametrize("backend", ["full", "separable", "both"])
+    @pytest.mark.parametrize("entries", [
+        '{"qubit": 1, "h_i": 0, "v": [1e200, 0, 0], "duration": 1e200}',
+        '{"qubit": 1, "h_i": 1e200, "v": [0, 0, 1], "duration": 1e200}',
+        # each phase is finite, their sum is not
+        '{"qubit": 1, "h_i": 1e154, "v": [0, 0, 1], "duration": 1e154}, ' * 2
+        + '{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
+    ])
+    def test_overflowing_schedule_angle_is_parse_error(self, tmp_path, capsys, backend, entries):
+        state, _, s2 = self._files(tmp_path, seed=67)
+        s1 = tmp_path / "huge.json"
+        s1.write_text("[%s]" % entries)
+        code = main(["evolve", "--in", state, "--schedule1", str(s1), "--schedule2", s2,
+                     "--backend", backend])
+        assert code == 2
+        assert stdout_json(capsys)["error"]["code"] == "PARSE"
+
     def test_swapped_schedule_tag_rejected(self, tmp_path, capsys):
         state, s1, s2 = self._files(tmp_path, seed=55)
         code = main(["evolve", "--in", state, "--schedule1", s2, "--schedule2", s1])

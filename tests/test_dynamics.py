@@ -39,6 +39,22 @@ class TestSu2Operator:
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
             assert abs(np.linalg.det(u) - 1) < 1e-12
 
+    def test_huge_field_tiny_time_stays_unitary(self):
+        # |v| * t is 1.41; computing |v| itself must not overflow
+        u = qp.su2_operator(qp.LocalHamiltonian(0.0, [1e200, 1e200, 0.0]), 1e-200)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+        assert abs(np.linalg.det(u) - 1) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hamiltonian_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            qp.LocalHamiltonian(bad, np.zeros(3))
+        for k in range(3):
+            v = np.zeros(3)
+            v[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                qp.LocalHamiltonian(0.0, v)
+
     def test_scalar_part_is_excluded(self):
         h = qp.LocalHamiltonian(5.0, [0, 0, 1.0])
         hv = qp.LocalHamiltonian(0.0, [0, 0, 1.0])

@@ -6,13 +6,24 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "qubitpair"
 
 
-def test_no_assert_statements():
-    # python -O strips asserts, so no correctness check may live in one
+def _nodes(match):
+    """(module:line) of every node in the package source for which match(node) holds."""
     modules = sorted(SOURCE.glob("*.py"))
     assert modules, f"no modules found under {SOURCE}"
     found = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if match(node)]
+    return found
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so no correctness check may live in one
+    found = _nodes(lambda node: isinstance(node, ast.Assert))
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_no_np_kron():
+    # np.kron costs ~20 us on 2x2 operands; states._kron2 forms the same products
+    found = _nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "kron")
+    assert not found, f"np.kron in the package: {found}"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitpair as qp
+from qubitpair.states import _kron2
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -293,3 +294,44 @@ class TestDecomposition:
     def test_rejects_unnormalized_input(self):
         with pytest.raises(ValueError):
             qp.decompose([1, 0, 0, 1])
+
+
+class TestUnitCoercion:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("coerce,size", [(qp.as_state, 4), (qp.as_spinor, 2)])
+    def test_rejects_non_finite_components(self, coerce, size, bad):
+        values = np.zeros(size, dtype=complex)
+        values[0] = bad
+        with pytest.raises(ValueError, match="not normalized"):
+            coerce(values)
+        with pytest.raises(ValueError, match="cannot normalize"):
+            coerce(values, normalize=True)
+
+    @pytest.mark.parametrize("coerce,size", [(qp.as_state, 4), (qp.as_spinor, 2)])
+    def test_rejects_nan_imaginary_part_and_zero_vector(self, coerce, size):
+        values = np.zeros(size, dtype=complex)
+        values[-1] = complex(1.0, np.nan)
+        with pytest.raises(ValueError):
+            coerce(values)
+        with pytest.raises(ValueError, match="cannot normalize"):
+            coerce(np.zeros(size), normalize=True)
+
+    def test_messages_name_the_kind_of_vector(self):
+        with pytest.raises(ValueError, match=r"amplitudes are not normalized: \|psi\|\^2"):
+            qp.as_state([1, 0, 0, 1])
+        with pytest.raises(ValueError, match=r"spinor is not normalized: \|s\|\^2"):
+            qp.as_spinor([1, 1])
+
+
+class TestKron2:
+    def test_matches_np_kron_on_vectors(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            assert np.array_equal(_kron2(a, b), np.kron(a, b))
+
+    def test_matches_np_kron_on_matrices(self):
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+            assert np.array_equal(_kron2(a, b), np.kron(a, b))
