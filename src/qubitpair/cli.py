@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -44,11 +43,10 @@ _ERROR_CODES = (
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = fileio.dumps(obj) + "\n"
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        fileio.write_json(out_path, obj)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.dumps(obj) + "\n")
 
 
 def _fail(code: str, message: str) -> int:
@@ -110,7 +108,7 @@ def cmd_evolve(args) -> int:
 
     if args.backend == "full":
         final = evolve_full_schedule(psi, schedule1, schedule2)
-        _emit({"backend": "full", "amplitudes": fileio._pairs(final)}, args.out_path)
+        _emit({"backend": "full", "amplitudes": fileio.pairs(final)}, args.out_path)
         return 0
     if args.backend == "separable":
         d, ledger = evolve_separable_schedule(decompose(psi), PhaseLedger(), schedule1, schedule2)
@@ -118,11 +116,11 @@ def cmd_evolve(args) -> int:
         _emit({
             "backend": "separable",
             "chi": d.chi,
-            "spinor1": fileio._pairs(d.spinor1),
-            "spinor2": fileio._pairs(d.spinor2),
+            "spinor1": fileio.pairs(d.spinor1),
+            "spinor2": fileio.pairs(d.spinor2),
             "beta1": ledger.beta1,
             "beta2": ledger.beta2,
-            "amplitudes": fileio._pairs(final),
+            "amplitudes": fileio.pairs(final),
         }, args.out_path)
         return 0
 
@@ -130,8 +128,8 @@ def cmd_evolve(args) -> int:
     agree = report.max_component_deviation < DEVIATION_BOUND
     _emit({
         "backend": "both",
-        "final_state_full": fileio._pairs(report.final_state_full),
-        "final_state_separable": fileio._pairs(report.final_state_separable),
+        "final_state_full": fileio.pairs(report.final_state_full),
+        "final_state_separable": fileio.pairs(report.final_state_separable),
         "max_component_deviation": report.max_component_deviation,
         "backends_agree": agree,
     }, args.out_path)
@@ -184,7 +182,7 @@ def cmd_sample(args) -> int:
     if args.out_path:
         fileio.save_state_list(args.out_path, states_out)
     else:
-        _emit([{"amplitudes": fileio._pairs(s)} for s in states_out], None)
+        _emit([{"amplitudes": fileio.pairs(s)} for s in states_out], None)
     return 0
 
 

@@ -33,6 +33,7 @@ from .states import (
     angles_from_state,
     as_state,
     decompose,
+    parity,
     reconstruct,
     spherical_angles,
     spinor_from_angles,
@@ -95,8 +96,8 @@ class PhaseLedger:
 
     @property
     def phase(self) -> complex:
-        """e^(-i(beta1+beta2))."""
-        return cmath.exp(-1j * (self.beta1 + self.beta2))
+        """e^(-i(beta1+beta2)), as a product: two finite betas can overflow their sum."""
+        return cmath.exp(-1j * self.beta1) * cmath.exp(-1j * self.beta2)
 
 
 @dataclasses.dataclass
@@ -226,9 +227,7 @@ def aligned_eigenvectors(direction) -> tuple[np.ndarray, np.ndarray]:
     """Half-angle eigenspinors (psi_plus, psi_minus) of v.sigma along a unit axis."""
     theta, phi = spherical_angles(np.asarray(direction, dtype=float))
     plus = spinor_from_angles(theta, phi)
-    minus = np.array([np.sin(theta / 2) * np.exp(-0.5j * phi),
-                      -np.cos(theta / 2) * np.exp(+0.5j * phi)])
-    return plus, minus
+    return plus, parity(plus)
 
 
 def aligned_hamiltonian(direction, energy: float) -> LocalHamiltonian:

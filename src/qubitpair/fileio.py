@@ -2,8 +2,8 @@
 and per-qubit Hamiltonian schedules.
 
 All files are UTF-8 JSON.  Complex numbers are [re, im] pairs, angles are
-radians, and reals are written with 17 significant digits, so loading a
-saved file reproduces every value bit for bit.
+radians, and reals are written as their shortest round-trip repr, so
+loading a saved file reproduces every value bit for bit.
 
 * state file:    {"amplitudes": [[re, im] * 4]} in order a, b, c, d
 * angle file:    {"chi", "theta1", "phi1", "theta2", "phi2", "gamma"},
@@ -32,44 +32,9 @@ class ParseError(ValueError):
     """A file or option could not be parsed or failed validation."""
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def dumps(value, indent: int = 0) -> str:
-    """Serialize to JSON text with 17-significant-digit reals.
-
-    The stdlib encoder hardwires repr() for floats; this small emitter
-    exists only to control that, everything else is plain JSON.
-    """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}'
-                 for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq)
-        parts = [dumps(v, indent + 1) for v in seq]
-        if flat:
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def dumps(value) -> str:
+    """The package's one JSON layout: stdlib json, two-space indent."""
+    return json.dumps(value, indent=2)
 
 
 def write_json(path, value) -> None:
@@ -97,7 +62,8 @@ def _complex_pair(obj, where: str) -> complex:
     return complex(_real(obj[0], where), _real(obj[1], where))
 
 
-def _pairs(z) -> list[list[float]]:
+def pairs(z) -> list[list[float]]:
+    """A complex vector as [re, im] pairs of Python floats, the files' complex format."""
     return [[float(np.real(v)), float(np.imag(v))] for v in np.asarray(z)]
 
 
@@ -118,7 +84,7 @@ def _checked_unit(vec: np.ndarray, where: str) -> np.ndarray:
 
 
 def save_state(path, psi) -> None:
-    write_json(path, {"amplitudes": _pairs(np.asarray(psi, dtype=complex).reshape(4))})
+    write_json(path, {"amplitudes": pairs(np.asarray(psi, dtype=complex).reshape(4))})
 
 
 def load_state(path) -> np.ndarray:
@@ -163,8 +129,8 @@ def load_angles(path) -> AngleSet:
 def save_decomposition(path, d: SpinorDecomposition) -> None:
     write_json(path, {
         "chi": d.chi,
-        "spinor1": _pairs(d.spinor1),
-        "spinor2": _pairs(d.spinor2),
+        "spinor1": pairs(d.spinor1),
+        "spinor2": pairs(d.spinor2),
     })
 
 
@@ -187,7 +153,7 @@ def load_decomposition(path) -> SpinorDecomposition:
 
 def save_schedule(path, qubit: int, schedule) -> None:
     write_json(path, [
-        {"qubit": qubit, "h_i": h.h_i, "v": list(h.v), "duration": dt}
+        {"qubit": qubit, "h_i": h.h_i, "v": h.v.tolist(), "duration": float(dt)}
         for h, dt in schedule
     ])
 
@@ -227,5 +193,5 @@ def load_schedule(path) -> tuple[int, list[tuple[LocalHamiltonian, float]]]:
 
 
 def save_state_list(path, states) -> None:
-    write_json(path, [{"amplitudes": _pairs(np.asarray(s, dtype=complex).reshape(4))}
+    write_json(path, [{"amplitudes": pairs(np.asarray(s, dtype=complex).reshape(4))}
                       for s in states])

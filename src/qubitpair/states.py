@@ -360,9 +360,8 @@ def decompose(psi) -> SpinorDecomposition:
     exactly, global sign included.
     """
     psi = as_state(psi)
-    det = psi[0] * psi[3] - psi[1] * psi[2]
-    if abs(det) >= EPS_DEGEN:
-        psi = np.exp(-0.5j * np.angle(det)) * psi
+    if abs(psi[0] * psi[3] - psi[1] * psi[2]) >= EPS_DEGEN:
+        psi = fix_global_phase(psi)
     m = psi.reshape(2, 2)
     chi = _schmidt_chi(psi)
     if chi > HALF_PI - EPS_DEGEN:

@@ -76,48 +76,35 @@ def roundtrip_suite(trials: int, seed: int) -> list[PropertyResult]:
         for psi in measurement.sample_fixed_concurrence(edge, seed + 1 + i, chi):
             corpus.append((psi, chi))
 
-    worst = 0.0
-    for psi, _ in corpus:
-        d = states.decompose(psi)
-        worst = max(worst, float(np.max(np.abs(states.reconstruct(d) - psi))))
-    results.append(_result("decompose_reconstruct_roundtrip", worst, 1e-10))
-
-    worst = 0.0
-    for psi, _ in corpus:
-        d = states.decompose(psi)
-        worst = max(worst, float(np.max(np.abs(
-            states.reconstruct(d) - states.reconstruct_from_products(d)))))
-    results.append(_result("reconstruction_paths_agree", worst, 1e-12))
-
-    worst = 0.0
+    worst_rt, worst_paths, worst_len = 0.0, 0.0, 0.0
     for psi, chi in corpus:
+        d = states.decompose(psi)
+        rebuilt = states.reconstruct(d)
+        worst_rt = max(worst_rt, float(np.max(np.abs(rebuilt - psi))))
+        worst_paths = max(worst_paths, float(np.max(np.abs(
+            rebuilt - states.reconstruct_from_products(d)))))
         for qubit in (1, 2):
             n = states.state_bloch_vector(psi, qubit)
-            worst = max(worst, abs(float(np.linalg.norm(n)) - float(np.cos(chi))))
-    results.append(_result("bloch_length_is_cos_chi", worst, 1e-9))
+            worst_len = max(worst_len, abs(float(np.linalg.norm(n)) - float(np.cos(chi))))
+    results.append(_result("decompose_reconstruct_roundtrip", worst_rt, 1e-10))
+    results.append(_result("reconstruction_paths_agree", worst_paths, 1e-12))
+    results.append(_result("bloch_length_is_cos_chi", worst_len, 1e-9))
 
     sets = band_angle_sets(trials, seed + 11)
-    worst = 0.0
-    for ang in sets:
-        got = states.angles_from_state(states.state_from_angles(ang))
-        worst = max(worst, abs(got.chi - ang.chi), abs(got.theta1 - ang.theta1),
-                    abs(got.theta2 - ang.theta2), _circ(got.phi1, ang.phi1),
-                    _circ(got.phi2, ang.phi2), _circ(got.gamma, ang.gamma))
-    results.append(_result("angle_roundtrip", worst, 1e-9))
-
-    worst = 0.0
+    worst_ang, worst_sine, worst_swap = 0.0, 0.0, 0.0
     for ang in sets:
         psi = states.state_from_angles(ang)
         got = states.angles_from_state(psi)
-        worst = max(worst, abs(np.sin(got.gamma) - states.recurrence_sine(psi)))
-    results.append(_result("recurrence_sine_crosscheck", worst, 1e-9))
-
-    worst = 0.0
-    for ang in sets:
-        a, b, c, d = states.state_from_angles(ang)
+        worst_ang = max(worst_ang, abs(got.chi - ang.chi), abs(got.theta1 - ang.theta1),
+                        abs(got.theta2 - ang.theta2), _circ(got.phi1, ang.phi1),
+                        _circ(got.phi2, ang.phi2), _circ(got.gamma, ang.gamma))
+        worst_sine = max(worst_sine, abs(np.sin(got.gamma) - states.recurrence_sine(psi)))
+        a, b, c, d = psi
         swapped = states.angles_from_state(np.array([a, c, b, d]))
-        worst = max(worst, _circ(swapped.gamma, ang.gamma))
-    results.append(_result("particle_exchange_keeps_gamma", worst, 1e-9))
+        worst_swap = max(worst_swap, _circ(swapped.gamma, ang.gamma))
+    results.append(_result("angle_roundtrip", worst_ang, 1e-9))
+    results.append(_result("recurrence_sine_crosscheck", worst_sine, 1e-9))
+    results.append(_result("particle_exchange_keeps_gamma", worst_swap, 1e-9))
 
     rng = np.random.default_rng(seed + 13)
     worst = 0.0

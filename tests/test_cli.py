@@ -186,6 +186,30 @@ class TestEvolve:
         assert code == 2
         assert stdout_json(capsys)["error"]["code"] == "PARSE"
 
+    @pytest.mark.parametrize("backend", ["full", "separable", "both"])
+    def test_phases_whose_sum_overflows_stay_finite(self, tmp_path, backend):
+        # each file passes the load check; beta1 + beta2 overflows the float range
+        state, _, _ = self._files(tmp_path, seed=68)
+        paths = []
+        for qubit in (1, 2):
+            path = tmp_path / f"s{qubit}.json"
+            path.write_text('[{"qubit": %d, "h_i": 1e154, "v": [0, 0, 1], "duration": 1e154}]'
+                            % qubit)
+            paths.append(str(path))
+        out = tmp_path / "out.json"
+        assert main(["evolve", "--in", state, "--schedule1", paths[0], "--schedule2", paths[1],
+                     "--backend", backend, "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite value {token} in the output")
+
+        obj = json.loads(out.read_text(), parse_constant=reject)
+        keys = ["final_state_full", "final_state_separable"] if backend == "both" else ["amplitudes"]
+        for key in keys:
+            assert np.all(np.isfinite(np.array(obj[key])))
+        if backend == "both":
+            assert obj["backends_agree"] is True
+
     def test_swapped_schedule_tag_rejected(self, tmp_path, capsys):
         state, s1, s2 = self._files(tmp_path, seed=55)
         code = main(["evolve", "--in", state, "--schedule1", s2, "--schedule2", s1])
@@ -273,6 +297,16 @@ class TestSampleCommand:
         assert main(["sample", "--count", "4", "--seed", "9", "--out", str(a)]) == 0
         assert main(["sample", "--count", "4", "--seed", "9", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stdout_matches_out_file_and_reloads_bitexact(self, tmp_path, capsys):
+        out = tmp_path / "samples.json"
+        assert main(["sample", "--count", "4", "--seed", "9", "--out", str(out)]) == 0
+        assert main(["sample", "--count", "4", "--seed", "9"]) == 0
+        text = capsys.readouterr().out
+        assert text == out.read_text()
+        psi = np.array([[complex(re, im) for re, im in rec["amplitudes"]]
+                        for rec in json.loads(text)])
+        assert np.array_equal(psi, qp.sample_states(qp.SampleSpec(4, 9, None)))
 
     def test_bad_fixed_chi_is_usage_error(self, tmp_path, capsys):
         code = main(["sample", "--count", "1", "--seed", "1", "--fixed-chi", "9"])
