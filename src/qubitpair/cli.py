@@ -60,6 +60,12 @@ def _check_count(option: str, value: int) -> None:
         raise fileio.ParseError(f"{option} must be at least 1, got {value}")
 
 
+def _check_seed(value: int) -> None:
+    # numpy's seeding would refuse it later with a bare ValueError
+    if value < 0:
+        raise fileio.ParseError(f"--seed must be non-negative, got {value}")
+
+
 def _load_state_as(path: str, fmt: str) -> np.ndarray:
     if fmt == "amplitudes":
         return fileio.load_state(path)
@@ -142,6 +148,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_count("--trials", args.trials)
+    _check_seed(args.seed)
     results = run_suite(args.suite, args.trials, args.seed)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -164,6 +171,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     _check_count("--steps", args.steps)
     _check_count("--trials", args.trials)
+    _check_seed(args.seed)
     report = run_benchmark(args.steps, args.trials, args.seed)
     _emit(report.to_dict(), args.out_path)
     print(f"bench: {report.ns_per_step_full:.0f} ns/step full, "
@@ -175,6 +183,7 @@ def cmd_bench(args) -> int:
 
 def cmd_sample(args) -> int:
     _check_count("--count", args.count)
+    _check_seed(args.seed)
     if args.fixed_chi is not None and not 0.0 <= args.fixed_chi <= HALF_PI:
         raise fileio.ParseError(f"--fixed-chi out of [0, pi/2]: {args.fixed_chi!r}")
     spec = SampleSpec(args.count, args.seed, args.fixed_chi)

@@ -29,9 +29,9 @@ from .states import (
     SeparableGamma,
     SpinorDecomposition,
     _kron2,
-    _schmidt_chi,
     angles_from_state,
     as_state,
+    concurrence_angle,
     decompose,
     parity,
     reconstruct,
@@ -303,7 +303,7 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     these conventions the slope comes out at -2*energy.
     """
     psi = as_state(psi)
-    chi = _schmidt_chi(psi)  # edge-stable, so exact singlets cannot slip the gate
+    chi = concurrence_angle(psi)  # edge-stable, so exact singlets cannot slip the gate
     if not EPS_DEGEN < chi < HALF_PI - EPS_DEGEN:
         raise DegenerateState("recurrence drift needs a partially entangled state")
     n = state_bloch_vector(psi, qubit)
@@ -331,7 +331,7 @@ def compound_rotation_check(psi, energy1: float, energy2: float, t: float,
     exactly.  The difference is returned wrapped to (-pi, pi].
     """
     psi = as_state(psi)
-    chi = _schmidt_chi(psi)
+    chi = concurrence_angle(psi)
     if not EPS_DEGEN < chi < HALF_PI - EPS_DEGEN:
         raise DegenerateState("the compound-rotation check needs a partially entangled state")
     n1 = state_bloch_vector(psi, 1)

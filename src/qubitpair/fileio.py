@@ -33,8 +33,8 @@ class ParseError(ValueError):
 
 
 def dumps(value) -> str:
-    """The package's one JSON layout: stdlib json, two-space indent."""
-    return json.dumps(value, indent=2)
+    """The package's one JSON layout: compact stdlib json (indenting loses CPython's C encoder)."""
+    return json.dumps(value)
 
 
 def write_json(path, value) -> None:

@@ -14,6 +14,7 @@ an explicit seed, so every sample set reproduces bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -22,10 +23,13 @@ from .states import (
     HALF_PI,
     AngleSet,
     ConsistencyError,
+    _contract,
+    _parity,
+    _require_qubit,
+    _vdot2,
     as_spinor,
     as_state,
     fix_global_phase,
-    parity,
     state_from_angles,
     wrap_angle,
 )
@@ -53,16 +57,11 @@ def born_full(psi, qubit: int, direction) -> float:
     Computed on the full state: <psi| P x I |psi> (or I x P), with P the
     projector onto the direction spinor.
     """
-    psi = as_state(psi)
-    direction = as_spinor(direction)
-    m = psi.reshape(2, 2)
-    if qubit == 1:
-        amps = direction.conj() @ m
-    elif qubit == 2:
-        amps = m @ direction.conj()
-    else:
-        raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
-    return float(np.real(np.vdot(amps, amps)))
+    a, b, c, d = as_state(psi).tolist()
+    direction = as_spinor(direction).tolist()
+    _require_qubit(qubit)
+    x, y = _contract(direction, (a, b, c, d) if qubit == 1 else (a, c, b, d))
+    return abs(x) ** 2 + abs(y) ** 2
 
 
 def born_local(chi: float, spinor, direction) -> float:
@@ -73,12 +72,12 @@ def born_local(chi: float, spinor, direction) -> float:
     The reduced form cos(chi) |<dir|s>|^2 + sin^2(chi/2) is evaluated too
     and the two must agree to 1e-12 (ConsistencyError otherwise).
     """
-    spinor = as_spinor(spinor)
-    direction = as_spinor(direction)
-    keep = abs(np.vdot(direction, spinor)) ** 2
-    flip = abs(np.vdot(direction, parity(spinor))) ** 2
-    p = float(np.cos(chi / 2) ** 2 * keep + np.sin(chi / 2) ** 2 * flip)
-    reduced = float(np.cos(chi) * keep + np.sin(chi / 2) ** 2)
+    spinor = as_spinor(spinor).tolist()
+    direction = as_spinor(direction).tolist()
+    keep = abs(_vdot2(direction, spinor)) ** 2
+    flip = abs(_vdot2(direction, _parity(*spinor))) ** 2
+    p = math.cos(chi / 2) ** 2 * keep + math.sin(chi / 2) ** 2 * flip
+    reduced = math.cos(chi) * keep + math.sin(chi / 2) ** 2
     if not abs(p - reduced) <= 1e-12:
         raise ConsistencyError(f"two-term and reduced Born forms differ by {abs(p - reduced):.3e}")
     return p

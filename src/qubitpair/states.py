@@ -15,12 +15,18 @@ forms are supported:
 
 The global phase is canonical when (ad - bc) is real and non-negative;
 conversions that need a fixed phase enforce exactly that.  Everything here
-is a pure function over plain numpy arrays and small frozen dataclasses.
+is a pure function over small frozen dataclasses.  Each conversion reads
+its amplitudes or spinor components once as Python complex numbers and
+does the arithmetic with math and cmath, because numpy's fixed cost per
+call on 2- and 4-element arrays is far above the arithmetic itself.
+Vectors come back as numpy arrays and angles as Python floats.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 
 import numpy as np
 
@@ -86,6 +92,11 @@ def as_spinor(components, normalize: bool = False) -> np.ndarray:
     return _as_unit(components, 2, "spinor is not normalized: |s|^2", normalize)
 
 
+def _values(v, size: int) -> list[complex]:
+    # the components as Python complexes, unchecked
+    return np.asarray(v, dtype=complex).reshape(size).tolist()
+
+
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron for two 2-vectors or two 2x2 matrices, the same products without its overhead."""
     a, b = np.asarray(a), np.asarray(b)
@@ -99,15 +110,95 @@ def _require_qubit(qubit: int) -> None:
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
 
 
+def _reduced(amps, qubit: int) -> tuple[float, float, complex]:
+    # (rho00, rho11, rho01) of one qubit's reduced density matrix, by partial trace
+    a, b, c, d = amps
+    if qubit == 2:
+        b, c = c, b
+    return (abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2,
+            a * c.conjugate() + b * d.conjugate())
+
+
+def _bloch(amps, qubit: int) -> tuple[float, float, float]:
+    # one qubit's Bloch vector, from rho = (I + n.sigma)/2
+    p, q, w = _reduced(amps, qubit)
+    return 2.0 * w.real, -2.0 * w.imag, p - q
+
+
+def _chi(amps, n1) -> float:
+    # atan2(sin chi, cos chi), both known to an absolute 1e-16 (see concurrence_angle)
+    a, b, c, d = amps
+    return math.atan2(2.0 * abs(a * d - b * c), math.hypot(*n1))
+
+
+def _phase_fixed(amps) -> list[complex]:
+    a, b, c, d = amps
+    det = a * d - b * c
+    if abs(det) >= EPS_DEGEN:
+        turn = cmath.rect(1.0, -0.5 * cmath.phase(det))
+    else:
+        turn = cmath.rect(1.0, -cmath.phase(max(amps, key=abs)))
+    return [turn * v for v in amps]
+
+
+def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
+    r = math.hypot(x, y, z)
+    if r == 0.0:
+        return 0.0, 0.0
+    return math.acos(min(max(z / r, -1.0), 1.0)), wrap_angle(math.atan2(y, x))
+
+
+def _direction(x: float, y: float, z: float) -> tuple[complex, complex]:
+    r = math.hypot(x, y, z)
+    if r == 0.0:
+        raise ValueError("the zero vector has no direction")
+    if z >= 0.0:
+        k = math.hypot(r + z, x, y)
+        return complex((r + z) / k), complex(x / k, y / k)
+    k = math.hypot(x, y, r - z)
+    return complex(x / k, -y / k), complex((r - z) / k)
+
+
+def _half_angle(theta: float, phi: float, alpha: float = 0.0) -> tuple[complex, complex]:
+    return (cmath.rect(math.cos(theta / 2), 0.5 * (alpha - phi)),
+            cmath.rect(math.sin(theta / 2), 0.5 * (alpha + phi)))
+
+
+def _parity(u: complex, l: complex) -> tuple[complex, complex]:
+    return l.conjugate(), -u.conjugate()
+
+
+def _vdot2(s, t) -> complex:
+    # <s|t> of two spinors
+    return s[0].conjugate() * t[0] + s[1].conjugate() * t[1]
+
+
+def _contract(s, amps) -> tuple[complex, complex]:
+    # <s| on qubit 1 of (a, b, c, d), leaving a qubit-2 spinor; (a, c, b, d) contracts qubit 2
+    a, b, c, d = amps
+    u, l = s[0].conjugate(), s[1].conjugate()
+    return u * a + l * c, u * b + l * d
+
+
+def _schmidt_sum(chi: float, s1, s2) -> np.ndarray:
+    # cos(chi/2) s1 x s2 + sin(chi/2) P(s1) x P(s2)
+    cc, sc = math.cos(chi / 2), math.sin(chi / 2)
+    p1, p2 = _parity(*s1), _parity(*s2)
+    return np.array([cc * (x * y) + sc * (u * v) for x, u in zip(s1, p1) for y, v in zip(s2, p2)])
+
+
 def concurrence(psi) -> float:
     """Entanglement measure 2|ad - bc|: 0 separable, 1 maximally entangled."""
-    a, b, c, d = np.asarray(psi, dtype=complex).reshape(4)
-    return float(min(2.0 * abs(a * d - b * c), 1.0))
+    a, b, c, d = _values(psi, 4)
+    return min(2.0 * abs(a * d - b * c), 1.0)
 
 
 def concurrence_angle(psi) -> float:
-    """arcsin of the concurrence, clamped to [0, pi/2]."""
-    return float(np.arcsin(concurrence(psi)))
+    """chi in [0, pi/2] as atan2(2|ad - bc|, |n1|), with |n1| = cos(chi) the length of
+    qubit 1's Bloch vector: accurate to rounding at both edges, where arcsin of the
+    concurrence loses up to half its digits."""
+    amps = _values(psi, 4)
+    return _chi(amps, _bloch(amps, 1))
 
 
 def fix_global_phase(psi) -> np.ndarray:
@@ -120,25 +211,14 @@ def fix_global_phase(psi) -> np.ndarray:
     and -psi stay distinct; that leftover sign freedom is resolved by
     decompose(), which measures its phase from the actual input.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    det = psi[0] * psi[3] - psi[1] * psi[2]
-    if abs(det) >= EPS_DEGEN:
-        return np.exp(-0.5j * np.angle(det)) * psi
-    k = int(np.argmax(np.abs(psi)))
-    return np.exp(-1j * np.angle(psi[k])) * psi
+    return np.array(_phase_fixed(_values(psi, 4)))
 
 
 def reduced_density(psi, qubit: int) -> np.ndarray:
     """One qubit's 2x2 density matrix, by partial trace over the other."""
     _require_qubit(qubit)
-    a, b, c, d = np.asarray(psi, dtype=complex).reshape(4)
-    if qubit == 1:
-        return np.array([
-            [abs(a) ** 2 + abs(b) ** 2, a * np.conj(c) + b * np.conj(d)],
-            [np.conj(a) * c + np.conj(b) * d, abs(c) ** 2 + abs(d) ** 2]])
-    return np.array([
-        [abs(a) ** 2 + abs(c) ** 2, a * np.conj(b) + c * np.conj(d)],
-        [np.conj(a) * b + np.conj(c) * d, abs(b) ** 2 + abs(d) ** 2]])
+    p, q, w = _reduced(_values(psi, 4), qubit)
+    return np.array([[p, w], [w.conjugate(), q]])
 
 
 def bloch_vector(rho) -> np.ndarray:
@@ -150,7 +230,8 @@ def bloch_vector(rho) -> np.ndarray:
 
 def state_bloch_vector(psi, qubit: int) -> np.ndarray:
     """Bloch vector of one qubit of a two-qubit state; |n| = cos(chi)."""
-    return bloch_vector(reduced_density(psi, qubit))
+    _require_qubit(qubit)
+    return np.array(_bloch(_values(psi, 4), qubit))
 
 
 def spinor_bloch_vector(spinor) -> np.ndarray:
@@ -162,13 +243,7 @@ def spinor_bloch_vector(spinor) -> np.ndarray:
 
 def spherical_angles(n) -> tuple[float, float]:
     """(theta, phi) of a 3-vector; phi defaults to 0 on the z-axis poles."""
-    n = np.asarray(n, dtype=float).reshape(3)
-    r = float(np.linalg.norm(n))
-    if r == 0.0:
-        return 0.0, 0.0
-    theta = float(np.arccos(np.clip(n[2] / r, -1.0, 1.0)))
-    phi = wrap_angle(float(np.arctan2(n[1], n[0])))
-    return theta, phi
+    return _spherical(*np.asarray(n, dtype=float).reshape(3).tolist())
 
 
 def bloch_direction_spinor(n) -> np.ndarray:
@@ -178,16 +253,7 @@ def bloch_direction_spinor(n) -> np.ndarray:
     picked by the sign of n_z), so it has no pole singularities.  The
     overall phase is a fixed convention of the chart, not of (theta, phi).
     """
-    n = np.asarray(n, dtype=float).reshape(3)
-    r = float(np.linalg.norm(n))
-    if r == 0.0:
-        raise ValueError("the zero vector has no direction")
-    x, y, z = n / r
-    if z >= 0.0:
-        s = np.array([1.0 + z, x + 1j * y], dtype=complex)
-    else:
-        s = np.array([x - 1j * y, 1.0 - z], dtype=complex)
-    return s / np.linalg.norm(s)
+    return np.array(_direction(*np.asarray(n, dtype=float).reshape(3).tolist()))
 
 
 def spinor_from_angles(theta: float, phi: float = 0.0, alpha: float = 0.0) -> np.ndarray:
@@ -196,9 +262,7 @@ def spinor_from_angles(theta: float, phi: float = 0.0, alpha: float = 0.0) -> np
     alpha enters as a half angle, so it matters modulo 4*pi: shifting it by
     2*pi flips the spinor's sign, which is physical in the decomposition.
     """
-    return np.exp(0.5j * alpha) * np.array([
-        np.cos(theta / 2) * np.exp(-0.5j * phi),
-        np.sin(theta / 2) * np.exp(+0.5j * phi)])
+    return np.array(_half_angle(theta, phi, alpha))
 
 
 def parity(spinor) -> np.ndarray:
@@ -206,8 +270,7 @@ def parity(spinor) -> np.ndarray:
 
     Orthogonal to its input, and parity(parity(s)) = -s.
     """
-    s = np.asarray(spinor, dtype=complex).reshape(2)
-    return np.array([np.conj(s[1]), -np.conj(s[0])])
+    return np.array(_parity(*_values(spinor, 2)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,14 +317,6 @@ class SpinorDecomposition:
     spinor2: np.ndarray
 
 
-def _schmidt_chi(psi: np.ndarray) -> float:
-    # Concurrence angle from the singular values of the amplitude matrix:
-    # equal to arcsin(2|ad-bc|) but fully accurate at both edges, where the
-    # arcsin form loses up to half its digits.
-    sv = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
-    return float(2.0 * np.arctan2(sv[1], sv[0]))
-
-
 def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
     """Extract the six natural angles from a normalized state.
 
@@ -278,20 +333,21 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
     the exception) and MaximalEntanglement above pi/2 - EPS_DEGEN, where
     theta and phi lose meaning; decompose() handles that regime instead.
     """
-    psi = fix_global_phase(as_state(psi))
-    chi = _schmidt_chi(psi)
+    amps = _phase_fixed(as_state(psi).tolist())
+    n1 = _bloch(amps, 1)
+    chi = _chi(amps, n1)
     if chi > HALF_PI - EPS_DEGEN:
         raise MaximalEntanglement(
             "theta and phi are undefined at maximal entanglement; use decompose()")
-    theta1, phi1 = spherical_angles(state_bloch_vector(psi, 1))
-    theta2, phi2 = spherical_angles(state_bloch_vector(psi, 2))
+    theta1, phi1 = _spherical(*n1)
+    theta2, phi2 = _spherical(*_bloch(amps, 2))
     if chi < EPS_DEGEN:
         raise SeparableGamma(
             "the recurrence of a separable state is indistinguishable from a global phase",
             angles=AngleSet(chi, theta1, phi1, theta2, phi2, None))
-    u = _kron2(spinor_from_angles(theta1, phi1), spinor_from_angles(theta2, phi2))
-    gamma = wrap_angle(2.0 * float(np.angle(np.vdot(u, psi))))
-    if cross_check and not abs(np.sin(gamma) - recurrence_sine(psi)) <= EPS_MATCH:
+    overlap = _vdot2(_half_angle(theta2, phi2), _contract(_half_angle(theta1, phi1), amps))
+    gamma = wrap_angle(2.0 * cmath.phase(overlap))
+    if cross_check and not abs(math.sin(gamma) - recurrence_sine(amps)) <= EPS_MATCH:
         raise ConsistencyError("projection and sine-quotient recurrences disagree")
     return AngleSet(chi, theta1, phi1, theta2, phi2, gamma)
 
@@ -303,25 +359,27 @@ def recurrence_sine(psi) -> float:
     pins gamma only up to its sine and fails at the Bloch poles, where the
     quotient loses meaning (PoleSingularity below EPS_POLE).
     """
-    psi = fix_global_phase(as_state(psi))
-    chi = _schmidt_chi(psi)
+    amps = _phase_fixed(as_state(psi).tolist())
+    n1 = _bloch(amps, 1)
+    chi = _chi(amps, n1)
     if chi < EPS_DEGEN:
         raise SeparableGamma("the recurrence of a separable state is undefined")
     if chi > HALF_PI - EPS_DEGEN:
         raise MaximalEntanglement("the sine quotient is undefined at maximal entanglement")
-    theta1, _ = spherical_angles(state_bloch_vector(psi, 1))
-    theta2, _ = spherical_angles(state_bloch_vector(psi, 2))
-    s1, s2 = float(np.sin(theta1)), float(np.sin(theta2))
+    s1 = math.sin(_spherical(*n1)[0])
+    s2 = math.sin(_spherical(*_bloch(amps, 2))[0])
     if min(s1, s2) < EPS_POLE:
         raise PoleSingularity("a Bloch vector lies within EPS_POLE of a z-axis pole")
-    a, b, c, d = psi
-    return float(2.0 * (a * d + b * c).imag / (np.cos(chi) * s1 * s2))
+    a, b, c, d = amps
+    return 2.0 * (a * d + b * c).imag / (math.cos(chi) * s1 * s2)
 
 
 def state_from_angles(angles: AngleSet) -> np.ndarray:
     """Build the amplitudes from the six natural angles.
 
-    The output is normalized with (ad - bc) = sin(chi)/2, real and
+    The state is the Schmidt sum of the two half-angle spinors, with gamma
+    as the phase of spinor1 (see spinor_from_angles and reconstruct).  The
+    output is normalized with (ad - bc) = sin(chi)/2, real and
     non-negative, by construction.  gamma may be None only for separable
     input (chi below EPS_DEGEN), where it is a global phase and defaults
     to zero.
@@ -333,16 +391,8 @@ def state_from_angles(angles: AngleSet) -> np.ndarray:
         gamma = 0.0
     else:
         gamma = angles.gamma
-    cc, sc = np.cos(angles.chi / 2), np.sin(angles.chi / 2)
-    c1, s1 = np.cos(angles.theta1 / 2), np.sin(angles.theta1 / 2)
-    c2, s2 = np.cos(angles.theta2 / 2), np.sin(angles.theta2 / 2)
-    eg = np.exp(0.5j * gamma)
-    egc = np.exp(-0.5j * gamma)
-    return np.array([
-        (cc * c1 * c2 * eg + sc * s1 * s2 * egc) * np.exp(-0.5j * (angles.phi1 + angles.phi2)),
-        (cc * c1 * s2 * eg - sc * s1 * c2 * egc) * np.exp(-0.5j * (angles.phi1 - angles.phi2)),
-        (cc * s1 * c2 * eg - sc * c1 * s2 * egc) * np.exp(+0.5j * (angles.phi1 - angles.phi2)),
-        (cc * s1 * s2 * eg + sc * c1 * c2 * egc) * np.exp(+0.5j * (angles.phi1 + angles.phi2))])
+    return _schmidt_sum(angles.chi, _half_angle(angles.theta1, angles.phi1, gamma),
+                        _half_angle(angles.theta2, angles.phi2))
 
 
 def decompose(psi) -> SpinorDecomposition:
@@ -350,38 +400,35 @@ def decompose(psi) -> SpinorDecomposition:
 
     Entangled input is first rotated to the canonical global phase
     ((ad - bc) real and non-negative, the identity when already canonical);
-    separable input keeps its phase, which rides on spinor1.  spinor1 points
-    along qubit 1's partial-trace Bloch vector, except at maximal
-    entanglement, where every direction works and +z is the convention.
-    spinor2 then comes from contracting spinor1's direction with the 2x2
-    amplitude matrix, which pins qubit 2's direction *and* the relative
-    phase in one well-conditioned step.  The remaining overall phase is
-    measured from the input itself, so reconstruct() returns the input
-    exactly, global sign included.
+    separable input keeps its phase.  spinor1 points along qubit 1's
+    partial-trace Bloch vector, except at maximal entanglement, where every
+    direction works and +z is the convention.  spinor2 then comes from
+    contracting spinor1's direction with the 2x2 amplitude matrix, which
+    pins qubit 2's direction *and* the input's phase in one
+    well-conditioned step: the state's overlap with spinor1 x spinor2 is
+    real and positive, so reconstruct() returns the input exactly, global
+    sign included.
     """
-    psi = as_state(psi)
-    if abs(psi[0] * psi[3] - psi[1] * psi[2]) >= EPS_DEGEN:
-        psi = fix_global_phase(psi)
-    m = psi.reshape(2, 2)
-    chi = _schmidt_chi(psi)
-    if chi > HALF_PI - EPS_DEGEN:
-        u1 = np.array([1.0, 0.0], dtype=complex)
-    else:
-        u1 = bloch_direction_spinor(state_bloch_vector(psi, 1))
-    u2 = u1.conj() @ m
-    u2 = u2 / np.linalg.norm(u2)
-    phase = np.exp(1j * np.angle(np.vdot(_kron2(u1, u2), psi)))
-    # the parity pair must carry the opposite phase with weight sin(chi/2)
-    residual = phase * np.vdot(_kron2(parity(u1), parity(u2)), psi) - np.sin(chi / 2)
+    amps = as_state(psi).tolist()
+    a, b, c, d = amps
+    if abs(a * d - b * c) >= EPS_DEGEN:
+        amps = _phase_fixed(amps)
+    n1 = _bloch(amps, 1)
+    chi = _chi(amps, n1)
+    u1 = (1.0 + 0j, 0j) if chi > HALF_PI - EPS_DEGEN else _direction(*n1)
+    x, y = _contract(u1, amps)
+    r = math.hypot(x.real, x.imag, y.real, y.imag)
+    u2 = (x / r, y / r)
+    # the parity pair must carry the rest of the state, with weight sin(chi/2)
+    residual = _vdot2(_parity(*u2), _contract(_parity(*u1), amps)) - math.sin(chi / 2)
     if abs(residual) > EPS_MATCH:
         raise ValueError("decomposition consistency check failed; input is not a unit state")
-    return SpinorDecomposition(chi, phase * u1, u2)
+    return SpinorDecomposition(chi, np.array(u1), np.array(u2))
 
 
 def reconstruct(d: SpinorDecomposition) -> np.ndarray:
     """Rebuild the full state: cos(chi/2) s1 x s2 + sin(chi/2) P(s1) x P(s2)."""
-    return (np.cos(d.chi / 2) * _kron2(d.spinor1, d.spinor2)
-            + np.sin(d.chi / 2) * _kron2(parity(d.spinor1), parity(d.spinor2)))
+    return _schmidt_sum(d.chi, _values(d.spinor1, 2), _values(d.spinor2, 2))
 
 
 def reconstruct_from_products(d: SpinorDecomposition) -> np.ndarray:

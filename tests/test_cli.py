@@ -274,6 +274,18 @@ def test_count_below_one_is_usage_error(argv, capsys):
     assert argv[1] in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "roundtrip", "--trials", "1", "--seed", "-1"],
+    ["sample", "--count", "1", "--seed", "-1"],
+    ["bench", "--steps", "1", "--trials", "1", "--seed", "-1"],
+])
+def test_negative_seed_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    error = stdout_json(capsys)["error"]
+    assert error["code"] == "PARSE"
+    assert "--seed" in error["message"]
+
+
 class TestSampleCommand:
     def test_writes_normalized_states(self, tmp_path):
         out = tmp_path / "samples.json"

@@ -6,9 +6,10 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "qubitpair"
 
 
-def _nodes(match):
-    """(module:line) of every node in the package source for which match(node) holds."""
-    modules = sorted(SOURCE.glob("*.py"))
+def _nodes(match, pattern="*.py"):
+    """(module:line) of every node for which match(node) holds, in the package
+    modules whose file names match the glob pattern."""
+    modules = sorted(SOURCE.glob(pattern))
     assert modules, f"no modules found under {SOURCE}"
     found = []
     for path in modules:
@@ -27,3 +28,11 @@ def test_no_np_kron():
     # np.kron costs ~20 us on 2x2 operands; states._kron2 forms the same products
     found = _nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "kron")
     assert not found, f"np.kron in the package: {found}"
+
+
+def test_no_linalg_in_states():
+    # the conversion layer runs on Python floats: a numpy linalg call on a
+    # 2- or 4-vector costs microseconds where the arithmetic costs nanoseconds
+    found = _nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "linalg",
+                   "states.py")
+    assert not found, f"numpy linalg in states.py: {found}"
