@@ -42,9 +42,11 @@ from .dynamics import (
     LocalHamiltonian,
     NonUnitDirection,
     PhaseLedger,
+    Schedule,
     aligned_eigenvectors,
     aligned_hamiltonian,
     aligned_mode_coefficients,
+    as_schedule,
     compare_backends,
     compound_rotation_check,
     evolve_full,

@@ -100,11 +100,11 @@ def cmd_decompose(args) -> int:
 
 
 def _load_tagged_schedule(path: str, expect_qubit: int):
-    qubit, steps = fileio.load_schedule(path)
+    qubit, schedule = fileio.load_schedule(path)
     if qubit != expect_qubit:
         raise fileio.ParseError(
             f"{path}: entries are tagged qubit {qubit}, expected qubit {expect_qubit}")
-    return steps
+    return schedule
 
 
 def cmd_evolve(args) -> int:

@@ -1,10 +1,10 @@
-"""Local Hamiltonians and the two unitary evolution backends.
+"""Local Hamiltonians, per-qubit schedules and the two unitary evolution backends.
 
 A local Hamiltonian h_i*I + v.sigma acts on one qubit only.  The full
-backend applies the 4x4 product unitary to the state vector and serves as
+backend applies each step's 4x4 product unitary to the state vector and is
 ground truth.  The separable backend never touches the 4-dim space: it
-rotates each spinor of the phase-fixed Schmidt decomposition with the
-traceless part of its own Hamiltonian, keeps chi fixed (no local unitary
+composes each qubit's steps into one SU(2), rotates that spinor of the
+phase-fixed Schmidt decomposition once, keeps chi fixed (no local unitary
 can change the concurrence), and books the scalar parts as accumulated
 phases beta1, beta2 in a ledger.  The exact full state, global phase
 included, is e^(-i(beta1+beta2)) * reconstruct(decomposition) at all
@@ -29,6 +29,7 @@ from .states import (
     SeparableGamma,
     SpinorDecomposition,
     _kron2,
+    _values,
     angles_from_state,
     as_state,
     concurrence_angle,
@@ -76,6 +77,41 @@ class LocalHamiltonian:
 ZERO_HAMILTONIAN = LocalHamiltonian(0.0, np.zeros(3))
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Schedule:
+    """One qubit's steps as finite float arrays h (S,), v (S, 3) and dt (S,); iterating
+    yields (LocalHamiltonian, dt) per step, the form the full backend runs."""
+
+    h: np.ndarray
+    v: np.ndarray
+    dt: np.ndarray
+
+    def __post_init__(self):
+        h, v, dt = arrays = [np.asarray(x, dtype=float) for x in (self.h, self.v, self.dt)]
+        if not (h.ndim == 1 and v.shape == (len(h), 3) and dt.shape == h.shape):
+            raise ValueError(f"a schedule needs h (S,), v (S, 3) and dt (S,), "
+                             f"got shapes {h.shape}, {v.shape}, {dt.shape}")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("schedule entries must be finite")
+        for name, a in zip(("h", "v", "dt"), arrays):
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return len(self.dt)
+
+    def __iter__(self):
+        for h_i, v, dt in zip(self.h.tolist(), self.v, self.dt.tolist()):
+            yield LocalHamiltonian(h_i, v), dt
+
+
+def as_schedule(schedule) -> Schedule:
+    """A Schedule as it is; a sequence of (LocalHamiltonian, dt) stacked once into one."""
+    if isinstance(schedule, Schedule):
+        return schedule
+    rows = np.array([(h.h_i, *h.v.tolist(), dt) for h, dt in schedule], dtype=float).reshape(-1, 5)
+    return Schedule(rows[:, 0], rows[:, 1:4], rows[:, 4])
+
+
 @dataclasses.dataclass(frozen=True)
 class PhaseLedger:
     """Accumulated spin-independent phases, one per qubit.
@@ -115,21 +151,19 @@ class EvolutionReport:
     angle_traces: list[AngleSet | None] | None = None
 
 
-def su2_operator(h: LocalHamiltonian, t: float) -> np.ndarray:
-    """exp(-i (v.sigma) t) in closed form; the scalar part h_i is excluded.
-
-    cos(|v|t) I - i sin(|v|t) (v_hat . sigma), the identity for v = 0.
-    The entries are computed on Python floats (math.hypot, so a finite
-    |v| never overflows) and only the finished 2x2 is a numpy array.
-    """
-    x, y, z = h.v.tolist()
+def _cayley_klein(x: float, y: float, z: float, t: float) -> tuple[complex, complex]:
+    """(a, b) of exp(-i (v.sigma) t) = [[a, b], [-b*, a*]] = cos(|v|t) I - i sin(|v|t) v_hat.sigma,
+    on Python floats; math.hypot keeps a finite |v| from overflowing."""
     speed = math.hypot(x, y, z)
-    if speed == 0.0:
-        return ID2.copy()
     c = math.cos(speed * t)
-    s = math.sin(speed * t) / speed
-    return np.array([[complex(c, -s * z), complex(-s * y, -s * x)],
-                     [complex(s * y, -s * x), complex(c, s * z)]])
+    s = math.sin(speed * t) / speed if speed else t  # sin(|v|t)/|v| tends to t
+    return complex(c, -s * z), complex(-s * y, -s * x)
+
+
+def su2_operator(h: LocalHamiltonian, t: float) -> np.ndarray:
+    """exp(-i (v.sigma) t) as a 2x2 array; the scalar part h_i is excluded."""
+    a, b = _cayley_klein(*h.v.tolist(), t)
+    return np.array((a, b, -b.conjugate(), a.conjugate())).reshape(2, 2)
 
 
 def local_unitary(h: LocalHamiltonian, t: float) -> np.ndarray:
@@ -155,10 +189,10 @@ def _full_steps(psi: np.ndarray, schedule1, schedule2):
 def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     """Run two per-qubit piecewise-constant schedules on the full state.
 
-    Schedules are sequences of (LocalHamiltonian, duration).  Steps are
-    paired into one product unitary each, the shorter schedule padded with
-    identity steps; the two qubits' unitaries commute, so the pairing does
-    not depend on either schedule's timing.
+    Schedules are Schedules or sequences of (LocalHamiltonian, duration).
+    Steps are paired into one product unitary each, the shorter schedule
+    padded with identity steps; the two qubits' unitaries commute, so the
+    pairing does not depend on either schedule's timing.
     """
     final = np.asarray(psi, dtype=complex).reshape(4)
     for final in _full_steps(final, schedule1, schedule2):
@@ -166,17 +200,27 @@ def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     return final
 
 
+def _rotated(spinor, schedule, beta: float) -> tuple[np.ndarray, float]:
+    # the spinor under the product [[A, B], [-B*, A*]] of the schedule's SU(2)
+    # steps, and beta plus the steps' h_i * dt, summed in step order
+    if isinstance(schedule, Schedule):
+        steps = zip(schedule.h.tolist(), schedule.v.tolist(), schedule.dt.tolist())
+    else:
+        steps = ((h.h_i, h.v.tolist(), dt) for h, dt in schedule)
+    big_a, big_b = 1 + 0j, 0j
+    for h_i, (x, y, z), t in steps:
+        a, b = _cayley_klein(x, y, z, t)
+        big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
+        beta += h_i * t
+    u, l = _values(spinor, 2)
+    return np.array([big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u]), beta
+
+
 def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
                               schedule1, schedule2) -> tuple[SpinorDecomposition, PhaseLedger]:
-    """Run the same schedules entirely on the two 2-dim spinors."""
-    s1, s2 = d.spinor1, d.spinor2
-    beta1, beta2 = ledger.beta1, ledger.beta2
-    for h, dt in schedule1:
-        s1 = su2_operator(h, dt) @ s1
-        beta1 += h.h_i * dt
-    for h, dt in schedule2:
-        s2 = su2_operator(h, dt) @ s2
-        beta2 += h.h_i * dt
+    """Run the same schedules on the two 2-dim spinors, each composed into one SU(2) first."""
+    s1, beta1 = _rotated(d.spinor1, schedule1, ledger.beta1)
+    s2, beta2 = _rotated(d.spinor2, schedule2, ledger.beta2)
     return SpinorDecomposition(d.chi, s1, s2), PhaseLedger(beta1, beta2)
 
 

@@ -11,7 +11,8 @@ loading a saved file reproduces every value bit for bit.
 * spinor file:   {"chi", "spinor1": [[re, im] * 2], "spinor2": ...}
 * schedule file: [{"qubit": 1|2, "h_i": x, "v": [vx, vy, vz],
                    "duration": dt}, ...], one qubit per file,
-                 entries applied in order (piecewise constant)
+                 entries applied in order (piecewise constant); it loads
+                 as one dynamics.Schedule of arrays, no per-step objects
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import LocalHamiltonian
+from .dynamics import Schedule
 from .states import EPS_NORM, AngleSet, SpinorDecomposition
 
 
@@ -158,38 +159,41 @@ def save_schedule(path, qubit: int, schedule) -> None:
     ])
 
 
-def load_schedule(path) -> tuple[int, list[tuple[LocalHamiltonian, float]]]:
-    """Read one qubit's schedule; returns (qubit, [(hamiltonian, duration), ...])."""
+def load_schedule(path) -> tuple[int, Schedule]:
+    """Read one qubit's schedule file as (qubit, Schedule), building no per-step objects."""
     obj = read_json(path)
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{path}: expected a non-empty list of schedule entries")
     qubit = None
-    steps = []
+    rows = []
     span = 0.0  # running sum of |h_i| * duration + |v| * duration
     for i, entry in enumerate(obj):
-        where = f"{path}: entry {i}"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
-        q = entry.get("qubit")
-        if q not in (1, 2):
-            raise ParseError(f"{where}: qubit must be 1 or 2, got {q!r}")
-        if qubit is None:
-            qubit = q
-        elif q != qubit:
-            raise ParseError(f"{where}: mixed qubit tags in one schedule file")
-        h_i = _real(entry.get("h_i", 0.0), f"{where}: h_i")
-        v = entry.get("v")
-        if not isinstance(v, list) or len(v) != 3:
-            raise ParseError(f"{where}: v must be a real 3-vector")
-        v = [_real(x, f"{where}: v") for x in v]
-        duration = _real(entry.get("duration"), f"{where}: duration")
-        if not duration > 0.0:
-            raise ParseError(f"{where}: duration must be positive, got {duration!r}")
-        span += (abs(h_i) + math.hypot(*v)) * duration
-        if not math.isfinite(span):
-            raise ParseError(f"{where}: the schedule's phases and rotation angles overflow")
-        steps.append((LocalHamiltonian(h_i, v), duration))
-    return qubit, steps
+        try:  # the messages below name the field; the entry is named once, on failure
+            if not isinstance(entry, dict):
+                raise ParseError("expected an object")
+            q = entry.get("qubit")
+            if q not in (1, 2):
+                raise ParseError(f"qubit must be 1 or 2, got {q!r}")
+            if qubit is None:
+                qubit = q
+            elif q != qubit:
+                raise ParseError("mixed qubit tags in one schedule file")
+            h_i = _real(entry.get("h_i", 0.0), "h_i")
+            v = entry.get("v")
+            if not isinstance(v, list) or len(v) != 3:
+                raise ParseError("v must be a real 3-vector")
+            v = [_real(x, "v") for x in v]
+            duration = _real(entry.get("duration"), "duration")
+            if not duration > 0.0:
+                raise ParseError(f"duration must be positive, got {duration!r}")
+            span += (abs(h_i) + math.hypot(*v)) * duration
+            if not math.isfinite(span):
+                raise ParseError("the schedule's phases and rotation angles overflow")
+        except ParseError as exc:
+            raise ParseError(f"{path}: entry {i}: {exc}") from None
+        rows.append((h_i, *v, duration))
+    rows = np.array(rows)
+    return qubit, Schedule(rows[:, 0], rows[:, 1:4], rows[:, 4])
 
 
 def save_state_list(path, states) -> None:

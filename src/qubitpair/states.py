@@ -145,7 +145,8 @@ def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
     r = math.hypot(x, y, z)
     if r == 0.0:
         return 0.0, 0.0
-    return math.acos(min(max(z / r, -1.0), 1.0)), wrap_angle(math.atan2(y, x))
+    # theta by atan2: acos(z/r) loses half its digits near a pole
+    return math.atan2(math.hypot(x, y), z), wrap_angle(math.atan2(y, x))
 
 
 def _direction(x: float, y: float, z: float) -> tuple[complex, complex]:

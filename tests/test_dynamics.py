@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,91 @@ class TestSeparableBackend:
         assert np.max(np.abs(separable - report.final_state_full)) < 1e-9
         traced = qp.compare_backends(psi, long, short, trace=True)
         assert len(traced.angle_traces) == 7
+
+
+
+def stepwise(spinor, schedule):
+    """The per-step reference: one su2_operator product per step, applied in order."""
+    for h, dt in schedule:
+        spinor = qp.su2_operator(h, dt) @ spinor
+    return spinor
+
+
+class TestComposedSchedules:
+    @pytest.mark.parametrize("steps", [0, 1, 10, 2000])
+    def test_composition_matches_per_step_product(self, steps):
+        rng = np.random.default_rng(100 + steps)
+        schedules = [random_schedule(rng, steps, True) for _ in range(2)]
+        if steps:
+            schedules[0][steps // 2] = (qp.ZERO_HAMILTONIAN, 0.4)
+            schedules[1][-1] = (qp.LocalHamiltonian(0.0, [1e200, 1e200, 0.0]), 1e-200)
+        d = qp.decompose(entangled_state(steps))
+        got, ledger = qp.evolve_separable_schedule(d, qp.PhaseLedger(), *schedules)
+        assert got.chi == d.chi
+        assert np.max(np.abs(got.spinor1 - stepwise(d.spinor1, schedules[0]))) < 1e-13
+        assert np.max(np.abs(got.spinor2 - stepwise(d.spinor2, schedules[1]))) < 1e-13
+        betas = [0.0, 0.0]
+        for k, schedule in enumerate(schedules):
+            for h, dt in schedule:
+                betas[k] += h.h_i * dt
+        assert (ledger.beta1, ledger.beta2) == tuple(betas)
+
+    def test_list_and_schedule_inputs_agree_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        lists = [random_schedule(rng, 50, True), random_schedule(rng, 7, True)]
+        stacked = [qp.as_schedule(s) for s in lists]
+        assert [len(s) for s in stacked] == [50, 7]
+        assert qp.as_schedule(stacked[0]) is stacked[0]
+        d = qp.decompose(entangled_state(24))
+        start = qp.PhaseLedger(0.25, -1.5)
+        d_list, ledger_list = qp.evolve_separable_schedule(d, start, *lists)
+        d_arr, ledger_arr = qp.evolve_separable_schedule(d, start, *stacked)
+        assert np.array_equal(d_list.spinor1, d_arr.spinor1)
+        assert np.array_equal(d_list.spinor2, d_arr.spinor2)
+        assert ledger_list == ledger_arr
+        # the full backend runs a Schedule step by step, as it runs the list
+        psi = entangled_state(25)
+        assert np.array_equal(qp.evolve_full_schedule(psi, *lists),
+                              qp.evolve_full_schedule(psi, *stacked))
+
+    def test_schedule_iterates_as_its_steps(self):
+        rng = np.random.default_rng(26)
+        steps = random_schedule(rng, 5, True)
+        for (h, dt), (h2, dt2) in zip(steps, qp.as_schedule(steps), strict=True):
+            assert h2.h_i == h.h_i and np.array_equal(h2.v, h.v) and dt2 == dt
+
+    def test_schedule_checks_its_arrays(self):
+        s = qp.Schedule([0.5], [[0.0, 0.0, 1.0]], [0.25])
+        assert len(s) == 1 and s.v.shape == (1, 3) and s.dt.dtype == float
+        for h, v, dt in (([0.5, 0.1], [[0.0, 0.0, 1.0]], [0.25, 0.25]),
+                         ([0.5], [0.0, 0.0, 1.0], [0.25]),
+                         ([0.5], [[0.0, 0.0, 1.0]], [0.25, 0.25]),
+                         ([[0.5]], [[0.0, 0.0, 1.0]], [[0.25]])):
+            with pytest.raises(ValueError, match="a schedule needs"):
+                qp.Schedule(h, v, dt)
+
+    @pytest.mark.parametrize("h, v, dt", [([math.nan], [[0.0, 0.0, 1.0]], [1.0]),
+                                          ([0.5], [[0.0, math.inf, 1.0]], [1.0]),
+                                          ([0.5], [[0.0, 0.0, 1.0]], [-math.inf])])
+    def test_schedule_refuses_non_finite_entries(self, h, v, dt):
+        # a LocalHamiltonian refuses these too, so no backend ever sees them
+        with pytest.raises(ValueError, match="must be finite"):
+            qp.Schedule(h, v, dt)
+
+    def test_su2_operator_is_the_closed_form(self):
+        rng = np.random.default_rng(27)
+        cases = [(rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3), float(rng.uniform(-5, 5)))
+                 for _ in range(2000)]
+        for v, t in cases + [(np.zeros(3), 1.3)]:
+            x, y, z = v.tolist()
+            speed = math.hypot(x, y, z)
+            if speed == 0.0:
+                expected = np.eye(2)
+            else:
+                c, s = math.cos(speed * t), math.sin(speed * t) / speed
+                expected = np.array([[complex(c, -s * z), complex(-s * y, -s * x)],
+                                     [complex(s * y, -s * x), complex(c, s * z)]])
+            assert np.array_equal(qp.su2_operator(qp.LocalHamiltonian(0.0, v), t), expected)
 
 
 class TestPhaseStructure:

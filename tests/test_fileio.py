@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -139,3 +140,78 @@ class TestScheduleFiles:
         path.write_text(text)
         with pytest.raises(fileio.ParseError):
             fileio.load_schedule(path)
+
+
+GOOD_ENTRY = '{"qubit": 1, "h_i": 0.5, "v": [0.1, -0.2, 0.3], "duration": 0.25}'
+
+
+class TestScheduleLoader:
+    @pytest.mark.parametrize("bad, message", [
+        ('"step"', "expected an object"),
+        ('{"qubit": 3, "h_i": 0, "v": [0, 0, 1], "duration": 1}', "qubit must be 1 or 2"),
+        ('{"qubit": 2, "h_i": 0, "v": [0, 0, 1], "duration": 1}', "mixed qubit tags"),
+        ('{"qubit": 1, "h_i": true, "v": [0, 0, 1], "duration": 1}',
+         "h_i: expected a finite real number, got True"),
+        ('{"qubit": 1, "h_i": 0, "v": [0, "1", 1], "duration": 1}',
+         "v: expected a finite real number, got '1'"),
+        ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": Infinity}',
+         "duration: expected a finite real number, got inf"),
+        ('{"qubit": 1, "h_i": NaN, "v": [0, 0, 1], "duration": 1}',
+         "h_i: expected a finite real number, got nan"),
+        ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1' + "0" * 400 + '], "duration": 1}',
+         "v: expected a finite real number, got 1" + "0" * 400),
+        ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1]}',
+         "duration: expected a finite real number, got None"),
+        ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": 0}',
+         "duration must be positive, got 0.0"),
+        ('{"qubit": 1, "h_i": 0, "v": [0, 0], "duration": 1}', "v must be a real 3-vector"),
+        ('{"qubit": 1, "h_i": 0, "v": {"x": 1, "y": 0, "z": 0}, "duration": 1}',
+         "v must be a real 3-vector"),
+    ])
+    def test_rejection_names_the_entry(self, tmp_path, bad, message):
+        path = tmp_path / "sched.json"
+        path.write_text(f"[{GOOD_ENTRY}, {GOOD_ENTRY}, {bad}, {GOOD_ENTRY}]")
+        with pytest.raises(fileio.ParseError, match=re.escape(f"{path}: entry 2: {message}")):
+            fileio.load_schedule(path)
+
+    def test_bad_first_entry_is_named(self, tmp_path):
+        path = tmp_path / "sched.json"
+        path.write_text(f'[{{"qubit": "1", "v": [0, 0, 1], "duration": 1}}, {GOOD_ENTRY}]')
+        with pytest.raises(fileio.ParseError, match="entry 0: qubit must be 1 or 2"):
+            fileio.load_schedule(path)
+
+    def test_overflowing_span_names_the_entry(self, tmp_path):
+        # each entry adds 1e308 to the running |h_i| dt + |v| dt: entry 2 overflows it
+        big = '{"qubit": 1, "h_i": 0, "v": [1e300, 0, 0], "duration": 1e8}'
+        path = tmp_path / "sched.json"
+        path.write_text(f"[{GOOD_ENTRY}, {big}, {big}, {GOOD_ENTRY}]")
+        with pytest.raises(fileio.ParseError, match="entry 2: the schedule's phases and rotation"):
+            fileio.load_schedule(path)
+
+    def test_first_offending_entry_wins(self, tmp_path):
+        # a non-finite value in entry 1 is reported before a type error in entry 2
+        path = tmp_path / "sched.json"
+        path.write_text(f'[{GOOD_ENTRY}, {GOOD_ENTRY.replace("0.5", "-Infinity")}, '
+                        f'{GOOD_ENTRY.replace("0.5", "false")}]')
+        with pytest.raises(fileio.ParseError, match="entry 1: h_i: expected a finite real number"):
+            fileio.load_schedule(path)
+
+    def test_schedule_reloads_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(12)
+        scale = 10.0 ** rng.integers(-300, 290, size=(200, 3))
+        schedule = qp.Schedule(rng.normal(size=200), rng.normal(size=(200, 3)) * scale,
+                               rng.uniform(1e-3, 1.0, size=200))
+        path = tmp_path / "sched.json"
+        fileio.save_schedule(path, 2, schedule)
+        qubit, loaded = fileio.load_schedule(path)
+        assert qubit == 2 and isinstance(loaded, qp.Schedule) and len(loaded) == 200
+        assert np.array_equal(loaded.h, schedule.h)
+        assert np.array_equal(loaded.v, schedule.v)
+        assert np.array_equal(loaded.dt, schedule.dt)
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        path = tmp_path / "sched.json"
+        path.write_text('[{"qubit": 1, "v": [0, 3, 9007199254740993], "duration": 2}]')
+        _, loaded = fileio.load_schedule(path)
+        assert loaded.h.tolist() == [0.0] and loaded.dt.tolist() == [2.0]
+        assert loaded.v.tolist() == [[0.0, 3.0, float(9007199254740993)]]

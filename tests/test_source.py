@@ -36,3 +36,27 @@ def test_no_linalg_in_states():
     found = _nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "linalg",
                    "states.py")
     assert not found, f"numpy linalg in states.py: {found}"
+
+
+def test_fileio_builds_no_hamiltonians():
+    # a schedule file loads as arrays; one LocalHamiltonian per entry cost ~3 us
+    def builds_hamiltonian(node):
+        return isinstance(node, ast.Call) and "LocalHamiltonian" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    found = _nodes(builds_hamiltonian, "fileio.py")
+    assert not found, f"LocalHamiltonian built in fileio.py: {found}"
+
+
+def test_one_su2_closed_form():
+    # the SU(2) closed form is written once: su2_operator and the separable
+    # backend's composition both take their entries from _cayley_klein
+    tree = ast.parse((SOURCE / "dynamics.py").read_text(encoding="utf-8"))
+    helper = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_cayley_klein")
+    inside = range(helper.lineno, helper.end_lineno + 1)
+    found = _nodes(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("cos", "sin")
+                   and getattr(node.func.value, "id", None) == "math"
+                   and node.lineno not in inside, "dynamics.py")
+    assert not found, f"math.cos/math.sin outside _cayley_klein in dynamics.py: {found}"

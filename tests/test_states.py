@@ -231,6 +231,14 @@ class TestAngleConversions:
             got = qp.angles_from_state(psi)
             assert abs(np.sin(got.gamma) - qp.recurrence_sine(psi)) < 1e-9
 
+    @pytest.mark.parametrize("theta1", [1e-8, 1e-7, np.pi - 1e-7])
+    def test_theta_keeps_its_digits_next_to_a_pole(self, theta1):
+        # acos(z/r) misses theta1 = 1e-8 by 1e-8, and 1e-7 or pi - 1e-7 by 1.2e-9
+        from qubitpair.verify import band_angle_sets
+        for ang in band_angle_sets(300, 47):
+            psi = qp.state_from_angles(dataclasses.replace(ang, theta1=theta1))
+            assert abs(qp.angles_from_state(psi).theta1 - theta1) < 1e-14
+
 
 class TestDecomposition:
     def test_singlet_representation(self):
