@@ -12,7 +12,9 @@ loading a saved file reproduces every value bit for bit.
 * schedule file: [{"qubit": 1|2, "h_i": x, "v": [vx, vy, vz],
                    "duration": dt}, ...], one qubit per file,
                  entries applied in order (piecewise constant); it loads
-                 as one dynamics.Schedule of arrays, no per-step objects
+                 as one dynamics.Schedule of arrays, no per-step objects,
+                 each rule checked over whole columns; a rejection names the
+                 first offending entry and the first rule it breaks
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import json
 import math
 import sys
 import warnings
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Schedule
+from .dynamics import Schedule, as_schedule
 from .states import EPS_NORM, AngleSet, SpinorDecomposition
 
 
@@ -153,47 +156,69 @@ def load_decomposition(path) -> SpinorDecomposition:
 
 
 def save_schedule(path, qubit: int, schedule) -> None:
-    write_json(path, [
-        {"qubit": qubit, "h_i": h.h_i, "v": h.v.tolist(), "duration": float(dt)}
-        for h, dt in schedule
-    ])
+    s = as_schedule(schedule)
+    write_json(path, [{"qubit": qubit, "h_i": h_i, "v": v, "duration": dt}
+                      for h_i, v, dt in zip(s.h.tolist(), s.v.tolist(), s.dt.tolist())])
+
+
+def _reals(values: list, name: str) -> np.ndarray:
+    # _real's rule over a whole column: ints compared exactly with the float range, floats
+    # finite; where it fails, _real itself raises at the first offending value
+    kinds = set(map(type, values))
+    if kinds <= {int, float} and (int not in kinds or max(map(abs, values)) <= sys.float_info.max):
+        column = np.array(values, dtype=float)
+        if np.isfinite(column).all():
+            return column
+    return np.array([_real(x, name) for x in values])
+
+
+def _schedule(entries: list) -> tuple[int, Schedule]:
+    # each rule runs once over a whole column, in the order the rules apply to one entry; once
+    # every shorter prefix passes, a failing rule fails at the last entry alone, so the
+    # messages quote the last entry
+    if not all(map(isinstance, entries, repeat(dict))):
+        raise ParseError("expected an object")
+    tags = list(map(dict.get, entries, repeat("qubit")))
+    if not all(map((1, 2).__contains__, tags)):
+        raise ParseError(f"qubit must be 1 or 2, got {tags[-1]!r}")
+    if len(set(tags)) > 1:
+        raise ParseError("mixed qubit tags in one schedule file")
+    h = _reals(list(map(dict.get, entries, repeat("h_i"), repeat(0.0))), "h_i")
+    vs = list(map(dict.get, entries, repeat("v")))
+    if not (all(map(isinstance, vs, repeat(list))) and set(map(len, vs)) == {3}):
+        raise ParseError("v must be a real 3-vector")
+    v = _reals(list(chain.from_iterable(vs)), "v").reshape(-1, 3)
+    dt = _reals(list(map(dict.get, entries, repeat("duration"))), "duration")
+    if not (dt > 0.0).all():
+        raise ParseError(f"duration must be positive, got {dt[-1].item()!r}")
+    with np.errstate(over="ignore"):  # an overflow is the failure tested for
+        span = np.cumsum((np.abs(h) + np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])) * dt)
+    if not math.isfinite(span[-1]):
+        raise ParseError("the schedule's phases and rotation angles overflow")
+    return tags[0], Schedule(h, v, dt)
 
 
 def load_schedule(path) -> tuple[int, Schedule]:
-    """Read one qubit's schedule file as (qubit, Schedule), building no per-step objects."""
+    """Read one qubit's schedule file as (qubit, Schedule), each rule checked over whole columns.
+
+    A rejection names the first offending entry and the first rule it breaks: every rule that
+    fails on a prefix of the entries fails on each longer one, so bisection finds the shortest.
+    """
     obj = read_json(path)
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{path}: expected a non-empty list of schedule entries")
-    qubit = None
-    rows = []
-    span = 0.0  # running sum of |h_i| * duration + |v| * duration
-    for i, entry in enumerate(obj):
-        try:  # the messages below name the field; the entry is named once, on failure
-            if not isinstance(entry, dict):
-                raise ParseError("expected an object")
-            q = entry.get("qubit")
-            if q not in (1, 2):
-                raise ParseError(f"qubit must be 1 or 2, got {q!r}")
-            if qubit is None:
-                qubit = q
-            elif q != qubit:
-                raise ParseError("mixed qubit tags in one schedule file")
-            h_i = _real(entry.get("h_i", 0.0), "h_i")
-            v = entry.get("v")
-            if not isinstance(v, list) or len(v) != 3:
-                raise ParseError("v must be a real 3-vector")
-            v = [_real(x, "v") for x in v]
-            duration = _real(entry.get("duration"), "duration")
-            if not duration > 0.0:
-                raise ParseError(f"duration must be positive, got {duration!r}")
-            span += (abs(h_i) + math.hypot(*v)) * duration
-            if not math.isfinite(span):
-                raise ParseError("the schedule's phases and rotation angles overflow")
-        except ParseError as exc:
-            raise ParseError(f"{path}: entry {i}: {exc}") from None
-        rows.append((h_i, *v, duration))
-    rows = np.array(rows)
-    return qubit, Schedule(rows[:, 0], rows[:, 1:4], rows[:, 4])
+    try:
+        return _schedule(obj)
+    except ParseError as whole:
+        passing, failing, error = 0, len(obj), whole
+        while failing - passing > 1:
+            mid = (passing + failing) // 2
+            try:
+                _schedule(obj[:mid])
+                passing = mid
+            except ParseError as prefix:
+                failing, error = mid, prefix
+        raise ParseError(f"{path}: entry {failing - 1}: {error}") from None
 
 
 def save_state_list(path, states) -> None:

@@ -131,11 +131,16 @@ def _chi(amps, n1) -> float:
     return math.atan2(2.0 * abs(a * d - b * c), math.hypot(*n1))
 
 
-def _phase_fixed(amps) -> list[complex]:
+def _entangled(chi: float) -> bool:
+    # the one band test: from here on the determinant's phase fixes the global phase and
+    # gamma is defined; chi does not change under a global phase, so it is taken before fixing
+    return chi >= EPS_DEGEN
+
+
+def _phase_fixed(amps, chi: float) -> list[complex]:
     a, b, c, d = amps
-    det = a * d - b * c
-    if abs(det) >= EPS_DEGEN:
-        turn = cmath.rect(1.0, -0.5 * cmath.phase(det))
+    if _entangled(chi):
+        turn = cmath.rect(1.0, -0.5 * cmath.phase(a * d - b * c))
     else:
         turn = cmath.rect(1.0, -cmath.phase(max(amps, key=abs)))
     return [turn * v for v in amps]
@@ -205,14 +210,16 @@ def concurrence_angle(psi) -> float:
 def fix_global_phase(psi) -> np.ndarray:
     """Rotate the global phase so that (ad - bc) is real and non-negative.
 
-    Separable states carry no usable determinant phase, so the dominant
+    Separable states (chi below EPS_DEGEN, the band where gamma is
+    undefined too) carry no usable determinant phase, so the dominant
     amplitude is made real and non-negative instead (ties resolved in
     amplitude order).  Canonical input is rotated by at most a rounding-
     scale angle (exactly zero when Im(ad - bc) is exactly zero), so +psi
     and -psi stay distinct; that leftover sign freedom is resolved by
     decompose(), which measures its phase from the actual input.
     """
-    return np.array(_phase_fixed(_values(psi, 4)))
+    amps = _values(psi, 4)
+    return np.array(_phase_fixed(amps, _chi(amps, _bloch(amps, 1))))
 
 
 def reduced_density(psi, qubit: int) -> np.ndarray:
@@ -334,7 +341,7 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
     the exception) and MaximalEntanglement above pi/2 - EPS_DEGEN, where
     theta and phi lose meaning; decompose() handles that regime instead.
     """
-    amps = _phase_fixed(as_state(psi).tolist())
+    amps = as_state(psi).tolist()
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
     if chi > HALF_PI - EPS_DEGEN:
@@ -342,10 +349,11 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
             "theta and phi are undefined at maximal entanglement; use decompose()")
     theta1, phi1 = _spherical(*n1)
     theta2, phi2 = _spherical(*_bloch(amps, 2))
-    if chi < EPS_DEGEN:
+    if not _entangled(chi):
         raise SeparableGamma(
             "the recurrence of a separable state is indistinguishable from a global phase",
             angles=AngleSet(chi, theta1, phi1, theta2, phi2, None))
+    amps = _phase_fixed(amps, chi)
     overlap = _vdot2(_half_angle(theta2, phi2), _contract(_half_angle(theta1, phi1), amps))
     gamma = wrap_angle(2.0 * cmath.phase(overlap))
     if cross_check and not abs(math.sin(gamma) - recurrence_sine(amps)) <= EPS_MATCH:
@@ -360,10 +368,10 @@ def recurrence_sine(psi) -> float:
     pins gamma only up to its sine and fails at the Bloch poles, where the
     quotient loses meaning (PoleSingularity below EPS_POLE).
     """
-    amps = _phase_fixed(as_state(psi).tolist())
+    amps = as_state(psi).tolist()
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
-    if chi < EPS_DEGEN:
+    if not _entangled(chi):
         raise SeparableGamma("the recurrence of a separable state is undefined")
     if chi > HALF_PI - EPS_DEGEN:
         raise MaximalEntanglement("the sine quotient is undefined at maximal entanglement")
@@ -371,7 +379,7 @@ def recurrence_sine(psi) -> float:
     s2 = math.sin(_spherical(*_bloch(amps, 2))[0])
     if min(s1, s2) < EPS_POLE:
         raise PoleSingularity("a Bloch vector lies within EPS_POLE of a z-axis pole")
-    a, b, c, d = amps
+    a, b, c, d = _phase_fixed(amps, chi)
     return 2.0 * (a * d + b * c).imag / (math.cos(chi) * s1 * s2)
 
 
@@ -387,7 +395,7 @@ def state_from_angles(angles: AngleSet) -> np.ndarray:
     """
     angles.validate()
     if angles.gamma is None:
-        if angles.chi >= EPS_DEGEN:
+        if _entangled(angles.chi):
             raise SeparableGamma("gamma is required: it is optional only below chi = EPS_DEGEN")
         gamma = 0.0
     else:
@@ -411,11 +419,10 @@ def decompose(psi) -> SpinorDecomposition:
     sign included.
     """
     amps = as_state(psi).tolist()
-    a, b, c, d = amps
-    if abs(a * d - b * c) >= EPS_DEGEN:
-        amps = _phase_fixed(amps)
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
+    if _entangled(chi):
+        amps = _phase_fixed(amps, chi)
     u1 = (1.0 + 0j, 0j) if chi > HALF_PI - EPS_DEGEN else _direction(*n1)
     x, y = _contract(u1, amps)
     r = math.hypot(x.real, x.imag, y.real, y.imag)

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +129,17 @@ class TestScheduleFiles:
             assert h2.h_i == h.h_i and dt2 == dt
             assert np.array_equal(h2.v, h.v)
 
+    def test_saved_text_is_the_entry_list(self, tmp_path):
+        steps = [(qp.LocalHamiltonian(0.3, [1.0, -0.5, 0.25]), 0.5),
+                 (qp.LocalHamiltonian(-2.0, [0.0, 0.0, 2.0]), 1)]
+        expected = fileio.dumps([
+            {"qubit": 2, "h_i": 0.3, "v": [1.0, -0.5, 0.25], "duration": 0.5},
+            {"qubit": 2, "h_i": -2.0, "v": [0.0, 0.0, 2.0], "duration": 1.0}]) + "\n"
+        path = tmp_path / "sched.json"
+        for schedule in (steps, qp.as_schedule(steps)):
+            fileio.save_schedule(path, 2, schedule)
+            assert path.read_text() == expected
+
     @pytest.mark.parametrize("text", [
         "[]",
         '[{"qubit": 3, "h_i": 0, "v": [0, 0, 0], "duration": 1}]',
@@ -215,3 +228,133 @@ class TestScheduleLoader:
         _, loaded = fileio.load_schedule(path)
         assert loaded.h.tolist() == [0.0] and loaded.dt.tolist() == [2.0]
         assert loaded.v.tolist() == [[0.0, 3.0, float(9007199254740993)]]
+
+
+def reference_load_schedule(path):
+    """The loader's former per-entry loop: every rule checked entry by entry, in order."""
+    obj = fileio.read_json(path)
+    if not isinstance(obj, list) or not obj:
+        raise fileio.ParseError(f"{path}: expected a non-empty list of schedule entries")
+    qubit = None
+    rows = []
+    span = 0.0  # running sum of |h_i| * duration + |v| * duration
+    for i, entry in enumerate(obj):
+        try:  # the messages below name the field; the entry is named once, on failure
+            if not isinstance(entry, dict):
+                raise fileio.ParseError("expected an object")
+            q = entry.get("qubit")
+            if q not in (1, 2):
+                raise fileio.ParseError(f"qubit must be 1 or 2, got {q!r}")
+            if qubit is None:
+                qubit = q
+            elif q != qubit:
+                raise fileio.ParseError("mixed qubit tags in one schedule file")
+            h_i = fileio._real(entry.get("h_i", 0.0), "h_i")
+            v = entry.get("v")
+            if not isinstance(v, list) or len(v) != 3:
+                raise fileio.ParseError("v must be a real 3-vector")
+            v = [fileio._real(x, "v") for x in v]
+            duration = fileio._real(entry.get("duration"), "duration")
+            if not duration > 0.0:
+                raise fileio.ParseError(f"duration must be positive, got {duration!r}")
+            span += (abs(h_i) + math.hypot(*v)) * duration
+            if not math.isfinite(span):
+                raise fileio.ParseError("the schedule's phases and rotation angles overflow")
+        except fileio.ParseError as exc:
+            raise fileio.ParseError(f"{path}: entry {i}: {exc}") from None
+        rows.append((h_i, *v, duration))
+    rows = np.array(rows)
+    return qubit, rows[:, 0], rows[:, 1:4], rows[:, 4]
+
+
+def pick(rng, options):
+    return options[rng.integers(len(options))]
+
+
+def with_bad_component(v, rng):
+    if not isinstance(v, list) or not v:
+        return v
+    v = list(v)
+    v[rng.integers(len(v))] = pick(rng, BAD_REALS + [3])
+    return v
+
+
+# int(MAX) + 1 rounds to the finite MAX as a float, but is past the float range as an int
+BAD_REALS = [True, False, "0.5", None, math.inf, -math.inf, math.nan, 10 ** 400, -10 ** 400,
+             int(sys.float_info.max) + 1, [1.0]]
+MUTATIONS = {  # one fault each; several may hit one entry
+    "not an object": lambda e, r: pick(r, ["step", 3, [1, 2], None, 1.5]),
+    "qubit": lambda e, r: {**e, "qubit": pick(r, [3, 0, "1", True, 1.0, 2.0, None, [1]])},
+    "no qubit": lambda e, r: {k: x for k, x in e.items() if k != "qubit"},
+    "other tag": lambda e, r: {**e, "qubit": 1 if e.get("qubit") == 2 else 2},
+    "h_i": lambda e, r: {**e, "h_i": pick(r, BAD_REALS + [7, 2 ** 60])},
+    "no h_i": lambda e, r: {k: x for k, x in e.items() if k != "h_i"},
+    "v shape": lambda e, r: {**e, "v": pick(r, [[0.5, 1.0], [0, 0, 0, 1], {"x": 1, "y": 0, "z": 0},
+                                                 "v", None, 2.0])},
+    "v value": lambda e, r: {**e, "v": with_bad_component(e.get("v"), r)},
+    "no v": lambda e, r: {k: x for k, x in e.items() if k != "v"},
+    "no duration": lambda e, r: {k: x for k, x in e.items() if k != "duration"},
+    "duration": lambda e, r: {**e, "duration": pick(r, BAD_REALS + [0, 0.0, -0.0, -1.5, -3, 2])},
+    "overflowing span": lambda e, r: {**e, **pick(r, [
+        {"v": [1e300, 0.0, 0.0], "duration": 1e8},         # overflows on the second such entry
+        {"h_i": 1.7e308, "v": [0.0, 1.7e308, 0.0]},        # |h_i| + |v| overflows
+        {"v": [1e200, -1e200, 1e200], "duration": 1e200},  # (|h_i| + |v|) * dt overflows
+        {"v": [1e290, 1e290, 1e290], "duration": 1e-3}])},  # a |v| past sqrt(max), finite
+}
+
+
+def random_schedule_file(rng):
+    """1 to 6 entries, each faultless with probability 0.8, else hit by 1 to 3 mutations."""
+    qubit = int(rng.integers(1, 3))
+    entries = []
+    for _ in range(rng.integers(1, 7)):
+        entry = {"qubit": qubit, "h_i": float(rng.normal()), "v": rng.normal(size=3).tolist(),
+                 "duration": float(rng.uniform(0.01, 1.0))}
+        if rng.random() < 0.2:
+            for _ in range(rng.integers(1, 4)):
+                if isinstance(entry, dict):
+                    entry = pick(rng, list(MUTATIONS.values()))(entry, rng)
+        entries.append(entry)
+    return entries
+
+
+def outcome(load, path):
+    """A loader's result as comparable values: the qubit and the arrays' bytes, or the message."""
+    try:
+        qubit, *arrays = load(path)
+    except fileio.ParseError as exc:
+        return "error", str(exc)
+    return (type(qubit), qubit), [(a.shape, a.tobytes()) for a in arrays]
+
+
+def column_load(path):
+    qubit, schedule = fileio.load_schedule(path)
+    return qubit, schedule.h, schedule.v, schedule.dt
+
+
+class TestColumnLoaderAgainstEntryLoop:
+    def test_seeded_random_files(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "sched.json"
+        kinds = {"valid": 0, "error": 0}
+        for _ in range(2500):
+            path.write_text(json.dumps(random_schedule_file(rng)))
+            expected = outcome(reference_load_schedule, path)
+            assert outcome(column_load, path) == expected, path.read_text()
+            kinds["error" if expected[0] == "error" else "valid"] += 1
+        assert min(kinds.values()) >= 500, kinds  # both outcomes well represented
+
+    @pytest.mark.parametrize("index", [0, 1000, 1999])
+    @pytest.mark.parametrize("fault", [{"h_i": math.nan}, {"v": [0.5, 1.0]}, {"duration": 0},
+                                       {"h_i": 1.7e308, "v": [0.0, 1.7e308, 0.0]}])
+    def test_long_file_names_its_one_bad_entry(self, tmp_path, index, fault):
+        rng = np.random.default_rng(index)
+        entries = [{"qubit": 1, "h_i": float(h), "v": v.tolist(), "duration": float(dt)}
+                   for h, v, dt in zip(rng.normal(size=2000), rng.normal(size=(2000, 3)),
+                                       rng.uniform(0.01, 1.0, 2000))]
+        entries[index].update(fault)
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(entries))
+        expected = outcome(reference_load_schedule, path)
+        assert expected[0] == "error" and f"entry {index}: " in expected[1]
+        assert outcome(column_load, path) == expected

@@ -239,6 +239,21 @@ class TestAngleConversions:
             psi = qp.state_from_angles(dataclasses.replace(ang, theta1=theta1))
             assert abs(qp.angles_from_state(psi).theta1 - theta1) < 1e-14
 
+    @pytest.mark.parametrize("chi", [1.2e-9, 1.5e-9, 1.9e-9])
+    def test_one_band_for_phase_fix_and_gamma(self, chi):
+        # gamma is defined from chi = EPS_DEGEN on; a phase fix gated on |ad - bc| >= EPS_DEGEN
+        # (chi >= 2 EPS_DEGEN) left det complex here, and the round trip missed by 1.9e-9
+        # modulo the global phase. The global phase itself still drifts by about 1e-16/chi
+        # (6e-8 here), which this test leaves out by comparing modulo that phase.
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            theta1, theta2 = rng.uniform(0.0, np.pi, 2)
+            phi1, phi2, gamma = rng.uniform(-np.pi, np.pi, 3)
+            psi = qp.state_from_angles(qp.AngleSet(chi, theta1, phi1, theta2, phi2, gamma))
+            back = qp.state_from_angles(qp.angles_from_state(psi))
+            overlap = np.vdot(back, psi)
+            assert np.max(np.abs(psi - back * overlap / abs(overlap))) <= 1e-12
+
 
 class TestDecomposition:
     def test_singlet_representation(self):
