@@ -38,7 +38,7 @@ def main():
     for k in range(1, steps + 1):
         h1, h2 = random_hamiltonian(rng), random_hamiltonian(rng)
         dt = float(rng.uniform(0.01, 0.1))
-        full = qp.evolve_full(full, h1, h2, dt)           # 4x4 backend
+        full = qp.evolve_full(full, h1, h2, dt)           # full backend, M <- U1 M U2^T
         d, ledger = qp.evolve_separable(d, ledger, h1, h2, dt)  # two 2x2 backends
         deviation = np.max(np.abs(ledger.phase * qp.reconstruct(d) - full))
         worst = max(worst, deviation)

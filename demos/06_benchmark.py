@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Timing the 4-dim backend against the two-spinor backend.
+"""Timing the full backend against the two-spinor backend.
 
 Both walk the same seeded schedule of piecewise-constant local
-Hamiltonians; the full backend rebuilds a 4x4 product unitary each step,
-the separable one applies two 2x2 rotations and two ledger additions.  End
+Hamiltonians; the full backend applies each step's two 2x2 unitaries to
+the amplitude matrix (M <- U1 M U2^T), the separable one composes each
+qubit's steps into one SU(2) and rotates each spinor once.  End
 states are compared exactly before any number is reported.  The speedup is
 whatever it is on this machine; correctness is the asserted part.
 """

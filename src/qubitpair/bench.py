@@ -1,11 +1,11 @@
-"""Head-to-head timing of the 4x4 and two-spinor evolution backends.
+"""Head-to-head timing of the full and two-spinor evolution backends.
 
 Times the public evolve_full_schedule and evolve_separable_schedule calls
 on one seeded piecewise-constant schedule pair (monotonic clock, median
 across trials); the decomposition and reconstruction around the separable
 run stay outside the clock.  End states are compared exactly, ledger phase
 applied, so the timings describe equivalent computations.  The speedup is
-informational: at 2x2 vs 4x4 scale, constant overheads can dominate.
+informational: on 2x2 operands, constant per-call overheads can dominate.
 """
 
 from __future__ import annotations

@@ -191,7 +191,7 @@ def cmd_sample(args) -> int:
     if args.out_path:
         fileio.save_state_list(args.out_path, states_out)
     else:
-        _emit([{"amplitudes": fileio.pairs(s)} for s in states_out], None)
+        _emit([{"amplitudes": amps} for amps in fileio.pairs(states_out)], None)
     return 0
 
 

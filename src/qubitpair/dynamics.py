@@ -1,8 +1,8 @@
 """Local Hamiltonians, per-qubit schedules and the two unitary evolution backends.
 
-A local Hamiltonian h_i*I + v.sigma acts on one qubit only.  The full
-backend applies each step's 4x4 product unitary to the state vector and is
-ground truth.  The separable backend never touches the 4-dim space: it
+A local Hamiltonian h_i*I + v.sigma acts on one qubit only.  The full backend is
+ground truth: each step takes the amplitude matrix M = [[a, b], [c, d]] to U1 M U2^T
+(no 4x4 product).  The separable backend never touches the amplitudes: it
 composes each qubit's steps into one SU(2), rotates that spinor of the
 phase-fixed Schmidt decomposition once, keeps chi fixed (no local unitary
 can change the concurrence), and books the scalar parts as accumulated
@@ -68,6 +68,12 @@ class LocalHamiltonian:
         if not (math.isfinite(self.h_i) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError(f"Hamiltonian entries must be finite: h_i = {self.h_i!r}, v = {self.v!r}")
 
+    @classmethod
+    def _unchecked(cls, h_i: float, v: np.ndarray) -> "LocalHamiltonian":
+        self = object.__new__(cls)  # a Schedule's step: its arrays were checked once, read-only
+        self.__dict__.update(h_i=h_i, v=v)
+        return self
+
     def matrix(self) -> np.ndarray:
         vx, vy, vz = self.v
         return np.array([[self.h_i + vz, vx - 1j * vy],
@@ -79,21 +85,22 @@ ZERO_HAMILTONIAN = LocalHamiltonian(0.0, np.zeros(3))
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Schedule:
-    """One qubit's steps as finite float arrays h (S,), v (S, 3) and dt (S,); iterating
-    yields (LocalHamiltonian, dt) per step, the form the full backend runs."""
+    """One qubit's steps as finite float arrays h (S,), v (S, 3) and dt (S,), copied and
+    read-only; iterating yields (LocalHamiltonian, dt) per step, the form the full backend runs."""
 
     h: np.ndarray
     v: np.ndarray
     dt: np.ndarray
 
     def __post_init__(self):
-        h, v, dt = arrays = [np.asarray(x, dtype=float) for x in (self.h, self.v, self.dt)]
+        h, v, dt = arrays = [np.array(x, dtype=float) for x in (self.h, self.v, self.dt)]
         if not (h.ndim == 1 and v.shape == (len(h), 3) and dt.shape == h.shape):
             raise ValueError(f"a schedule needs h (S,), v (S, 3) and dt (S,), "
                              f"got shapes {h.shape}, {v.shape}, {dt.shape}")
         if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("schedule entries must be finite")
         for name, a in zip(("h", "v", "dt"), arrays):
+            a.flags.writeable = False  # so the checks above hold for the object's whole life
             object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
@@ -101,7 +108,7 @@ class Schedule:
 
     def __iter__(self):
         for h_i, v, dt in zip(self.h.tolist(), self.v, self.dt.tolist()):
-            yield LocalHamiltonian(h_i, v), dt
+            yield LocalHamiltonian._unchecked(h_i, v), dt
 
 
 def as_schedule(schedule) -> Schedule:
@@ -178,26 +185,31 @@ def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
     return s, ledger.advanced(qubit, h.h_i * t)
 
 
-def _full_steps(psi: np.ndarray, schedule1, schedule2):
-    """Yield the full state after each paired step (one explicit 4x4 product unitary, by _kron2)."""
-    for pair in itertools.zip_longest(schedule1, schedule2):
-        # a schedule that has run out contributes identity steps
-        psi = _kron2(*(ID2 if step is None else local_unitary(*step) for step in pair)) @ psi
-        yield psi
+def _full_steps(psi, schedule1, schedule2):
+    """Yield (a, b, c, d) after each paired step, M = [[a, b], [c, d]] going to U1 M U2^T."""
+    a, b, c, d = psi
+    for step1, step2 in itertools.zip_longest(schedule1, schedule2):
+        if step1 is not None:
+            (p, q), (r, s) = local_unitary(*step1).tolist()
+            a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        if step2 is not None:
+            (p, q), (r, s) = local_unitary(*step2).tolist()
+            a, b, c, d = a * p + b * q, a * r + b * s, c * p + d * q, c * r + d * s
+        yield a, b, c, d
 
 
 def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     """Run two per-qubit piecewise-constant schedules on the full state.
 
     Schedules are Schedules or sequences of (LocalHamiltonian, duration).
-    Steps are paired into one product unitary each, the shorter schedule
-    padded with identity steps; the two qubits' unitaries commute, so the
-    pairing does not depend on either schedule's timing.
+    Steps are paired, one from each schedule, with no identity padding: once
+    the shorter schedule has run out, the longer one's steps act alone.  The
+    two qubits' unitaries commute, so the pairing does not depend on timing.
     """
-    final = np.asarray(psi, dtype=complex).reshape(4)
+    final = _values(psi, 4)
     for final in _full_steps(final, schedule1, schedule2):
         pass
-    return final
+    return np.array(final)
 
 
 def _rotated(spinor, schedule, beta: float) -> tuple[np.ndarray, float]:
@@ -229,7 +241,7 @@ def evolve_full(psi, h1: LocalHamiltonian, h2: LocalHamiltonian, t: float) -> np
 
     Scalar parts included, so this is the ground-truth backend.
     """
-    return next(_full_steps(np.asarray(psi, dtype=complex).reshape(4), [(h1, t)], [(h2, t)]))
+    return np.array(next(_full_steps(_values(psi, 4), [(h1, t)], [(h2, t)])))
 
 
 def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
@@ -256,11 +268,12 @@ def compare_backends(psi, schedule1, schedule2, trace: bool = False) -> Evolutio
     after every step, entries None where undefined.
     """
     psi = as_state(psi)
-    full = psi
+    full = psi.tolist()
     traces: list[AngleSet | None] | None = [] if trace else None
-    for full in _full_steps(psi, schedule1, schedule2):
+    for full in _full_steps(full, schedule1, schedule2):
         if traces is not None:
             traces.append(_trace_angles(full))
+    full = np.array(full)
     d, ledger = evolve_separable_schedule(decompose(psi), PhaseLedger(), schedule1, schedule2)
     separable = ledger.phase * reconstruct(d)
     deviation = float(np.max(np.abs(full - separable)))

@@ -66,9 +66,10 @@ def _complex_pair(obj, where: str) -> complex:
     return complex(_real(obj[0], where), _real(obj[1], where))
 
 
-def pairs(z) -> list[list[float]]:
-    """A complex vector as [re, im] pairs of Python floats, the files' complex format."""
-    return [[float(np.real(v)), float(np.imag(v))] for v in np.asarray(z)]
+def pairs(z) -> list:
+    """A complex array as [re, im] pairs of Python floats (the files' format), kept nested."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack((z.real, z.imag), -1).tolist()
 
 
 def _checked_unit(vec: np.ndarray, where: str) -> np.ndarray:
@@ -222,5 +223,4 @@ def load_schedule(path) -> tuple[int, Schedule]:
 
 
 def save_state_list(path, states) -> None:
-    write_json(path, [{"amplitudes": pairs(np.asarray(s, dtype=complex).reshape(4))}
-                      for s in states])
+    write_json(path, [{"amplitudes": a} for a in pairs(np.reshape(states, (len(states), 4)))])

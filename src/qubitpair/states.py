@@ -98,11 +98,8 @@ def _values(v, size: int) -> list[complex]:
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron for two 2-vectors or two 2x2 matrices, the same products without its overhead."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim == 1:
-        return (a[:, None] * b).ravel()
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """np.kron for two 2-vectors, the same products without its overhead."""
+    return (np.asarray(a)[:, None] * b).ravel()
 
 
 def _require_qubit(qubit: int) -> None:

@@ -107,7 +107,54 @@ class TestSpinorEvolution:
         assert np.max(np.abs(expected - (-1j) * np.array([0, SQ2, SQ2, 0]))) < 1e-12
 
 
+def kron_steps(psi, schedule1, schedule2):
+    """The per-step reference: np.kron of the two local unitaries (the identity for a
+    schedule that has run out) applied to the 4-vector; the state after every step."""
+    steps1, steps2 = list(schedule1), list(schedule2)
+    states = []
+    for k in range(max(len(steps1), len(steps2))):
+        u1, u2 = (qp.local_unitary(*s[k]) if k < len(s) else np.eye(2) for s in (steps1, steps2))
+        psi = np.kron(u1, u2) @ psi
+        states.append(psi)
+    return states
+
+
 class TestFullBackend:
+    @pytest.mark.parametrize("lengths", [(0, 0), (1, 0), (0, 3), (7, 3), (3, 7)])
+    def test_matches_per_step_kron_reference(self, lengths):
+        rng = np.random.default_rng(40 + 10 * lengths[0] + lengths[1])
+        lists = [random_schedule(rng, n, True) for n in lengths]
+        psi = entangled_state(41)
+        expected = kron_steps(psi, *lists)
+        final = expected[-1] if expected else psi
+        for schedules in (lists, [qp.as_schedule(s) for s in lists]):
+            assert np.max(np.abs(qp.evolve_full_schedule(psi, *schedules) - final)) <= 1e-13
+            report = qp.compare_backends(psi, *schedules, trace=True)
+            assert np.max(np.abs(report.final_state_full - final)) <= 1e-13
+            # one angle record after every paired step
+            assert len(report.angle_traces) == len(expected)
+            for got, state in zip(report.angle_traces, expected):
+                ref = qp.angles_from_state(state)
+                assert max(abs(qp.wrap_angle(getattr(got, f) - getattr(ref, f)))
+                           for f in ("chi", "theta1", "phi1", "theta2", "phi2", "gamma")) < 1e-10
+        for k, state in enumerate(expected, 1):
+            prefixes = [s[:k] for s in lists]
+            assert np.max(np.abs(qp.evolve_full_schedule(psi, *prefixes) - state)) <= 1e-13
+
+    def test_one_local_unitary_per_qubit_step(self, monkeypatch):
+        calls = []
+        unitary = qp.dynamics.local_unitary
+        monkeypatch.setattr(qp.dynamics, "local_unitary",
+                            lambda h, t: calls.append(t) or unitary(h, t))
+        rng = np.random.default_rng(43)
+        schedule1, schedule2 = random_schedule(rng, 3, True), random_schedule(rng, 2, True)
+        psi = entangled_state(44)
+        qp.evolve_full_schedule(psi, schedule1, schedule2)
+        assert sorted(calls) == sorted(dt for _, dt in schedule1 + schedule2)
+        calls.clear()
+        qp.evolve_separable_schedule(qp.decompose(psi), qp.PhaseLedger(), schedule1, schedule2)
+        assert calls == []
+
     def test_zero_hamiltonians_do_nothing(self):
         psi = entangled_state(7)
         assert np.allclose(qp.evolve_full(psi, qp.ZERO_HAMILTONIAN, qp.ZERO_HAMILTONIAN, 1.3),
@@ -183,7 +230,7 @@ class TestSeparableBackend:
         long, short = random_schedule(rng, 7, True), random_schedule(rng, 3, True)
         report = qp.compare_backends(psi, long, short)
         assert report.max_component_deviation < 1e-9
-        # the shorter schedule is padded, and every path agrees on the result
+        # the longer schedule runs on alone, and every path agrees on the result
         full = qp.evolve_full_schedule(psi, long, short)
         assert np.max(np.abs(full - report.final_state_full)) < 1e-9
         d, ledger = qp.evolve_separable_schedule(qp.decompose(psi), qp.PhaseLedger(), long, short)
@@ -243,6 +290,25 @@ class TestComposedSchedules:
         steps = random_schedule(rng, 5, True)
         for (h, dt), (h2, dt2) in zip(steps, qp.as_schedule(steps), strict=True):
             assert h2.h_i == h.h_i and np.array_equal(h2.v, h.v) and dt2 == dt
+
+    def test_schedule_arrays_are_read_only_copies(self):
+        h = np.array([0.5, -0.2])
+        v = np.array([[0.0, 0.3, 1.0], [0.1, 0.0, -0.4]])
+        dt = np.array([0.25, 0.5])
+        s = qp.Schedule(h, v, dt)
+        for column in (s.h, s.v, s.dt):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        # the caller's own arrays stay writable, and the schedule keeps its checked copy
+        h[0] = math.nan
+        assert s.h[0] == 0.5
+        for (step, t), h_i, row, d in zip(s, [0.5, -0.2], v, dt.tolist(), strict=True):
+            ref = qp.LocalHamiltonian(h_i, row)
+            assert type(step) is qp.LocalHamiltonian
+            assert step.h_i == ref.h_i and type(step.h_i) is float
+            assert np.array_equal(step.v, ref.v) and step.v.shape == (3,)
+            assert not step.v.flags.writeable and np.shares_memory(step.v, s.v)
+            assert t == d and type(t) is float
 
     def test_schedule_checks_its_arrays(self):
         s = qp.Schedule([0.5], [[0.0, 0.0, 1.0]], [0.25])

@@ -71,6 +71,24 @@ class TestStateFiles:
             fileio.load_state(path)
 
 
+def per_element_pairs(z):
+    """The reference form of fileio.pairs: two numpy scalar calls per element."""
+    return [[float(np.real(v)), float(np.imag(v))] for v in np.asarray(z)]
+
+
+class TestStateListFiles:
+    def test_written_text_is_the_per_element_form(self, tmp_path):
+        edge = np.array([[-0.0, complex(5e-324, -0.0), complex(1e308, -1e308),
+                          complex(-5e-324, 1e308)]])
+        states = np.concatenate([qp.sample_haar(200, 31), edge])
+        path = tmp_path / "corpus.json"
+        fileio.save_state_list(path, states)
+        reference = [{"amplitudes": per_element_pairs(s)} for s in states]
+        assert path.read_text() == json.dumps(reference) + "\n"
+        for psi in states[-3:]:
+            assert json.dumps(fileio.pairs(psi)) == json.dumps(per_element_pairs(psi))
+
+
 class TestAngleFiles:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "angles.json"

@@ -30,9 +30,8 @@ def ref_chi(psi):
 
 
 def ref_fix_global_phase(psi):
-    det = psi[0] * psi[3] - psi[1] * psi[2]
-    if abs(det) >= EPS_DEGEN:
-        return np.exp(-0.5j * np.angle(det)) * psi
+    if ref_chi(psi) >= EPS_DEGEN:
+        return np.exp(-0.5j * np.angle(psi[0] * psi[3] - psi[1] * psi[2])) * psi
     return np.exp(-1j * np.angle(psi[np.argmax(np.abs(psi))])) * psi
 
 
@@ -83,7 +82,7 @@ def ref_state_from_angles(chi, theta1, phi1, theta2, phi2, gamma):
 
 
 def ref_decompose(psi):
-    if abs(psi[0] * psi[3] - psi[1] * psi[2]) >= EPS_DEGEN:
+    if ref_chi(psi) >= EPS_DEGEN:
         psi = ref_fix_global_phase(psi)
     chi = ref_chi(psi)
     if chi > HALF_PI - EPS_DEGEN:
@@ -131,6 +130,8 @@ def angle_gap(a, b):
 def corpus():
     pinned = [qp.sample_fixed_concurrence(100, 90 + i, chi)
               for i, chi in enumerate((0.0, 0.3, np.pi / 4, HALF_PI))]
+    # inside the band just above EPS_DEGEN, where the phase fix switches on
+    pinned.append(qp.sample_fixed_concurrence(100, 95, 1.5e-9))
     special = np.array([[1, 0, 0, 0], [SQ2, 0, SQ2, 0], [SQ2, 0, 0, SQ2],
                         [0, SQ2, -SQ2, 0], [0, 0, 0, 1j]], dtype=complex)
     states = np.concatenate([qp.sample_haar(1000, 89), special] + pinned)

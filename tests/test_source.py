@@ -48,15 +48,30 @@ def test_fileio_builds_no_hamiltonians():
     assert not found, f"LocalHamiltonian built in fileio.py: {found}"
 
 
+def _function(module, name):
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def test_one_su2_closed_form():
     # the SU(2) closed form is written once: su2_operator and the separable
     # backend's composition both take their entries from _cayley_klein
-    tree = ast.parse((SOURCE / "dynamics.py").read_text(encoding="utf-8"))
-    helper = next(node for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == "_cayley_klein")
+    helper = _function("dynamics.py", "_cayley_klein")
     inside = range(helper.lineno, helper.end_lineno + 1)
     found = _nodes(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                    and node.func.attr in ("cos", "sin")
                    and getattr(node.func.value, "id", None) == "math"
                    and node.lineno not in inside, "dynamics.py")
     assert not found, f"math.cos/math.sin outside _cayley_klein in dynamics.py: {found}"
+
+
+def test_full_backend_composes_nothing():
+    # the full backend takes each step's operators from local_unitary and none of the
+    # separable backend's arithmetic, so backend_equivalence compares two computations
+    steps = _function("dynamics.py", "_full_steps")
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(steps) if isinstance(node, ast.Call)}
+    assert "local_unitary" in called
+    shared = called & {"_cayley_klein", "_rotated", "_kron2"}
+    assert not shared, f"_full_steps calls {sorted(shared)}"

@@ -352,9 +352,3 @@ class TestKron2:
         for _ in range(200):
             a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             assert np.array_equal(_kron2(a, b), np.kron(a, b))
-
-    def test_matches_np_kron_on_matrices(self):
-        rng = np.random.default_rng(73)
-        for _ in range(200):
-            a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-            assert np.array_equal(_kron2(a, b), np.kron(a, b))
