@@ -28,16 +28,16 @@ from .states import (
     MaximalEntanglement,
     SeparableGamma,
     SpinorDecomposition,
+    _half_angle,
     _kron2,
+    _parity,
+    _spherical,
     _values,
     angles_from_state,
     as_state,
     concurrence_angle,
     decompose,
-    parity,
     reconstruct,
-    spherical_angles,
-    spinor_from_angles,
     state_bloch_vector,
     wrap_angle,
 )
@@ -181,8 +181,8 @@ def local_unitary(h: LocalHamiltonian, t: float) -> np.ndarray:
 def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
                   qubit: int) -> tuple[np.ndarray, PhaseLedger]:
     """Rotate one local spinor and book its scalar energy into the ledger."""
-    s = su2_operator(h, t) @ np.asarray(spinor, dtype=complex).reshape(2)
-    return s, ledger.advanced(qubit, h.h_i * t)
+    s, beta = _rotated(spinor, [(h, t)], 0.0)
+    return s, ledger.advanced(qubit, beta)
 
 
 def _full_steps(psi, schedule1, schedule2):
@@ -280,11 +280,16 @@ def compare_backends(psi, schedule1, schedule2, trace: bool = False) -> Evolutio
     return EvolutionReport(full, separable, deviation, traces)
 
 
+def _eigenspinors(x: float, y: float, z: float) -> tuple[tuple[complex, complex], ...]:
+    # the half-angle spinor along (x, y, z) and its parity image, as Python complexes
+    plus = _half_angle(*_spherical(x, y, z))
+    return plus, _parity(*plus)
+
+
 def aligned_eigenvectors(direction) -> tuple[np.ndarray, np.ndarray]:
     """Half-angle eigenspinors (psi_plus, psi_minus) of v.sigma along a unit axis."""
-    theta, phi = spherical_angles(np.asarray(direction, dtype=float))
-    plus = spinor_from_angles(theta, phi)
-    return plus, parity(plus)
+    plus, minus = _eigenspinors(*np.asarray(direction, dtype=float).reshape(3).tolist())
+    return np.array(plus), np.array(minus)
 
 
 def aligned_hamiltonian(direction, energy: float) -> LocalHamiltonian:
@@ -295,16 +300,18 @@ def aligned_hamiltonian(direction, energy: float) -> LocalHamiltonian:
     chi untouched and drifts gamma linearly.
     """
     direction = np.asarray(direction, dtype=float).reshape(3)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
-        raise NonUnitDirection(f"|direction| = {np.linalg.norm(direction)!r}")
+    axis = direction.tolist()
+    length = math.hypot(*axis)
+    if abs(length - 1.0) > 1e-9:
+        raise NonUnitDirection(f"|direction| = {length!r}")
     if not energy > 0.0:
         raise ValueError("energy must be positive")
     h = LocalHamiltonian(0.0, energy * direction)
-    plus, minus = aligned_eigenvectors(direction)
-    m = h.matrix()
-    if not (np.linalg.norm(m @ plus - energy * plus) < 1e-10
-            and np.linalg.norm(m @ minus + energy * minus) < 1e-10):
-        raise ConsistencyError("psi_plus, psi_minus are not eigenvectors at +-energy")
+    (m00, m01), (m10, m11) = h.matrix().tolist()
+    for (u, l), e in zip(_eigenspinors(*axis), (energy, -energy)):
+        r0, r1 = m00 * u + m01 * l - e * u, m10 * u + m11 * l - e * l  # (m - e) s
+        if not math.hypot(r0.real, r0.imag, r1.real, r1.imag) < 1e-10:
+            raise ConsistencyError("psi_plus, psi_minus are not eigenvectors at +-energy")
     return h
 
 
@@ -336,10 +343,10 @@ def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarr
     return coeffs, np.array(basis)
 
 
-def _unwrap_nearest(gammas: np.ndarray) -> np.ndarray:
-    out = np.array(gammas, dtype=float)
-    for k in range(1, len(out)):
-        out[k] += 2.0 * np.pi * round((out[k - 1] - out[k]) / (2.0 * np.pi))
+def _unwrap_nearest(gammas: list[float]) -> list[float]:
+    out = gammas[:1]
+    for g in gammas[1:]:
+        out.append(g + 2.0 * math.pi * round((out[-1] - g) / (2.0 * math.pi)))
     return out
 
 
@@ -355,9 +362,12 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     strength ``energy`` on the chosen qubit, extracts gamma at each time
     (projection method, unwrapped by nearest-branch continuation), and
     returns (slope, residual): the fitted d(gamma)/dt and the largest
-    absolute deviation from the fit.  The five other angles must stay
-    constant to 1e-8 across the grid (ConsistencyError otherwise).  In
-    these conventions the slope comes out at -2*energy.
+    absolute deviation from the fit.  Each grid state is one step of the
+    full backend's loop (_full_steps) in which only the rotated qubit has a
+    step; the other qubit is left alone, not stepped by an identity.  The
+    five other angles must stay constant to 1e-8 across the grid
+    (ConsistencyError otherwise).  In these conventions the slope comes
+    out at -2*energy.
     """
     psi = as_state(psi)
     chi = concurrence_angle(psi)  # edge-stable, so exact singlets cannot slip the gate
@@ -365,18 +375,20 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
         raise DegenerateState("recurrence drift needs a partially entangled state")
     n = state_bloch_vector(psi, qubit)
     h = aligned_hamiltonian(n / np.linalg.norm(n), energy)
-    h1, h2 = (h, ZERO_HAMILTONIAN) if qubit == 1 else (ZERO_HAMILTONIAN, h)
-    t_grid = np.asarray(t_grid, dtype=float)
-    records = [angles_from_state(evolve_full(psi, h1, h2, t)) for t in t_grid]
-    gammas = _unwrap_nearest(np.array([r.gamma for r in records]))
-    slope, intercept = np.polyfit(t_grid, gammas, 1)
-    residual = float(np.max(np.abs(gammas - (slope * t_grid + intercept))))
+    amps = psi.tolist()
+    times = np.asarray(t_grid, dtype=float).tolist()
+    # one step of the rotated qubit per time; the other qubit's schedule is empty
+    pairs = (([(h, t)], ()) if qubit == 1 else ((), [(h, t)]) for t in times)
+    records = [angles_from_state(next(_full_steps(amps, *pair))) for pair in pairs]
+    gammas = _unwrap_nearest([r.gamma for r in records])
+    slope, intercept = np.polyfit(times, gammas, 1).tolist()
+    residual = max(abs(g - (slope * t + intercept)) for t, g in zip(times, gammas))
     for name in ("chi", "theta1", "theta2", "phi1", "phi2"):
         values = [getattr(r, name) for r in records]
         spread = _circular_spread(values) if name.startswith("phi") else max(values) - min(values)
         if not spread < 1e-8:
             raise ConsistencyError(f"{name} moved by {spread:.3e} under an aligned rotation")
-    return float(slope), residual
+    return slope, residual
 
 
 def compound_rotation_check(psi, energy1: float, energy2: float, t: float,
@@ -397,5 +409,5 @@ def compound_rotation_check(psi, energy1: float, energy2: float, t: float,
     axis2 = n2 / np.linalg.norm(n2)
     h2 = aligned_hamiltonian(axis2 if same_handed else -axis2, energy2)
     start = angles_from_state(psi).gamma
-    end = angles_from_state(evolve_full(psi, h1, h2, t)).gamma
+    end = angles_from_state(next(_full_steps(psi.tolist(), [(h1, t)], [(h2, t)]))).gamma
     return wrap_angle(end - start)

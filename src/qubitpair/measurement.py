@@ -105,15 +105,16 @@ def sample_fixed_concurrence(count: int, seed: int, chi: float) -> np.ndarray:
     over the fixed-chi manifold, not the Haar distribution conditioned on
     chi.
     """
-    rng = np.random.default_rng(seed)
+    # one row of five draws per state, in the order of five rng.uniform calls, each
+    # scaled as rng.uniform scales it: cos(theta1), cos(theta2), phi1, phi2, gamma
+    low = np.array([-1.0, -1.0, -np.pi, -np.pi, -np.pi])
+    high = -low
+    draws = low + (high - low) * np.random.default_rng(seed).random((count, 5))
+    thetas = np.arccos(draws[:, :2]).tolist()
     out = np.empty((count, 4), dtype=complex)
-    for k in range(count):
-        theta1 = float(np.arccos(rng.uniform(-1.0, 1.0)))
-        theta2 = float(np.arccos(rng.uniform(-1.0, 1.0)))
-        phi1 = wrap_angle(rng.uniform(-np.pi, np.pi))
-        phi2 = wrap_angle(rng.uniform(-np.pi, np.pi))
-        gamma = wrap_angle(rng.uniform(-np.pi, np.pi))
-        out[k] = state_from_angles(AngleSet(chi, theta1, phi1, theta2, phi2, gamma))
+    for k, ((theta1, theta2), (phi1, phi2, gamma)) in enumerate(zip(thetas, draws[:, 2:].tolist())):
+        out[k] = state_from_angles(AngleSet(chi, theta1, wrap_angle(phi1), theta2,
+                                            wrap_angle(phi2), wrap_angle(gamma)))
     return out
 
 

@@ -66,13 +66,15 @@ class ConsistencyError(ValueError):
 
 def wrap_angle(x: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
-    return float(np.pi - (np.pi - x) % (2.0 * np.pi))
+    return float(math.pi - (math.pi - x) % (2.0 * math.pi))
 
 
 def _as_unit(values, size: int, what: str, normalize: bool) -> np.ndarray:
     # ``what`` heads the not-normalized message; NaN and inf fail both checks
     v = np.asarray(values, dtype=complex).reshape(size)
-    nsq = float(np.real(np.vdot(v, v)))
+    nsq = 0.0
+    for z in v.tolist():
+        nsq += z.real * z.real + z.imag * z.imag  # products, not **, which raises on overflow
     if normalize:
         if not 0.0 < nsq < np.inf:
             raise ValueError(f"cannot normalize a vector of squared norm {nsq!r}")

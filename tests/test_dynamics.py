@@ -406,8 +406,69 @@ class TestAlignedHamiltonian:
         with pytest.raises(ValueError):
             qp.aligned_hamiltonian([0, 0, 1], 0.0)
 
+    def test_eigenpair_check_refuses_swapped_eigenspinors(self, monkeypatch):
+        real = qp.dynamics._eigenspinors
+        monkeypatch.setattr(qp.dynamics, "_eigenspinors", lambda *axis: real(*axis)[::-1])
+        with pytest.raises(qp.ConsistencyError, match="not eigenvectors"):
+            qp.aligned_hamiltonian([0.36, 0.48, 0.8], 1.0)
+
+
+def ref_recurrence_drift(psi, qubit, energy, t_grid):
+    """recurrence_drift's (slope, residual) in the two-qubit form: evolve_full steps both
+    qubits, the other one under ZERO_HAMILTONIAN, at numpy-scalar grid times."""
+    n = qp.state_bloch_vector(psi, qubit)
+    h = qp.aligned_hamiltonian(n / np.linalg.norm(n), energy)
+    h1, h2 = (h, qp.ZERO_HAMILTONIAN) if qubit == 1 else (qp.ZERO_HAMILTONIAN, h)
+    t_grid = np.asarray(t_grid, dtype=float)
+    gammas = np.array([qp.angles_from_state(qp.evolve_full(psi, h1, h2, t)).gamma
+                       for t in t_grid])
+    for k in range(1, len(gammas)):
+        gammas[k] += 2.0 * np.pi * round((gammas[k - 1] - gammas[k]) / (2.0 * np.pi))
+    slope, intercept = np.polyfit(t_grid, gammas, 1)
+    return float(slope), float(np.max(np.abs(gammas - (slope * t_grid + intercept))))
+
+
+def ref_compound_rotation(psi, energy1, energy2, t, same_handed):
+    """compound_rotation_check through the public evolve_full."""
+    n1, n2 = (qp.state_bloch_vector(psi, q) for q in (1, 2))
+    h1 = qp.aligned_hamiltonian(n1 / np.linalg.norm(n1), energy1)
+    axis2 = n2 / np.linalg.norm(n2)
+    h2 = qp.aligned_hamiltonian(axis2 if same_handed else -axis2, energy2)
+    end = qp.angles_from_state(qp.evolve_full(psi, h1, h2, t)).gamma
+    return qp.wrap_angle(end - qp.angles_from_state(psi).gamma)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
 
 class TestRecurrenceDrift:
+    def test_matches_two_qubit_reference_bit_for_bit(self, monkeypatch):
+        angles = count_calls(monkeypatch, qp.dynamics, "angles_from_state")
+        unitaries = count_calls(monkeypatch, qp.dynamics, "local_unitary")
+        schedules = count_calls(monkeypatch, qp.dynamics, "evolve_full_schedule")
+        rng = np.random.default_rng(61)
+        grids = [np.linspace(0.0, 1.0, 50), [0.0, 0.05, 0.3, 0.31, 0.9, 1.7, 2.0]]
+        for k, ang in enumerate(band_angle_sets(40, 61)):
+            psi = qp.state_from_angles(ang)
+            energy = float(rng.uniform(0.3, 2.0))
+            grid = grids[k % 2]
+            for qubit in (1, 2):
+                expected = ref_recurrence_drift(psi, qubit, energy, grid)
+                del angles[:], unitaries[:]
+                got = qp.recurrence_drift(psi, qubit, energy, grid)
+                assert got == expected and all(type(x) is float for x in got)
+                # one public angles_from_state per grid point, and only the rotated qubit steps
+                assert len(angles) == len(unitaries) == len(grid)
+            expected = ref_compound_rotation(psi, energy, 0.7, 0.3, k % 3 == 0)
+            del angles[:], unitaries[:]
+            assert qp.compound_rotation_check(psi, energy, 0.7, 0.3, k % 3 == 0) == expected
+            assert len(angles) == len(unitaries) == 2
+        assert not schedules
+
     def test_linear_drift_slope_and_residual(self):
         grid = np.linspace(0.0, 1.0, 50)
         for seed in range(20):

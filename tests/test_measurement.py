@@ -108,6 +108,25 @@ class TestSamplers:
         b = qp.sample_fixed_concurrence(50, 13, 0.4)
         assert np.array_equal(a, b)
 
+    def test_fixed_concurrence_matches_five_scalar_draws_per_state(self):
+        def scalar_draws(count, seed, chi):
+            rng = np.random.default_rng(seed)
+            out = np.empty((count, 4), dtype=complex)
+            for k in range(count):
+                theta1 = float(np.arccos(rng.uniform(-1.0, 1.0)))
+                theta2 = float(np.arccos(rng.uniform(-1.0, 1.0)))
+                phi1 = qp.wrap_angle(rng.uniform(-np.pi, np.pi))
+                phi2 = qp.wrap_angle(rng.uniform(-np.pi, np.pi))
+                gamma = qp.wrap_angle(rng.uniform(-np.pi, np.pi))
+                out[k] = qp.state_from_angles(qp.AngleSet(chi, theta1, phi1, theta2, phi2, gamma))
+            return out
+
+        random_chi = float(np.random.default_rng(23).uniform(0.0, np.pi / 2))
+        for seed in (0, 13, 2024):
+            for chi in (0.0, 0.3, np.pi / 4, np.pi / 2, random_chi):
+                assert np.array_equal(qp.sample_fixed_concurrence(200, seed, chi),
+                                      scalar_draws(200, seed, chi))
+
     def test_sample_spec_dispatch(self):
         spec = qp.SampleSpec(count=5, seed=1)
         assert np.array_equal(qp.sample_states(spec), qp.sample_haar(5, 1))

@@ -339,6 +339,17 @@ class TestUnitCoercion:
         with pytest.raises(ValueError, match="cannot normalize"):
             coerce(np.zeros(size), normalize=True)
 
+    @pytest.mark.parametrize("coerce,size", [(qp.as_state, 4), (qp.as_spinor, 2)])
+    def test_unit_norm_slack(self, coerce, size):
+        for nsq, accepted in ((1 + 5e-13, True), (1 - 5e-13, True),
+                              (1 + 2e-12, False), (1 - 2e-12, False)):
+            values = np.full(size, np.sqrt(nsq / size) * (1 + 1j) / np.sqrt(2))
+            if accepted:
+                assert np.array_equal(coerce(values), values)
+            else:
+                with pytest.raises(ValueError, match="not normalized"):
+                    coerce(values)
+
     def test_messages_name_the_kind_of_vector(self):
         with pytest.raises(ValueError, match=r"amplitudes are not normalized: \|psi\|\^2"):
             qp.as_state([1, 0, 0, 1])
