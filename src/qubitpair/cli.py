@@ -187,11 +187,7 @@ def cmd_sample(args) -> int:
     if args.fixed_chi is not None and not 0.0 <= args.fixed_chi <= HALF_PI:
         raise fileio.ParseError(f"--fixed-chi out of [0, pi/2]: {args.fixed_chi!r}")
     spec = SampleSpec(args.count, args.seed, args.fixed_chi)
-    states_out = sample_states(spec)
-    if args.out_path:
-        fileio.save_state_list(args.out_path, states_out)
-    else:
-        _emit([{"amplitudes": amps} for amps in fileio.pairs(states_out)], None)
+    _emit([{"amplitudes": amps} for amps in fileio.pairs(sample_states(spec))], args.out_path)
     return 0
 
 

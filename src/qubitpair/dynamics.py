@@ -28,9 +28,10 @@ from .states import (
     MaximalEntanglement,
     SeparableGamma,
     SpinorDecomposition,
+    _contract,
     _half_angle,
-    _kron2,
     _parity,
+    _require_qubit,
     _spherical,
     _values,
     angles_from_state,
@@ -42,7 +43,6 @@ from .states import (
     wrap_angle,
 )
 
-ID2 = np.eye(2, dtype=complex)
 DEVIATION_BOUND = 1e-9  # largest amplitude difference at which the backends agree
 
 
@@ -131,11 +131,10 @@ class PhaseLedger:
     beta2: float = 0.0
 
     def advanced(self, qubit: int, delta: float) -> "PhaseLedger":
+        _require_qubit(qubit)
         if qubit == 1:
             return PhaseLedger(self.beta1 + delta, self.beta2)
-        if qubit == 2:
-            return PhaseLedger(self.beta1, self.beta2 + delta)
-        raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
+        return PhaseLedger(self.beta1, self.beta2 + delta)
 
     @property
     def phase(self) -> complex:
@@ -330,17 +329,16 @@ def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarr
     r = float(np.linalg.norm(n))
     if r <= EPS_DEGEN:
         raise DegenerateState("the chosen qubit's Bloch vector vanishes")
-    plus, minus = aligned_eigenvectors(n / r)
-    e0, e1 = ID2
-    if qubit == 1:
-        basis = [_kron2(plus, e0), _kron2(plus, e1), _kron2(minus, e0), _kron2(minus, e1)]
-    else:
-        basis = [_kron2(e0, plus), _kron2(e1, plus), _kron2(e0, minus), _kron2(e1, minus)]
-    coeffs = np.array([np.vdot(b, psi) for b in basis])
-    rebuilt = sum(c * b for c, b in zip(coeffs, basis))
-    if not np.linalg.norm(rebuilt - psi) < 1e-12:
+    plus, minus = _eigenspinors(*(n / r).tolist())
+    a, b, c, d = psi.tolist()
+    amps = (a, b, c, d) if qubit == 1 else (a, c, b, d)
+    coeffs = np.array([*_contract(plus, amps), *_contract(minus, amps)])
+    basis = np.array([row for u, l in (plus, minus) for row in ((u, 0, l, 0), (0, u, 0, l))])
+    if qubit == 2:
+        basis = basis[:, [0, 2, 1, 3]]
+    if not np.linalg.norm(coeffs @ basis - psi) < 1e-12:
         raise ConsistencyError("the four aligned modes do not rebuild the state")
-    return coeffs, np.array(basis)
+    return coeffs, basis
 
 
 def _unwrap_nearest(gammas: list[float]) -> list[float]:

@@ -19,6 +19,7 @@ loading a saved file reproduces every value bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -48,7 +49,7 @@ def write_json(path, value) -> None:
 def read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -72,9 +73,13 @@ def pairs(z) -> list:
     return np.stack((z.real, z.imag), -1).tolist()
 
 
-def _checked_unit(vec: np.ndarray, where: str) -> np.ndarray:
-    # accept as-is inside EPS_NORM (bit-exact round trips), silently fix up
-    # to 1e-9, warn up to 1e-6, reject beyond
+def _unit_pairs(raw, size: int, where: str) -> np.ndarray:
+    # ``size`` [re, im] pairs read as a unit vector: accepted as-is inside EPS_NORM (bit-exact
+    # round trips), silently fixed up to 1e-9, fixed with a warning up to 1e-6, rejected beyond;
+    # the loaders call it directly, so the warning points at their caller
+    if not isinstance(raw, list) or len(raw) != size:
+        raise ParseError(f"{where} must list {size} [re, im] pairs")
+    vec = np.array([_complex_pair(p, f"{where}[{i}]") for i, p in enumerate(raw)])
     norm = float(np.linalg.norm(vec))
     nsq = norm * norm
     if abs(nsq - 1.0) <= EPS_NORM:
@@ -96,22 +101,11 @@ def load_state(path) -> np.ndarray:
     obj = read_json(path)
     if not isinstance(obj, dict) or "amplitudes" not in obj:
         raise ParseError(f"{path}: expected an object with an 'amplitudes' field")
-    amps = obj["amplitudes"]
-    if not isinstance(amps, list) or len(amps) != 4:
-        raise ParseError(f"{path}: 'amplitudes' must list 4 [re, im] pairs")
-    psi = np.array([_complex_pair(p, f"{path}: amplitudes[{i}]") for i, p in enumerate(amps)])
-    return _checked_unit(psi, str(path))
+    return _unit_pairs(obj["amplitudes"], 4, f"{path}: amplitudes")
 
 
 def save_angles(path, angles: AngleSet) -> None:
-    write_json(path, {
-        "chi": angles.chi,
-        "theta1": angles.theta1,
-        "phi1": angles.phi1,
-        "theta2": angles.theta2,
-        "phi2": angles.phi2,
-        "gamma": angles.gamma,
-    })
+    write_json(path, dataclasses.asdict(angles))
 
 
 def load_angles(path) -> AngleSet:
@@ -146,14 +140,8 @@ def load_decomposition(path) -> SpinorDecomposition:
     chi = _real(obj["chi"], f"{path}: chi")
     if not 0.0 <= chi <= np.pi / 2:
         raise ParseError(f"{path}: chi out of [0, pi/2]: {chi!r}")
-    spinors = []
-    for name in ("spinor1", "spinor2"):
-        raw = obj[name]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ParseError(f"{path}: {name} must list 2 [re, im] pairs")
-        s = np.array([_complex_pair(p, f"{path}: {name}[{i}]") for i, p in enumerate(raw)])
-        spinors.append(_checked_unit(s, f"{path}: {name}"))
-    return SpinorDecomposition(chi, spinors[0], spinors[1])
+    return SpinorDecomposition(chi, _unit_pairs(obj["spinor1"], 2, f"{path}: spinor1"),
+                               _unit_pairs(obj["spinor2"], 2, f"{path}: spinor2"))
 
 
 def save_schedule(path, qubit: int, schedule) -> None:

@@ -94,7 +94,7 @@ def sample_haar(count: int, seed: int) -> np.ndarray:
     z = rng.standard_normal((count, 8))
     states = z[:, 0::2] + 1j * z[:, 1::2]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return np.array([fix_global_phase(s) for s in states])
+    return np.array([fix_global_phase(s) for s in states], dtype=complex).reshape(count, 4)
 
 
 def sample_fixed_concurrence(count: int, seed: int, chi: float) -> np.ndarray:

@@ -99,11 +99,6 @@ def _values(v, size: int) -> list[complex]:
     return np.asarray(v, dtype=complex).reshape(size).tolist()
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron for two 2-vectors, the same products without its overhead."""
-    return (np.asarray(a)[:, None] * b).ravel()
-
-
 def _require_qubit(qubit: int) -> None:
     if qubit not in (1, 2):
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
@@ -118,10 +113,13 @@ def _reduced(amps, qubit: int) -> tuple[float, float, complex]:
             a * c.conjugate() + b * d.conjugate())
 
 
-def _bloch(amps, qubit: int) -> tuple[float, float, float]:
-    # one qubit's Bloch vector, from rho = (I + n.sigma)/2
-    p, q, w = _reduced(amps, qubit)
+def _bloch_of(p: float, q: float, w: complex) -> tuple[float, float, float]:
+    # the Bloch vector of rho = [[p, w], [w*, q]] = (I + n.sigma)/2
     return 2.0 * w.real, -2.0 * w.imag, p - q
+
+
+def _bloch(amps, qubit: int) -> tuple[float, float, float]:
+    return _bloch_of(*_reduced(amps, qubit))
 
 
 def _chi(amps, n1) -> float:
@@ -230,9 +228,8 @@ def reduced_density(psi, qubit: int) -> np.ndarray:
 
 def bloch_vector(rho) -> np.ndarray:
     """Bloch vector of a 2x2 density matrix, from rho = (I + n.sigma)/2."""
-    rho = np.asarray(rho, dtype=complex)
-    w = 2.0 * rho[0, 1]  # equals n_x - i n_y
-    return np.array([w.real, -w.imag, float(np.real(rho[0, 0] - rho[1, 1]))])
+    (p, w), (_, q) = np.asarray(rho, dtype=complex).tolist()
+    return np.array(_bloch_of(p.real, q.real, w))
 
 
 def state_bloch_vector(psi, qubit: int) -> np.ndarray:
@@ -243,9 +240,8 @@ def state_bloch_vector(psi, qubit: int) -> np.ndarray:
 
 def spinor_bloch_vector(spinor) -> np.ndarray:
     """Unit Bloch vector of a single spinor."""
-    u, l = np.asarray(spinor, dtype=complex).reshape(2)
-    w = 2.0 * u * np.conj(l)
-    return np.array([w.real, -w.imag, abs(u) ** 2 - abs(l) ** 2])
+    u, l = _values(spinor, 2)  # rho = s s^dagger
+    return np.array(_bloch_of(abs(u) ** 2, abs(l) ** 2, u * l.conjugate()))
 
 
 def spherical_angles(n) -> tuple[float, float]:

@@ -286,6 +286,27 @@ def test_negative_seed_is_usage_error(argv, capsys):
     assert "--seed" in error["message"]
 
 
+@pytest.mark.parametrize("content", [
+    b'\xff{"amplitudes": []}',       # not UTF-8: a UnicodeDecodeError while reading
+    b"[" * 2000 + b"]" * 2000,       # nested past the parser's recursion limit
+], ids=["undecodable", "deeply-nested"])
+@pytest.mark.parametrize("command", ["convert", "evolve"])
+def test_unparseable_file_is_parse_error(tmp_path, capsys, content, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if command == "convert":
+        argv = ["convert", "--in", str(bad), "--from", "amplitudes", "--to", "angles",
+                "--out", str(tmp_path / "out.json")]
+    else:
+        state = write_state(tmp_path / "state.json", SINGLET)
+        s2 = write_schedule(tmp_path / "s2.json", 2, [(qp.ZERO_HAMILTONIAN, 1.0)])
+        argv = ["evolve", "--in", state, "--schedule1", str(bad), "--schedule2", s2]
+    assert main(argv) == 2
+    error = stdout_json(capsys)["error"]
+    assert error["code"] == "PARSE"
+    assert error["message"].startswith(f"{bad}: not valid JSON: ")
+
+
 class TestSampleCommand:
     def test_writes_normalized_states(self, tmp_path):
         out = tmp_path / "samples.json"

@@ -526,6 +526,20 @@ class TestAlignedModes:
             coeffs, basis = qp.aligned_mode_coefficients(psi, 2)
             assert np.max(np.abs(basis.T @ coeffs - psi)) < 1e-12
 
+    @pytest.mark.parametrize("qubit", [1, 2])
+    def test_modes_are_kron_rows_and_overlaps(self, qubit):
+        # the docstring's basis, built with np.kron, and each coefficient as <mode|psi>
+        e0, e1 = np.eye(2)
+        for ang in band_angle_sets(200, 57):
+            psi = qp.state_from_angles(ang)
+            coeffs, basis = qp.aligned_mode_coefficients(psi, qubit)
+            n = qp.state_bloch_vector(psi, qubit)
+            plus, minus = qp.aligned_eigenvectors(n / np.linalg.norm(n))
+            modes = [(s, e) for s in (plus, minus) for e in (e0, e1)]
+            rows = [np.kron(s, e) if qubit == 1 else np.kron(e, s) for s, e in modes]
+            assert np.array_equal(basis, rows)
+            assert np.max(np.abs(coeffs - basis.conj() @ psi)) < 1e-15
+
     def test_rejects_maximal_states(self):
         with pytest.raises(qp.DegenerateState):
             qp.aligned_mode_coefficients(SINGLET, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -70,6 +71,35 @@ class TestStateFiles:
         with pytest.raises(fileio.ParseError):
             fileio.load_state(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"something": 1}', "expected an object with an 'amplitudes' field"),
+        ("[1]", "expected an object with an 'amplitudes' field"),
+        ('{"amplitudes": [[1, 0], [0, 0], [0, 0]]}', "amplitudes must list 4 [re, im] pairs"),
+        ('{"amplitudes": {"a": [1, 0]}}', "amplitudes must list 4 [re, im] pairs"),
+        ('{"amplitudes": [[1, 0], [0, 0], [0, 0], [0]]}',
+         "amplitudes[3]: expected an [re, im] pair, got [0]"),
+        ('{"amplitudes": [[1, 0], [0, 0], [0, 0], [0, "x"]]}',
+         "amplitudes[3]: expected a finite real number, got 'x'"),
+        ('{"amplitudes": [[1, 0], [NaN, 0], [0, 0], [0, 0]]}',
+         "amplitudes[1]: expected a finite real number, got nan"),
+        ('{"amplitudes": [[2, 0], [0, 0], [0, 0], [0, 0]]}',
+         "amplitudes: not normalized (|v| = 2.0)"),
+    ])
+    def test_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(fileio.ParseError) as caught:
+            fileio.load_state(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_warning_names_the_field_and_the_caller(self, tmp_path):
+        path = tmp_path / "state.json"
+        fileio.save_state(path, SINGLET * (1 + 5e-8))
+        with pytest.warns(RuntimeWarning) as record:
+            fileio.load_state(path)
+        assert str(record[0].message).startswith(f"{path}: amplitudes: norm off by ")
+        assert record[0].filename == __file__
+
 
 def per_element_pairs(z):
     """The reference form of fileio.pairs: two numpy scalar calls per element."""
@@ -102,6 +132,15 @@ class TestAngleFiles:
         fileio.save_angles(path, ang)
         assert fileio.load_angles(path) == ang
 
+    @pytest.mark.parametrize("gamma", [None, 0.5, -3.0])
+    def test_saved_text_is_the_six_fields(self, tmp_path, gamma):
+        path = tmp_path / "angles.json"
+        ang = qp.AngleSet(0.3, 1.1, -2.0, 2.2, 3.0, gamma)
+        fileio.save_angles(path, ang)
+        expected = {"chi": ang.chi, "theta1": ang.theta1, "phi1": ang.phi1,
+                    "theta2": ang.theta2, "phi2": ang.phi2, "gamma": ang.gamma}
+        assert path.read_text() == json.dumps(expected) + "\n"
+
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "angles.json"
         path.write_text('{"chi": 3.0, "theta1": 0, "phi1": 0, "theta2": 0, '
@@ -133,6 +172,42 @@ class TestDecompositionFiles:
                         '"spinor2": [[1, 0], [0, 0]]}')
         with pytest.raises(fileio.ParseError):
             fileio.load_decomposition(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ('"chi": 0.4, "spinor1": [[1, 0], [0, 0]]', "expected fields chi, spinor1, spinor2"),
+        ('"chi": "x", "spinor1": [[1, 0], [0, 0]], "spinor2": [[1, 0], [0, 0]]',
+         "chi: expected a finite real number, got 'x'"),
+        ('"chi": 3.0, "spinor1": [[1, 0], [0, 0]], "spinor2": [[1, 0], [0, 0]]',
+         "chi out of [0, pi/2]: 3.0"),
+        ('"chi": 0.4, "spinor1": [[1, 0]], "spinor2": [[1, 0], [0, 0]]',
+         "spinor1 must list 2 [re, im] pairs"),
+        ('"chi": 0.4, "spinor1": [[1, 0], [0, 0]], "spinor2": [[1, 0], 5]',
+         "spinor2[1]: expected an [re, im] pair, got 5"),
+        ('"chi": 0.4, "spinor1": [[1, 0], [0, 0]], "spinor2": [[true, 0], [0, 0]]',
+         "spinor2[0]: expected a finite real number, got True"),
+        ('"chi": 0.4, "spinor1": [[2, 0], [0, 0]], "spinor2": [[2, 0], [0, 0]]',
+         "spinor1: not normalized (|v| = 2.0)"),
+        ('"chi": 0.4, "spinor1": [[1, 0], [0, 0]], "spinor2": [[0, 0], [0, -2]]',
+         "spinor2: not normalized (|v| = 2.0)"),
+    ])
+    def test_messages(self, tmp_path, fields, message):
+        path = tmp_path / "spinors.json"
+        path.write_text("{%s}" % fields)
+        with pytest.raises(fileio.ParseError) as caught:
+            fileio.load_decomposition(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name", ["spinor1", "spinor2"])
+    def test_warning_names_the_spinor_and_the_caller(self, tmp_path, name):
+        path = tmp_path / "spinors.json"
+        d = qp.decompose(qp.sample_haar(1, 5)[0])
+        fileio.save_decomposition(path, dataclasses.replace(
+            d, **{name: getattr(d, name) * (1 + 5e-8)}))
+        with pytest.warns(RuntimeWarning) as record:
+            fileio.load_decomposition(path)
+        assert len(record) == 1
+        assert str(record[0].message).startswith(f"{path}: {name}: norm off by ")
+        assert record[0].filename == __file__
 
 
 class TestScheduleFiles:

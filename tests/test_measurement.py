@@ -127,6 +127,11 @@ class TestSamplers:
                 assert np.array_equal(qp.sample_fixed_concurrence(200, seed, chi),
                                       scalar_draws(200, seed, chi))
 
+    def test_empty_corpora_have_the_corpus_shape(self):
+        for corpus in (qp.sample_haar(0, 1), qp.sample_fixed_concurrence(0, 1, 0.3)):
+            assert corpus.shape == (0, 4)
+            assert corpus.dtype == np.complex128
+
     def test_sample_spec_dispatch(self):
         spec = qp.SampleSpec(count=5, seed=1)
         assert np.array_equal(qp.sample_states(spec), qp.sample_haar(5, 1))

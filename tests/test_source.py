@@ -25,7 +25,7 @@ def test_no_assert_statements():
 
 
 def test_no_np_kron():
-    # np.kron costs ~20 us on 2x2 operands; states._kron2 forms the same products
+    # np.kron costs ~20 us on 2x2 operands; the package writes out the same products
     found = _nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "kron")
     assert not found, f"np.kron in the package: {found}"
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitpair as qp
-from qubitpair.states import _kron2
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -85,7 +84,32 @@ class TestReducedDensity:
             qp.reduced_density(SINGLET, 3)
 
 
+def numpy_bloch_vector(rho):
+    """bloch_vector as numpy arithmetic on the matrix entries, the reference form."""
+    rho = np.asarray(rho, dtype=complex)
+    w = 2.0 * rho[0, 1]
+    return np.array([w.real, -w.imag, float(np.real(rho[0, 0] - rho[1, 1]))])
+
+
+def numpy_spinor_bloch_vector(spinor):
+    """spinor_bloch_vector as numpy arithmetic on the components, the reference form."""
+    u, l = np.asarray(spinor, dtype=complex).reshape(2)
+    w = 2.0 * u * np.conj(l)
+    return np.array([w.real, -w.imag, abs(u) ** 2 - abs(l) ** 2])
+
+
 class TestBlochVector:
+    def test_equals_the_numpy_forms(self):
+        # unnormalised inputs over many scales, so no unit-norm shortcut can hide
+        rng = np.random.default_rng(83)
+        for _ in range(5000):
+            z = rng.standard_normal(12) * 10.0 ** rng.integers(-100, 100)
+            rho = (z[:4] + 1j * z[4:8]).reshape(2, 2)
+            spinor = z[8:10] + 1j * z[10:]
+            assert np.array_equal(qp.bloch_vector(rho), numpy_bloch_vector(rho))
+            assert np.array_equal(qp.spinor_bloch_vector(spinor),
+                                  numpy_spinor_bloch_vector(spinor))
+
     @pytest.mark.parametrize("rho,n", [
         ([[1, 0], [0, 0]], (0, 0, 1)),
         ([[0.5, 0.5], [0.5, 0.5]], (1, 0, 0)),
@@ -355,11 +379,3 @@ class TestUnitCoercion:
             qp.as_state([1, 0, 0, 1])
         with pytest.raises(ValueError, match=r"spinor is not normalized: \|s\|\^2"):
             qp.as_spinor([1, 1])
-
-
-class TestKron2:
-    def test_matches_np_kron_on_vectors(self):
-        rng = np.random.default_rng(71)
-        for _ in range(200):
-            a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            assert np.array_equal(_kron2(a, b), np.kron(a, b))
