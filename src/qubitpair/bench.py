@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .dynamics import (DEVIATION_BOUND, LocalHamiltonian, PhaseLedger, evolve_full_schedule,
+from .dynamics import (LocalHamiltonian, PhaseLedger, backends_agree, evolve_full_schedule,
                        evolve_separable_schedule)
 from .measurement import sample_haar
 from .states import decompose, reconstruct
@@ -31,7 +31,7 @@ class BenchReport:
     ns_per_step_separable: float
     speedup: float
     max_deviation: float
-    status: str             # VALID iff max_deviation < 1e-9
+    status: str             # VALID iff backends_agree(max_deviation): below 1e-9
     timing_confidence: str  # LOW_CONFIDENCE below 1000 steps
 
     def to_dict(self) -> dict:
@@ -77,6 +77,6 @@ def run_benchmark(steps: int, trials: int, seed: int) -> BenchReport:
         ns_per_step_separable=ns_sep,
         speedup=ns_full / ns_sep if ns_sep > 0 else float("inf"),
         max_deviation=max_dev,
-        status="VALID" if max_dev < DEVIATION_BOUND else "INVALID",
+        status="VALID" if backends_agree(max_dev) else "INVALID",
         timing_confidence="OK" if steps >= LOW_CONFIDENCE_STEPS else "LOW_CONFIDENCE",
     )

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import fileio
 from .bench import run_benchmark
-from .dynamics import (DEVIATION_BOUND, PhaseLedger, compare_backends, evolve_full_schedule,
-                       evolve_separable_schedule)
+from .dynamics import (DEVIATION_BOUND, PhaseLedger, backends_agree, compare_backends,
+                       evolve_full_schedule, evolve_separable_schedule)
 from .measurement import SampleSpec, sample_states
 from .states import (
     HALF_PI,
@@ -131,7 +131,7 @@ def cmd_evolve(args) -> int:
         return 0
 
     report = compare_backends(psi, schedule1, schedule2)
-    agree = report.max_component_deviation < DEVIATION_BOUND
+    agree = backends_agree(report.max_component_deviation)
     _emit({
         "backend": "both",
         "final_state_full": fileio.pairs(report.final_state_full),

@@ -28,13 +28,13 @@ from .states import (
     MaximalEntanglement,
     SeparableGamma,
     SpinorDecomposition,
+    _angles,
     _contract,
     _half_angle,
     _parity,
     _require_qubit,
     _spherical,
     _values,
-    angles_from_state,
     as_state,
     concurrence_angle,
     decompose,
@@ -43,7 +43,12 @@ from .states import (
     wrap_angle,
 )
 
-DEVIATION_BOUND = 1e-9  # largest amplitude difference at which the backends agree
+DEVIATION_BOUND = 1e-9  # the backends agree while the largest amplitude difference stays below this
+
+
+def backends_agree(deviation: float) -> bool:
+    """The one agreement rule for the two backends: deviation strictly below DEVIATION_BOUND."""
+    return bool(deviation < DEVIATION_BOUND)
 
 
 class NonUnitDirection(ValueError):
@@ -250,9 +255,9 @@ def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
     return evolve_separable_schedule(d, ledger, [(h1, t)], [(h2, t)])
 
 
-def _trace_angles(psi) -> AngleSet | None:
+def _trace_angles(amps) -> AngleSet | None:
     try:
-        return angles_from_state(psi)
+        return AngleSet(*_angles(amps))
     except SeparableGamma as exc:
         return exc.angles
     except MaximalEntanglement:
@@ -360,12 +365,13 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     strength ``energy`` on the chosen qubit, extracts gamma at each time
     (projection method, unwrapped by nearest-branch continuation), and
     returns (slope, residual): the fitted d(gamma)/dt and the largest
-    absolute deviation from the fit.  Each grid state is one step of the
-    full backend's loop (_full_steps) in which only the rotated qubit has a
-    step; the other qubit is left alone, not stepped by an identity.  The
-    five other angles must stay constant to 1e-8 across the grid
-    (ConsistencyError otherwise).  In these conventions the slope comes
-    out at -2*energy.
+    absolute deviation from the fit.  Each grid state is the closed-form
+    SU(2) of the aligned Hamiltonian (traceless, so it has no scalar phase)
+    applied to the rotated qubit alone, on Python complexes: bit for bit
+    one evolve_full step with the other qubit under ZERO_HAMILTONIAN, as
+    the tests check.  The five other angles must stay constant to 1e-8
+    across the grid (ConsistencyError otherwise).  In these conventions
+    the slope comes out at -2*energy.
     """
     psi = as_state(psi)
     chi = concurrence_angle(psi)  # edge-stable, so exact singlets cannot slip the gate
@@ -373,16 +379,21 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
         raise DegenerateState("recurrence drift needs a partially entangled state")
     n = state_bloch_vector(psi, qubit)
     h = aligned_hamiltonian(n / np.linalg.norm(n), energy)
-    amps = psi.tolist()
+    a, b, c, d = psi.tolist()
+    amps = (a, b, c, d) if qubit == 1 else (a, c, b, d)  # the rotated qubit first
+    x, y, z = h.v.tolist()
     times = np.asarray(t_grid, dtype=float).tolist()
-    # one step of the rotated qubit per time; the other qubit's schedule is empty
-    pairs = (([(h, t)], ()) if qubit == 1 else ((), [(h, t)]) for t in times)
-    records = [angles_from_state(next(_full_steps(amps, *pair))) for pair in pairs]
-    gammas = _unwrap_nearest([r.gamma for r in records])
+    records = []
+    for t in times:
+        # U = [[p, q], [-q*, p*]]: its rows contract the rotated qubit as <(p*, q*)| and <(-q, p)|
+        p, q = _cayley_klein(x, y, z, t)
+        (a, b), (c, d) = _contract((p.conjugate(), q.conjugate()), amps), _contract((-q, p), amps)
+        records.append(_angles((a, b, c, d) if qubit == 1 else (a, c, b, d)))  # in psi's order
+    gammas = _unwrap_nearest([r[5] for r in records])
     slope, intercept = np.polyfit(times, gammas, 1).tolist()
     residual = max(abs(g - (slope * t + intercept)) for t, g in zip(times, gammas))
-    for name in ("chi", "theta1", "theta2", "phi1", "phi2"):
-        values = [getattr(r, name) for r in records]
+    for k, name in ((0, "chi"), (1, "theta1"), (3, "theta2"), (2, "phi1"), (4, "phi2")):
+        values = [r[k] for r in records]
         spread = _circular_spread(values) if name.startswith("phi") else max(values) - min(values)
         if not spread < 1e-8:
             raise ConsistencyError(f"{name} moved by {spread:.3e} under an aligned rotation")
@@ -406,6 +417,6 @@ def compound_rotation_check(psi, energy1: float, energy2: float, t: float,
     h1 = aligned_hamiltonian(n1 / np.linalg.norm(n1), energy1)
     axis2 = n2 / np.linalg.norm(n2)
     h2 = aligned_hamiltonian(axis2 if same_handed else -axis2, energy2)
-    start = angles_from_state(psi).gamma
-    end = angles_from_state(next(_full_steps(psi.tolist(), [(h1, t)], [(h2, t)]))).gamma
+    start = _angles(psi.tolist())[5]
+    end = _angles(next(_full_steps(psi.tolist(), [(h1, t)], [(h2, t)])))[5]
     return wrap_angle(end - start)

@@ -23,13 +23,13 @@ from .states import (
     HALF_PI,
     AngleSet,
     ConsistencyError,
+    _canonical_phase,
     _contract,
     _parity,
     _require_qubit,
     _vdot2,
     as_spinor,
     as_state,
-    fix_global_phase,
     state_from_angles,
     wrap_angle,
 )
@@ -94,7 +94,13 @@ def sample_haar(count: int, seed: int) -> np.ndarray:
     z = rng.standard_normal((count, 8))
     states = z[:, 0::2] + 1j * z[:, 1::2]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return np.array([fix_global_phase(s) for s in states], dtype=complex).reshape(count, 4)
+    # one flat list of Python complexes, read four at a time: a list per row would put
+    # 2 * count short-lived containers in front of the garbage collector
+    flat = states.ravel().tolist()
+    fixed = []
+    for amps in zip(*[iter(flat)] * 4):
+        fixed += _canonical_phase(amps)
+    return np.array(fixed, dtype=complex).reshape(count, 4)
 
 
 def sample_fixed_concurrence(count: int, seed: int, chi: float) -> np.ndarray:

@@ -69,24 +69,37 @@ def wrap_angle(x: float) -> float:
     return float(math.pi - (math.pi - x) % (2.0 * math.pi))
 
 
-def _as_unit(values, size: int, what: str, normalize: bool) -> np.ndarray:
-    # ``what`` heads the not-normalized message; NaN and inf fail both checks
-    v = np.asarray(values, dtype=complex).reshape(size)
+_STATE_NOT_UNIT = "amplitudes are not normalized: |psi|^2"
+
+
+def _norm_sq(values) -> float:
     nsq = 0.0
-    for z in v.tolist():
+    for z in values:
         nsq += z.real * z.real + z.imag * z.imag  # products, not **, which raises on overflow
+    return nsq
+
+
+def _check_unit(values, what: str) -> None:
+    # the unit-norm rule on Python complexes; ``what`` heads the message, NaN and inf fail
+    nsq = _norm_sq(values)
+    if not abs(nsq - 1.0) <= EPS_NORM:
+        raise ValueError(f"{what} = {nsq!r}")
+
+
+def _as_unit(values, size: int, what: str, normalize: bool) -> np.ndarray:
+    v = np.asarray(values, dtype=complex).reshape(size)
     if normalize:
+        nsq = _norm_sq(v.tolist())
         if not 0.0 < nsq < np.inf:
             raise ValueError(f"cannot normalize a vector of squared norm {nsq!r}")
         return v / np.sqrt(nsq)
-    if not abs(nsq - 1.0) <= EPS_NORM:
-        raise ValueError(f"{what} = {nsq!r}")
+    _check_unit(v.tolist(), what)
     return v
 
 
 def as_state(amplitudes, normalize: bool = False) -> np.ndarray:
     """Coerce to a complex 4-vector, checking (or restoring) unit norm."""
-    return _as_unit(amplitudes, 4, "amplitudes are not normalized: |psi|^2", normalize)
+    return _as_unit(amplitudes, 4, _STATE_NOT_UNIT, normalize)
 
 
 def as_spinor(components, normalize: bool = False) -> np.ndarray:
@@ -204,6 +217,11 @@ def concurrence_angle(psi) -> float:
     return _chi(amps, _bloch(amps, 1))
 
 
+def _canonical_phase(amps) -> list[complex]:
+    # fix_global_phase on Python complexes
+    return _phase_fixed(amps, _chi(amps, _bloch(amps, 1)))
+
+
 def fix_global_phase(psi) -> np.ndarray:
     """Rotate the global phase so that (ad - bc) is real and non-negative.
 
@@ -215,8 +233,7 @@ def fix_global_phase(psi) -> np.ndarray:
     and -psi stay distinct; that leftover sign freedom is resolved by
     decompose(), which measures its phase from the actual input.
     """
-    amps = _values(psi, 4)
-    return np.array(_phase_fixed(amps, _chi(amps, _bloch(amps, 1))))
+    return np.array(_canonical_phase(_values(psi, 4)))
 
 
 def reduced_density(psi, qubit: int) -> np.ndarray:
@@ -320,23 +337,9 @@ class SpinorDecomposition:
     spinor2: np.ndarray
 
 
-def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
-    """Extract the six natural angles from a normalized state.
-
-    The recurrence gamma is recovered by projecting the phase-fixed state
-    onto the product of the two Bloch-direction spinors, which stays well
-    conditioned wherever gamma is defined; it is reported in (-pi, pi],
-    i.e. modulo 2*pi (a shift by 2*pi only flips the state's sign).
-
-    With cross_check=True the independent sine-quotient formula
-    (recurrence_sine) is evaluated as well and must agree to EPS_MATCH;
-    that path raises PoleSingularity within EPS_POLE of a Bloch pole.
-
-    Raises SeparableGamma below chi = EPS_DEGEN (the partial angles ride on
-    the exception) and MaximalEntanglement above pi/2 - EPS_DEGEN, where
-    theta and phi lose meaning; decompose() handles that regime instead.
-    """
-    amps = as_state(psi).tolist()
+def _angles(amps) -> tuple[float, float, float, float, float, float]:
+    # angles_from_state's six angles on Python complexes, with its norm check and refusals
+    _check_unit(amps, _STATE_NOT_UNIT)
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
     if chi > HALF_PI - EPS_DEGEN:
@@ -348,12 +351,38 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
         raise SeparableGamma(
             "the recurrence of a separable state is indistinguishable from a global phase",
             angles=AngleSet(chi, theta1, phi1, theta2, phi2, None))
-    amps = _phase_fixed(amps, chi)
-    overlap = _vdot2(_half_angle(theta2, phi2), _contract(_half_angle(theta1, phi1), amps))
-    gamma = wrap_angle(2.0 * cmath.phase(overlap))
-    if cross_check and not abs(math.sin(gamma) - recurrence_sine(amps)) <= EPS_MATCH:
+    overlap = _vdot2(_half_angle(theta2, phi2),
+                     _contract(_half_angle(theta1, phi1), _phase_fixed(amps, chi)))
+    return chi, theta1, phi1, theta2, phi2, wrap_angle(2.0 * cmath.phase(overlap))
+
+
+def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
+    """Extract the six natural angles from a normalized state.
+
+    The recurrence gamma is recovered by projecting the phase-fixed state
+    onto the product of the two Bloch-direction spinors, which stays well
+    conditioned wherever gamma is defined; it is reported in (-pi, pi],
+    i.e. modulo 2*pi (a shift by 2*pi only flips the state's sign).
+
+    Near maximal entanglement the Bloch vectors shrink to length cos(chi),
+    and the direction of a vector that short is known only to about
+    1e-16/cos(chi); the round trip through state_from_angles is good to
+    that, not to 1e-16.
+
+    With cross_check=True the independent sine-quotient formula
+    (recurrence_sine) is evaluated as well and must agree to EPS_MATCH;
+    that path raises PoleSingularity within EPS_POLE of a Bloch pole.
+
+    Raises SeparableGamma below chi = EPS_DEGEN (the partial angles ride on
+    the exception) and MaximalEntanglement above pi/2 - EPS_DEGEN, where
+    theta and phi lose meaning; decompose() handles that regime instead.
+    """
+    amps = _values(psi, 4)
+    angles = AngleSet(*_angles(amps))
+    if cross_check and not abs(math.sin(angles.gamma)
+                               - recurrence_sine(_phase_fixed(amps, angles.chi))) <= EPS_MATCH:
         raise ConsistencyError("projection and sine-quotient recurrences disagree")
-    return AngleSet(chi, theta1, phi1, theta2, phi2, gamma)
+    return angles
 
 
 def recurrence_sine(psi) -> float:

@@ -147,7 +147,8 @@ def dynamics_suite(trials: int, seed: int) -> list[PropertyResult]:
                                      - states.concurrence(psi)))
         worst_norm = max(worst_norm, abs(float(np.linalg.norm(report.final_state_full)) - 1.0),
                          abs(float(np.linalg.norm(report.final_state_separable)) - 1.0))
-    results.append(_result("backend_equivalence", worst_dev, dynamics.DEVIATION_BOUND))
+    results.append(PropertyResult("backend_equivalence", worst_dev, dynamics.DEVIATION_BOUND,
+                                  dynamics.backends_agree(worst_dev)))
     results.append(_result("concurrence_invariance", worst_dc, 1e-12))
     results.append(_result("unitarity", worst_norm, 1e-12))
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -351,3 +353,50 @@ class TestSampleCommand:
                      "--from", "amplitudes", "--to", "angles",
                      "--out", str(tmp_path / "out.json")])
         assert code == 2
+
+
+# the deviation exactly at the bound disagrees; the next float below it agrees
+AGREEMENT_EDGE = [(1e-9, False), (math.nextafter(1e-9, 0.0), True)]
+
+
+class TestBackendAgreementRule:
+    @pytest.mark.parametrize("deviation,agree", AGREEMENT_EDGE)
+    def test_rule(self, deviation, agree):
+        assert qp.dynamics.backends_agree(deviation) is agree
+
+    @pytest.mark.parametrize("deviation,agree", AGREEMENT_EDGE)
+    def test_evolve_both(self, tmp_path, capsys, monkeypatch, deviation, agree):
+        zeros = np.zeros(4, dtype=complex)
+        monkeypatch.setattr(qp.cli, "compare_backends",
+                            lambda *a: qp.EvolutionReport(zeros, zeros, deviation))
+        state = write_state(tmp_path / "state.json", qp.sample_haar(1, 1)[0])
+        s1 = write_schedule(tmp_path / "s1.json", 1, [(qp.ZERO_HAMILTONIAN, 1.0)])
+        s2 = write_schedule(tmp_path / "s2.json", 2, [(qp.ZERO_HAMILTONIAN, 1.0)])
+        code = main(["evolve", "--in", state, "--schedule1", s1, "--schedule2", s2,
+                     "--backend", "both"])
+        assert code == (0 if agree else 1)
+        assert stdout_json(capsys)["backends_agree"] is agree
+
+    @pytest.mark.parametrize("deviation,agree", AGREEMENT_EDGE)
+    def test_bench_status(self, monkeypatch, deviation, agree):
+        # the full end state is off the separable one (zero) by exactly ``deviation``
+        monkeypatch.setattr(qp.bench, "evolve_full_schedule",
+                            lambda *a: np.array([deviation, 0, 0, 0], dtype=complex))
+        monkeypatch.setattr(qp.bench, "evolve_separable_schedule",
+                            lambda d, ledger, *a: (d, qp.PhaseLedger()))
+        monkeypatch.setattr(qp.bench, "reconstruct", lambda d: np.zeros(4, dtype=complex))
+        report = qp.run_benchmark(steps=3, trials=2, seed=1)
+        assert report.max_deviation == deviation
+        assert report.status == ("VALID" if agree else "INVALID")
+
+    @pytest.mark.parametrize("deviation,agree", AGREEMENT_EDGE)
+    def test_verify_backend_equivalence(self, capsys, monkeypatch, deviation, agree):
+        real = qp.dynamics.compare_backends
+        monkeypatch.setattr(qp.dynamics, "compare_backends", lambda *a: dataclasses.replace(
+            real(*a), max_component_deviation=deviation))
+        code = main(["verify", "--suite", "dynamics", "--trials", "4", "--seed", "1"])
+        out, err = capsys.readouterr()
+        (prop,) = [p for p in json.loads(out)["properties"] if p["name"] == "backend_equivalence"]
+        assert prop["worst"] == deviation and prop["passed"] is agree
+        assert ("PASS" if agree else "FAIL") + " backend_equivalence" in err
+        assert code == (0 if agree else 1)

@@ -447,7 +447,9 @@ def count_calls(monkeypatch, module, name):
 
 class TestRecurrenceDrift:
     def test_matches_two_qubit_reference_bit_for_bit(self, monkeypatch):
-        angles = count_calls(monkeypatch, qp.dynamics, "angles_from_state")
+        cores = count_calls(monkeypatch, qp.dynamics, "_angles")
+        closed_forms = count_calls(monkeypatch, qp.dynamics, "_cayley_klein")
+        views = count_calls(monkeypatch, qp.states, "angles_from_state")
         unitaries = count_calls(monkeypatch, qp.dynamics, "local_unitary")
         schedules = count_calls(monkeypatch, qp.dynamics, "evolve_full_schedule")
         rng = np.random.default_rng(61)
@@ -458,15 +460,16 @@ class TestRecurrenceDrift:
             grid = grids[k % 2]
             for qubit in (1, 2):
                 expected = ref_recurrence_drift(psi, qubit, energy, grid)
-                del angles[:], unitaries[:]
+                del cores[:], closed_forms[:], views[:], unitaries[:]
                 got = qp.recurrence_drift(psi, qubit, energy, grid)
                 assert got == expected and all(type(x) is float for x in got)
-                # one public angles_from_state per grid point, and only the rotated qubit steps
-                assert len(angles) == len(unitaries) == len(grid)
+                # one angle core and one closed-form SU(2) per grid point, and no public wrapper
+                assert len(cores) == len(closed_forms) == len(grid)
+                assert not views and not unitaries
             expected = ref_compound_rotation(psi, energy, 0.7, 0.3, k % 3 == 0)
-            del angles[:], unitaries[:]
+            del cores[:], unitaries[:]
             assert qp.compound_rotation_check(psi, energy, 0.7, 0.3, k % 3 == 0) == expected
-            assert len(angles) == len(unitaries) == 2
+            assert len(cores) == len(unitaries) == 2
         assert not schedules
 
     def test_linear_drift_slope_and_residual(self):

@@ -127,6 +127,21 @@ class TestSamplers:
                 assert np.array_equal(qp.sample_fixed_concurrence(200, seed, chi),
                                       scalar_draws(200, seed, chi))
 
+    def test_haar_matches_one_public_phase_fix_per_state(self):
+        def per_state(count, seed):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((count, 8))
+            states = z[:, 0::2] + 1j * z[:, 1::2]
+            states /= np.linalg.norm(states, axis=1, keepdims=True)
+            return np.array([qp.fix_global_phase(s) for s in states],
+                            dtype=complex).reshape(count, 4)
+
+        for seed in (0, 3, 13, 2024):
+            for count in (0, 1, 600):
+                got = qp.sample_haar(count, seed)
+                assert got.shape == (count, 4)
+                assert np.array_equal(got, per_state(count, seed))
+
     def test_empty_corpora_have_the_corpus_shape(self):
         for corpus in (qp.sample_haar(0, 1), qp.sample_fixed_concurrence(0, 1, 0.3)):
             assert corpus.shape == (0, 4)

@@ -75,3 +75,16 @@ def test_full_backend_composes_nothing():
     assert "local_unitary" in called
     shared = called & {"_cayley_klein", "_rotated", "_kron2"}
     assert not shared, f"_full_steps calls {sorted(shared)}"
+
+
+def test_dynamics_reads_angles_from_the_core():
+    # dynamics takes the six angles from states._angles, not from the public AngleSet view,
+    # and each drift grid point is one closed-form SU(2), not a full-backend step
+    found = _nodes(lambda node: isinstance(node, ast.Call) and "angles_from_state" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)), "dynamics.py")
+    assert not found, f"angles_from_state called in dynamics.py: {found}"
+    drift = _function("dynamics.py", "recurrence_drift")
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(drift) if isinstance(node, ast.Call)}
+    wrappers = called & {"_full_steps", "local_unitary"}
+    assert not wrappers, f"recurrence_drift calls {sorted(wrappers)}"

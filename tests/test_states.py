@@ -191,6 +191,15 @@ class TestAngleConversions:
             assert circ(got.phi2, ang.phi2) < 1e-9
             assert circ(got.gamma, ang.gamma) < 1e-9
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8, 2e-9])
+    def test_roundtrip_next_to_maximal_is_good_to_1e_16_over_cos_chi(self, gap):
+        # a Bloch vector of length cos(chi) gives its direction only to about 1e-16/cos(chi)
+        chi = np.pi / 2 - gap
+        bound = 1e-15 / np.cos(chi)
+        for psi in qp.sample_fixed_concurrence(300, 5, chi):
+            back = qp.state_from_angles(qp.angles_from_state(psi))
+            assert np.max(np.abs(back - psi)) <= bound
+
     def test_separable_raises_with_partial_angles(self):
         with pytest.raises(qp.SeparableGamma) as err:
             qp.angles_from_state([1, 0, 0, 0])
