@@ -243,8 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: a dropped argparse parser is ~300 objects of cyclic garbage, which
+# would leave every command to the cyclic collector
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except tuple(exc for exc, _ in _ERROR_CODES) as exc:

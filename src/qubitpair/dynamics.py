@@ -220,11 +220,12 @@ def _rotated(spinor, schedule, beta: float) -> tuple[np.ndarray, float]:
     # the spinor under the product [[A, B], [-B*, A*]] of the schedule's SU(2)
     # steps, and beta plus the steps' h_i * dt, summed in step order
     if isinstance(schedule, Schedule):
-        steps = zip(schedule.h.tolist(), schedule.v.tolist(), schedule.dt.tolist())
+        v = iter(schedule.v.ravel().tolist())  # one flat list read three at a time, not S lists
+        steps = zip(schedule.h.tolist(), v, v, v, schedule.dt.tolist())
     else:
-        steps = ((h.h_i, h.v.tolist(), dt) for h, dt in schedule)
+        steps = ((h.h_i, *h.v.tolist(), dt) for h, dt in schedule)
     big_a, big_b = 1 + 0j, 0j
-    for h_i, (x, y, z), t in steps:
+    for h_i, x, y, z, t in steps:
         a, b = _cayley_klein(x, y, z, t)
         big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
         beta += h_i * t
@@ -371,8 +372,13 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     one evolve_full step with the other qubit under ZERO_HAMILTONIAN, as
     the tests check.  The five other angles must stay constant to 1e-8
     across the grid (ConsistencyError otherwise).  In these conventions
-    the slope comes out at -2*energy.
+    the slope comes out at -2*energy.  A line needs t_grid to hold at least
+    two distinct finite times (ValueError otherwise).
     """
+    grid = np.asarray(t_grid, dtype=float)
+    times = grid.tolist()
+    if not (grid.ndim == 1 and np.isfinite(grid).all() and len(set(times)) >= 2):
+        raise ValueError(f"t_grid must hold at least two distinct finite times, got {t_grid!r}")
     psi = as_state(psi)
     chi = concurrence_angle(psi)  # edge-stable, so exact singlets cannot slip the gate
     if not EPS_DEGEN < chi < HALF_PI - EPS_DEGEN:
@@ -382,7 +388,6 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     a, b, c, d = psi.tolist()
     amps = (a, b, c, d) if qubit == 1 else (a, c, b, d)  # the rotated qubit first
     x, y, z = h.v.tolist()
-    times = np.asarray(t_grid, dtype=float).tolist()
     records = []
     for t in times:
         # U = [[p, q], [-q*, p*]]: its rows contract the rotated qubit as <(p*, q*)| and <(-q, p)|

@@ -14,12 +14,14 @@ loading a saved file reproduces every value bit for bit.
                  entries applied in order (piecewise constant); it loads
                  as one dynamics.Schedule of arrays, no per-step objects,
                  each rule checked over whole columns; a rejection names the
-                 first offending entry and the first rule it breaks
+                 first offending entry and the first rule it breaks; the load
+                 runs with the cyclic garbage collector paused (load_schedule)
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -192,7 +194,21 @@ def load_schedule(path) -> tuple[int, Schedule]:
 
     A rejection names the first offending entry and the first rule it breaks: every rule that
     fails on a prefix of the entries fails on each longer one, so bisection finds the shortest.
+    The cyclic garbage collector is paused for the read and restored as the caller had it: a
+    parsed file holds a dict and a v list per entry, all alive at once, but JSON forms no
+    reference cycles and every container built here dies before the return, so a collection
+    could only promote dying objects and bring on full collections later.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_schedule(path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load_schedule(path) -> tuple[int, Schedule]:
     obj = read_json(path)
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{path}: expected a non-empty list of schedule entries")

@@ -34,6 +34,7 @@ EPS_NORM = 1e-12   # unit-norm slack
 EPS_MATCH = 1e-9   # agreement between redundant computations of one quantity
 EPS_DEGEN = 1e-9   # distance to the separable / maximally entangled edges
 EPS_POLE = 1e-6    # sin(theta) floor for the sine-quotient recurrence formula
+_UNIT_ROUNDOFF = 2.0 ** -53  # u, half the spacing of doubles at 1
 
 HALF_PI = np.pi / 2
 
@@ -150,7 +151,12 @@ def _entangled(chi: float) -> bool:
 def _phase_fixed(amps, chi: float) -> list[complex]:
     a, b, c, d = amps
     if _entangled(chi):
-        turn = cmath.rect(1.0, -0.5 * cmath.phase(a * d - b * c))
+        ad, bc = a * d, b * c
+        det = ad - bc
+        # already canonical to within the rounding of ad - bc: no turn (see fix_global_phase)
+        if det.real > 0.0 and abs(det.imag) <= 4.0 * _UNIT_ROUNDOFF * (abs(ad) + abs(bc)):
+            return list(amps)
+        turn = cmath.rect(1.0, -0.5 * cmath.phase(det))
     else:
         turn = cmath.rect(1.0, -cmath.phase(max(amps, key=abs)))
     return [turn * v for v in amps]
@@ -228,10 +234,13 @@ def fix_global_phase(psi) -> np.ndarray:
     Separable states (chi below EPS_DEGEN, the band where gamma is
     undefined too) carry no usable determinant phase, so the dominant
     amplitude is made real and non-negative instead (ties resolved in
-    amplitude order).  Canonical input is rotated by at most a rounding-
-    scale angle (exactly zero when Im(ad - bc) is exactly zero), so +psi
-    and -psi stay distinct; that leftover sign freedom is resolved by
-    decompose(), which measures its phase from the actual input.
+    amplitude order).  Input that is already canonical to rounding
+    (Re(ad - bc) > 0 and |Im(ad - bc)| within 4u(|ad| + |bc|), u = 2^-53)
+    is returned unturned: near separability half the determinant's phase
+    is rounding noise of order ulp/|ad - bc|, and a turn by it would move
+    every amplitude that far.  So +psi and -psi stay distinct; that
+    leftover sign freedom is resolved by decompose(), which measures its
+    phase from the actual input.
     """
     return np.array(_canonical_phase(_values(psi, 4)))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 
@@ -145,6 +146,23 @@ class TestEvolve:
         assert main(["evolve", "--in", state, "--schedule1", s1, "--schedule2", s2,
                      "--backend", "both", "--out", str(out)]) == 0
         assert read_json(out)["max_component_deviation"] < 1e-9
+
+    @pytest.mark.parametrize("backend", ["full", "separable", "both"])
+    def test_long_evolve_leaves_no_work_for_the_collector(self, tmp_path, backend,
+                                                          collections_during):
+        # a 2,000-step run sets off no collection and leaves no cyclic garbage behind: a parser
+        # built per call, a dict and a v list per schedule entry and a v list per separable
+        # step each used to
+        state, s1, s2 = self._files(tmp_path, steps=2000)
+        argv = ["evolve", "--in", state, "--schedule1", s1, "--schedule2", s2,
+                "--backend", backend, "--out", str(tmp_path / "out.json")]
+        assert collections_during(lambda: main(argv)) == []
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_single_backends_match_each_other(self, tmp_path):
         state, s1, s2 = self._files(tmp_path, seed=44)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,33 @@ class TestComposedSchedules:
         assert np.array_equal(qp.evolve_full_schedule(psi, *lists),
                               qp.evolve_full_schedule(psi, *stacked))
 
+    def test_long_schedule_composes_without_a_collection(self, collections_during):
+        # one v list per step kept 2,000 containers alive at once and set off gen-0
+        # collections; the flat read must leave the composition's arithmetic unchanged
+        rng = np.random.default_rng(27)
+        schedules = [qp.as_schedule(random_schedule(rng, 2000, True)) for _ in range(2)]
+        d = qp.decompose(entangled_state(28))
+        start = qp.PhaseLedger(0.25, -1.5)
+        out = []
+        assert collections_during(
+            lambda: out.extend(qp.evolve_separable_schedule(d, start, *schedules))) == []
+
+        def per_row(spinor, schedule, beta):  # the composition as one list per step reads it
+            big_a, big_b = 1 + 0j, 0j
+            for h_i, (x, y, z), t in zip(schedule.h.tolist(), schedule.v.tolist(),
+                                         schedule.dt.tolist()):
+                a, b = qp.dynamics._cayley_klein(x, y, z, t)
+                big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
+                beta += h_i * t
+            u, l = spinor.tolist()
+            return [big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u], beta
+
+        (s1, beta1), (s2, beta2) = (per_row(d.spinor1, schedules[0], start.beta1),
+                                    per_row(d.spinor2, schedules[1], start.beta2))
+        got, ledger = out
+        assert got.spinor1.tolist() == s1 and got.spinor2.tolist() == s2
+        assert (ledger.beta1, ledger.beta2) == (beta1, beta2)
+
     def test_schedule_iterates_as_its_steps(self):
         rng = np.random.default_rng(26)
         steps = random_schedule(rng, 5, True)
@@ -492,6 +520,17 @@ class TestRecurrenceDrift:
             qp.recurrence_drift([1, 0, 0, 0], 1, 1.0, np.linspace(0, 1, 10))
         with pytest.raises(qp.DegenerateState):
             qp.recurrence_drift(SINGLET, 1, 1.0, np.linspace(0, 1, 10))
+
+    @pytest.mark.parametrize("grid", [[], [0.0], [0.5, 0.5], [0.0, math.inf], [0.0, math.nan]],
+                             ids=["empty", "one-time", "one-distinct-time", "infinite", "nan"])
+    def test_grid_without_two_distinct_finite_times_rejected(self, grid, capfd):
+        # numpy's TypeError, a LAPACK message on stderr, a rank-deficient slope and a math
+        # domain error used to come out of these; now one ValueError comes before any fitting
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="two distinct finite times"):
+                qp.recurrence_drift(entangled_state(200), 1, 1.0, grid)
+        assert capfd.readouterr() == ("", "")
 
     def test_opposite_rotations_cancel(self):
         for seed in range(20):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -314,6 +315,38 @@ class TestScheduleLoader:
         assert np.array_equal(loaded.h, schedule.h)
         assert np.array_equal(loaded.v, schedule.v)
         assert np.array_equal(loaded.dt, schedule.dt)
+
+    def test_collector_state_is_restored(self, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(f"[{GOOD_ENTRY}, {GOOD_ENTRY}]")
+        bad.write_text(f"[{GOOD_ENTRY}, {GOOD_ENTRY.replace('0.25', '0')}, {GOOD_ENTRY}]")
+        assert gc.isenabled()
+        fileio.load_schedule(good)
+        assert gc.isenabled()
+        for path in (bad, tmp_path / "missing.json"):  # the bisection path, and no file at all
+            with pytest.raises((fileio.ParseError, OSError)):
+                fileio.load_schedule(path)
+            assert gc.isenabled()
+        gc.disable()
+        try:
+            fileio.load_schedule(good)
+            with pytest.raises(fileio.ParseError, match="entry 1: duration must be positive"):
+                fileio.load_schedule(bad)
+            assert not gc.isenabled()  # a caller's paused collector stays paused
+        finally:
+            gc.enable()
+
+    def test_long_file_loads_without_a_collection(self, tmp_path, collections_during):
+        # the parse keeps one dict and one v list per entry alive at once: 4,000 containers
+        # for 2,000 entries, which set off gen-0 collections that only promote dying objects
+        rng = np.random.default_rng(29)
+        schedule = qp.Schedule(rng.normal(size=2000), rng.normal(size=(2000, 3)),
+                               rng.uniform(0.01, 1.0, 2000))
+        path = tmp_path / "sched.json"
+        fileio.save_schedule(path, 1, schedule)
+        loaded = []
+        assert collections_during(lambda: loaded.append(fileio.load_schedule(path))) == []
+        assert loaded[0][0] == 1 and np.array_equal(loaded[0][1].v, schedule.v)
 
     def test_integer_values_load_as_floats(self, tmp_path):
         path = tmp_path / "sched.json"

@@ -31,7 +31,12 @@ def ref_chi(psi):
 
 def ref_fix_global_phase(psi):
     if ref_chi(psi) >= EPS_DEGEN:
-        return np.exp(-0.5j * np.angle(psi[0] * psi[3] - psi[1] * psi[2])) * psi
+        ad, bc = psi[0] * psi[3], psi[1] * psi[2]
+        det = ad - bc
+        # a determinant real and positive to within its rounding (u = 2^-53) is not turned
+        if det.real > 0 and abs(det.imag) <= 4 * 2.0 ** -53 * (abs(ad) + abs(bc)):
+            return psi
+        return np.exp(-0.5j * np.angle(det)) * psi
     return np.exp(-1j * np.angle(psi[np.argmax(np.abs(psi))])) * psi
 
 

@@ -88,3 +88,19 @@ def test_dynamics_reads_angles_from_the_core():
               for node in ast.walk(drift) if isinstance(node, ast.Call)}
     wrappers = called & {"_full_steps", "local_unitary"}
     assert not wrappers, f"recurrence_drift calls {sorted(wrappers)}"
+
+
+def test_collector_paused_only_by_the_schedule_loader():
+    # pausing the cyclic collector is safe only where every container built dies before the
+    # caller's state is restored; load_schedule is that one place
+    loader = _function("fileio.py", "load_schedule")
+    inside = range(loader.lineno, loader.end_lineno + 1)
+    toggles = _nodes(lambda node: isinstance(node, ast.Attribute)
+                     and node.attr in ("disable", "enable")
+                     and getattr(node.value, "id", None) == "gc")
+    assert toggles, "fileio.load_schedule no longer pauses the collector"
+    outside = [where for where in toggles
+               if not (where.startswith("fileio.py:") and int(where.split(":")[1]) in inside)]
+    assert not outside, f"the collector is toggled outside fileio.load_schedule: {outside}"
+    imported = _nodes(lambda node: isinstance(node, ast.ImportFrom) and node.module == "gc")
+    assert not imported, f"names imported from gc: {imported}"

@@ -200,6 +200,15 @@ class TestAngleConversions:
             back = qp.state_from_angles(qp.angles_from_state(psi))
             assert np.max(np.abs(back - psi)) <= bound
 
+    @pytest.mark.parametrize("chi", [1.5e-9, 2e-9, 1e-8, 1e-6])
+    def test_roundtrips_next_to_separable_keep_1e_10(self, chi):
+        # canonical input whose determinant phase is rounding noise (about ulp/|det|) must
+        # not be turned by it: both round trips stay at 1e-10 just above EPS_DEGEN
+        for psi in qp.sample_fixed_concurrence(300, 5, chi):
+            assert np.max(np.abs(qp.reconstruct(qp.decompose(psi)) - psi)) <= 1e-10
+            back = qp.state_from_angles(qp.angles_from_state(psi))
+            assert np.max(np.abs(back - psi)) <= 1e-10
+
     def test_separable_raises_with_partial_angles(self):
         with pytest.raises(qp.SeparableGamma) as err:
             qp.angles_from_state([1, 0, 0, 0])
