@@ -71,7 +71,7 @@ def _load_state_as(path: str, fmt: str) -> np.ndarray:
         return fileio.load_state(path)
     if fmt == "angles":
         return state_from_angles(fileio.load_angles(path))
-    return reconstruct(fileio.load_decomposition(path))
+    return fileio.load_spinor_state(path)
 
 
 def _save_state_as(path: str, fmt: str, psi: np.ndarray) -> None:
@@ -91,11 +91,6 @@ def _save_state_as(path: str, fmt: str, psi: np.ndarray) -> None:
 def cmd_convert(args) -> int:
     psi = _load_state_as(args.in_path, args.from_fmt)
     _save_state_as(args.out_path, args.to_fmt, psi)
-    return 0
-
-
-def cmd_decompose(args) -> int:
-    fileio.save_decomposition(args.out_path, decompose(fileio.load_state(args.in_path)))
     return 0
 
 
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompose", help="amplitudes file -> spinor decomposition file")
     d.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     d.add_argument("--out", dest="out_path", required=True, metavar="PATH")
-    d.set_defaults(func=cmd_decompose)
+    d.set_defaults(func=cmd_convert, from_fmt="amplitudes", to_fmt="spinors")
 
     e = sub.add_parser("evolve", help="run per-qubit schedules on one or both backends")
     e.add_argument("--in", dest="in_path", required=True, metavar="PATH")

@@ -22,7 +22,6 @@ import numpy as np
 
 from .states import (
     EPS_DEGEN,
-    HALF_PI,
     AngleSet,
     ConsistencyError,
     MaximalEntanglement,
@@ -36,7 +35,6 @@ from .states import (
     _spherical,
     _values,
     as_state,
-    concurrence_angle,
     decompose,
     reconstruct,
     state_bloch_vector,
@@ -359,6 +357,32 @@ def _circular_spread(values) -> float:
     return max(abs(wrap_angle(v - ref)) for v in values)
 
 
+def _aligned_turns(psi, what: str, turns, times) -> tuple[tuple, list[tuple]]:
+    # _angles of psi, and of psi after each time's closed-form turns (qubit, energy, flip) about
+    # that qubit's own Bloch axis (against it if flip): exp(-i (v.sigma) t), with no scalar phase,
+    # is U = [[p, q], [-q*, p*]], whose rows contract the turned qubit as <(p*, q*)| and <(-q, p)|;
+    # where _angles refuses psi or a turned state, the check refuses with DegenerateState
+    amps = as_state(psi).tolist()
+    try:
+        start, axes, records = _angles(amps), [], []
+        for qubit, energy, flip in turns:
+            n = state_bloch_vector(amps, qubit)
+            axis = n / np.linalg.norm(n)
+            axes.append((qubit, aligned_hamiltonian(-axis if flip else axis, energy).v.tolist()))
+        for t in times:
+            a, b, c, d = amps
+            for qubit, v in axes:
+                p, q = _cayley_klein(*v, t)
+                m = (a, b, c, d) if qubit == 1 else (a, c, b, d)  # the turned qubit first
+                (a, b), (c, d) = _contract((p.conjugate(), q.conjugate()), m), _contract((-q, p), m)
+                if qubit == 2:
+                    b, c = c, b
+            records.append(_angles((a, b, c, d)))
+    except (SeparableGamma, MaximalEntanglement) as exc:
+        raise DegenerateState(f"{what} needs a partially entangled state") from exc
+    return start, records
+
+
 def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, float]:
     """Rotate one qubit about its own Bloch axis and fit gamma(t) to a line.
 
@@ -367,33 +391,19 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     (projection method, unwrapped by nearest-branch continuation), and
     returns (slope, residual): the fitted d(gamma)/dt and the largest
     absolute deviation from the fit.  Each grid state is the closed-form
-    SU(2) of the aligned Hamiltonian (traceless, so it has no scalar phase)
-    applied to the rotated qubit alone, on Python complexes: bit for bit
-    one evolve_full step with the other qubit under ZERO_HAMILTONIAN, as
-    the tests check.  The five other angles must stay constant to 1e-8
-    across the grid (ConsistencyError otherwise).  In these conventions
-    the slope comes out at -2*energy.  A line needs t_grid to hold at least
-    two distinct finite times (ValueError otherwise).
+    turn compound_rotation_check also takes: the aligned SU(2), traceless,
+    on the rotated qubit alone, which is one evolve_full step with the other
+    qubit under ZERO_HAMILTONIAN, bit for bit but for the sign of a zero.
+    psi and every grid state must lie where angles_from_state defines gamma
+    (DegenerateState otherwise); the five other angles must stay constant to
+    1e-8 (ConsistencyError otherwise).  The slope comes out at -2*energy.
+    t_grid must hold two distinct finite times at least (ValueError otherwise).
     """
     grid = np.asarray(t_grid, dtype=float)
     times = grid.tolist()
     if not (grid.ndim == 1 and np.isfinite(grid).all() and len(set(times)) >= 2):
         raise ValueError(f"t_grid must hold at least two distinct finite times, got {t_grid!r}")
-    psi = as_state(psi)
-    chi = concurrence_angle(psi)  # edge-stable, so exact singlets cannot slip the gate
-    if not EPS_DEGEN < chi < HALF_PI - EPS_DEGEN:
-        raise DegenerateState("recurrence drift needs a partially entangled state")
-    n = state_bloch_vector(psi, qubit)
-    h = aligned_hamiltonian(n / np.linalg.norm(n), energy)
-    a, b, c, d = psi.tolist()
-    amps = (a, b, c, d) if qubit == 1 else (a, c, b, d)  # the rotated qubit first
-    x, y, z = h.v.tolist()
-    records = []
-    for t in times:
-        # U = [[p, q], [-q*, p*]]: its rows contract the rotated qubit as <(p*, q*)| and <(-q, p)|
-        p, q = _cayley_klein(x, y, z, t)
-        (a, b), (c, d) = _contract((p.conjugate(), q.conjugate()), amps), _contract((-q, p), amps)
-        records.append(_angles((a, b, c, d) if qubit == 1 else (a, c, b, d)))  # in psi's order
+    _, records = _aligned_turns(psi, "recurrence drift", [(qubit, energy, False)], times)
     gammas = _unwrap_nearest([r[5] for r in records])
     slope, intercept = np.polyfit(times, gammas, 1).tolist()
     residual = max(abs(g - (slope * t + intercept)) for t, g in zip(times, gammas))
@@ -411,17 +421,9 @@ def compound_rotation_check(psi, energy1: float, energy2: float, t: float,
 
     Same-handed rotations compound the drift (|delta| grows as
     2(E1+E2)t); opposite-handed rotations with equal energies cancel it
-    exactly.  The difference is returned wrapped to (-pi, pi].
+    exactly.  Each qubit takes recurrence_drift's closed-form turn, qubit 1
+    first, under the same gate.  The difference is wrapped to (-pi, pi].
     """
-    psi = as_state(psi)
-    chi = concurrence_angle(psi)
-    if not EPS_DEGEN < chi < HALF_PI - EPS_DEGEN:
-        raise DegenerateState("the compound-rotation check needs a partially entangled state")
-    n1 = state_bloch_vector(psi, 1)
-    n2 = state_bloch_vector(psi, 2)
-    h1 = aligned_hamiltonian(n1 / np.linalg.norm(n1), energy1)
-    axis2 = n2 / np.linalg.norm(n2)
-    h2 = aligned_hamiltonian(axis2 if same_handed else -axis2, energy2)
-    start = _angles(psi.tolist())[5]
-    end = _angles(next(_full_steps(psi.tolist(), [(h1, t)], [(h2, t)])))[5]
-    return wrap_angle(end - start)
+    start, (end,) = _aligned_turns(psi, "the compound-rotation check",
+                                   [(1, energy1, False), (2, energy2, not same_handed)], [t])
+    return wrap_angle(end[5] - start[5])

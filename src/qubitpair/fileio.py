@@ -12,10 +12,7 @@ loading a saved file reproduces every value bit for bit.
 * schedule file: [{"qubit": 1|2, "h_i": x, "v": [vx, vy, vz],
                    "duration": dt}, ...], one qubit per file,
                  entries applied in order (piecewise constant); it loads
-                 as one dynamics.Schedule of arrays, no per-step objects,
-                 each rule checked over whole columns; a rejection names the
-                 first offending entry and the first rule it breaks; the load
-                 runs with the cyclic garbage collector paused (load_schedule)
+                 as one dynamics.Schedule of arrays (see load_schedule)
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Schedule, as_schedule
-from .states import EPS_NORM, AngleSet, SpinorDecomposition
+from .states import EPS_NORM, AngleSet, SpinorDecomposition, _norm_sq, reconstruct
 
 
 class ParseError(ValueError):
@@ -76,23 +73,22 @@ def pairs(z) -> list:
 
 
 def _unit_pairs(raw, size: int, where: str) -> np.ndarray:
-    # ``size`` [re, im] pairs read as a unit vector: accepted as-is inside EPS_NORM (bit-exact
-    # round trips), silently fixed up to 1e-9, fixed with a warning up to 1e-6, rejected beyond;
-    # the loaders call it directly, so the warning points at their caller
+    # ``size`` [re, im] pairs read as a unit vector by the core's sum: as-is where _check_unit
+    # accepts it (bit-exact round trips), renormalized silently up to |v| - 1 = 1e-9 and with a
+    # warning up to 1e-6, rejected beyond; the warning points at the loaders' caller
     if not isinstance(raw, list) or len(raw) != size:
         raise ParseError(f"{where} must list {size} [re, im] pairs")
-    vec = np.array([_complex_pair(p, f"{where}[{i}]") for i, p in enumerate(raw)])
-    norm = float(np.linalg.norm(vec))
-    nsq = norm * norm
+    vec = [_complex_pair(p, f"{where}[{i}]") for i, p in enumerate(raw)]
+    nsq = _norm_sq(vec)
     if abs(nsq - 1.0) <= EPS_NORM:
-        return vec
-    if abs(norm - 1.0) <= 1e-9:
-        return vec / norm
-    if abs(norm - 1.0) <= 1e-6:
+        return np.array(vec)
+    norm = math.sqrt(nsq)
+    if not abs(norm - 1.0) <= 1e-6:
+        raise ParseError(f"{where}: not normalized (|v| = {norm!r})")
+    if abs(norm - 1.0) > 1e-9:
         warnings.warn(f"{where}: norm off by {norm - 1.0:.3e}; renormalizing",
                       RuntimeWarning, stacklevel=3)
-        return vec / norm
-    raise ParseError(f"{where}: not normalized (|v| = {norm!r})")
+    return np.array(vec) / norm
 
 
 def save_state(path, psi) -> None:
@@ -144,6 +140,12 @@ def load_decomposition(path) -> SpinorDecomposition:
         raise ParseError(f"{path}: chi out of [0, pi/2]: {chi!r}")
     return SpinorDecomposition(chi, _unit_pairs(obj["spinor1"], 2, f"{path}: spinor1"),
                                _unit_pairs(obj["spinor2"], 2, f"{path}: spinor2"))
+
+
+def load_spinor_state(path) -> np.ndarray:
+    """A spinor file's state, rebuilt and read as a state file's amplitudes are: two spinors
+    each up to EPS_NORM off rebuild a state up to twice that off, renormalized silently."""
+    return _unit_pairs(pairs(reconstruct(load_decomposition(path))), 4, f"{path}: rebuilt state")
 
 
 def save_schedule(path, qubit: int, schedule) -> None:

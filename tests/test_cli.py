@@ -2,13 +2,14 @@ import dataclasses
 import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import qubitpair as qp
 from qubitpair import fileio
-from qubitpair.cli import main
+from qubitpair.cli import FORMATS, main
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -107,6 +108,16 @@ class TestDecomposeCommand:
         ref = qp.decompose(psi)
         assert d.chi == ref.chi
         assert np.array_equal(d.spinor1, ref.spinor1)
+
+    def test_is_convert_to_spinors(self, tmp_path):
+        # one path: decompose writes the bytes convert --from amplitudes --to spinors writes
+        for k, psi in enumerate([*qp.sample_haar(5, 22), SINGLET, [1, 0, 0, 0]]):
+            src = write_state(tmp_path / f"in{k}.json", psi)
+            a, b = tmp_path / f"dec{k}.json", tmp_path / f"conv{k}.json"
+            assert main(["decompose", "--in", src, "--out", str(a)]) == 0
+            assert main(["convert", "--in", src, "--from", "amplitudes", "--to", "spinors",
+                         "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestEvolve:
@@ -325,6 +336,122 @@ def test_unparseable_file_is_parse_error(tmp_path, capsys, content, command):
     error = stdout_json(capsys)["error"]
     assert error["code"] == "PARSE"
     assert error["message"].startswith(f"{bad}: not valid JSON: ")
+
+
+# |v| - 1 for each tier of the unit-vector readers: as-is while the package's sum of squares is
+# within 1e-12 of 1, renormalized silently to |v| - 1 = 1e-9, with a warning to 1e-6, refused beyond
+NORM_TIERS = [(0.0, "as-is"), (4e-13, "as-is"), (-4e-13, "as-is"),
+              (6e-13, "silent"), (-6e-13, "silent"), (9e-10, "silent"), (-9e-10, "silent"),
+              (1.1e-9, "warned"), (-1.1e-9, "warned"), (9e-7, "warned"), (-9e-7, "warned"),
+              (1.1e-6, "refused"), (-1.1e-6, "refused")]
+
+# |psi|^2 - 1 reads 9.996e-13 by np.linalg.norm but 1.00009e-12 by the package's own sum
+EDGE_STATE = [[0.27601061554587936, 0.41426920152481617], [0.1491500221195052, -0.380363725714479],
+              [0.3401169735268012, -0.2331001559973958], [0.40868791824033807, -0.4982326995638337]]
+# each spinor is inside the as-is band, the state they rebuild is not
+EDGE_SCALE = math.sqrt(1 + 0.9e-12)
+EDGE_SPINORS = {"chi": 0.7, "spinor1": [[0.6 * EDGE_SCALE, 0.0], [0.0, 0.8 * EDGE_SCALE]],
+                "spinor2": [[0.8 * EDGE_SCALE, 0.0], [-0.6 * EDGE_SCALE, 0.0]]}
+
+
+class TestReaderEdgeSweep:
+    """Every command that reads a file kind, at each of that reader's tiers, ends in exit 0 or
+    2 and never in an exception; warnings come exactly from the warned tier."""
+
+    def _run_all(self, capsys, commands, out, tier):
+        for argv in commands:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv + ["--out", str(out)])
+            stdout, stderr = capsys.readouterr()
+            assert code in (0, 2) and "Traceback" not in stderr, (argv, code, stderr)
+            error = json.loads(stdout)["error"]["code"] if code == 2 else None
+            if tier == "refused":
+                assert error == "PARSE", argv
+            else:
+                assert error in (None, "SEPARABLE_GAMMA", "MAX_ENTANGLED"), (argv, error)
+            warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert bool(warned) == (tier == "warned"), (argv, warned)
+
+    def _state_commands(self, tmp_path, path):
+        # evolve reads its state file the same way for every backend; "both" compares the
+        # backends, which test_both_backends_off_the_canonical_phase covers
+        s1 = write_schedule(tmp_path / "s1.json", 1,
+                            [(qp.LocalHamiltonian(0.3, [0.2, -0.4, 1.1]), 0.7)])
+        s2 = write_schedule(tmp_path / "s2.json", 2,
+                            [(qp.LocalHamiltonian(-0.5, [1.0, 0.3, 0.0]), 0.2)])
+        return ([["convert", "--in", path, "--from", "amplitudes", "--to", to] for to in FORMATS]
+                + [["decompose", "--in", path]]
+                + [["evolve", "--in", path, "--schedule1", s1, "--schedule2", s2, "--backend", b]
+                   for b in ("full", "separable")])
+
+    @pytest.mark.parametrize("delta, tier", NORM_TIERS)
+    def test_state_files(self, tmp_path, capsys, delta, tier):
+        bases = [qp.sample_haar(1, 71)[0], [1, 0, 0, 0], SINGLET,
+                 qp.sample_fixed_concurrence(1, 72, qp.states.HALF_PI - 1e-10)[0],
+                 qp.sample_fixed_concurrence(1, 73, 1e-10)[0],
+                 [complex(*z) for z in EDGE_STATE]]
+        for k, base in enumerate(bases):
+            path = write_state(tmp_path / f"state{k}.json",
+                               np.asarray(base, dtype=complex) * (1 + delta))
+            self._run_all(capsys, self._state_commands(tmp_path, path), tmp_path / "out.json", tier)
+
+    @pytest.mark.parametrize("delta, tier", NORM_TIERS)
+    def test_spinor_files(self, tmp_path, capsys, delta, tier):
+        ds = [qp.decompose(qp.sample_haar(1, 74)[0]), qp.decompose(SINGLET),
+              qp.decompose(np.array([1, 0, 0, 0], dtype=complex)),
+              qp.SpinorDecomposition(0.7, np.array([0.6, 0.8j]), np.array([0.8, -0.6]))]
+        for k, d in enumerate(ds):
+            # the tier's error on one spinor, and on both, each with the other as-is
+            for f1, f2 in ((1 + delta, 1.0), (1.0, 1 + delta), (1 + delta, 1 + delta)):
+                path = tmp_path / f"spinors{k}.json"
+                fileio.save_decomposition(path, qp.SpinorDecomposition(d.chi, d.spinor1 * f1,
+                                                                       d.spinor2 * f2))
+                commands = [["convert", "--in", str(path), "--from", "spinors", "--to", to]
+                            for to in FORMATS]
+                self._run_all(capsys, commands, tmp_path / "out.json", tier)
+
+    @pytest.mark.parametrize("chi", [
+        0.0, math.nextafter(qp.EPS_DEGEN, 0.0), qp.EPS_DEGEN, 0.7,
+        qp.states.HALF_PI - qp.EPS_DEGEN, math.nextafter(qp.states.HALF_PI - qp.EPS_DEGEN, 2.0),
+        qp.states.HALF_PI, math.nextafter(qp.states.HALF_PI, 2.0)])
+    @pytest.mark.parametrize("gamma", [None, 0.4])
+    def test_angle_files(self, tmp_path, capsys, chi, gamma):
+        # the angle reader's edges are those of chi, with and without gamma, at and off the poles
+        for k, (theta1, theta2) in enumerate(((0.0, math.pi), (1.1, 2.3))):
+            path = tmp_path / f"angles{k}.json"
+            path.write_text(json.dumps({"chi": chi, "theta1": theta1, "phi1": 0.3,
+                                        "theta2": theta2, "phi2": -2.0, "gamma": gamma}))
+            commands = [["convert", "--in", str(path), "--from", "angles", "--to", to]
+                        for to in FORMATS]
+            self._run_all(capsys, commands, tmp_path / "out.json",
+                          "refused" if chi > qp.states.HALF_PI else "as-is")
+
+    def test_edge_files_convert(self, tmp_path, capsys):
+        # the two files that used to end in a traceback: a state file inside the as-is band by
+        # np.linalg.norm but not by the package's sum, and the spinor pair above
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"amplitudes": EDGE_STATE}))
+        spinors = tmp_path / "spinors.json"
+        spinors.write_text(json.dumps(EDGE_SPINORS))
+        commands = self._state_commands(tmp_path, str(state)) + [
+            ["convert", "--in", str(spinors), "--from", "spinors", "--to", to] for to in FORMATS]
+        for argv in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0, argv
+            assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.xfail(strict=True, reason="the separable backend starts from decompose(psi), "
+                       "which turns psi to the canonical phase, and the ledger does not carry "
+                       "the turn back, so the backends differ by that global phase")
+    def test_both_backends_off_the_canonical_phase(self, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"amplitudes": EDGE_STATE}))
+        s1 = write_schedule(tmp_path / "s1.json", 1, [(qp.ZERO_HAMILTONIAN, 1.0)])
+        s2 = write_schedule(tmp_path / "s2.json", 2, [(qp.ZERO_HAMILTONIAN, 1.0)])
+        assert main(["evolve", "--in", str(state), "--schedule1", s1, "--schedule2", s2,
+                     "--backend", "both", "--out", str(tmp_path / "out.json")]) == 0
 
 
 class TestSampleCommand:

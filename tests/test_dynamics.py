@@ -491,13 +491,15 @@ class TestRecurrenceDrift:
                 del cores[:], closed_forms[:], views[:], unitaries[:]
                 got = qp.recurrence_drift(psi, qubit, energy, grid)
                 assert got == expected and all(type(x) is float for x in got)
-                # one angle core and one closed-form SU(2) per grid point, and no public wrapper
-                assert len(cores) == len(closed_forms) == len(grid)
+                # one closed-form SU(2) per grid point, at most one extra angle core for the
+                # gate, and no public wrapper
+                assert len(closed_forms) == len(grid) <= len(cores) <= len(grid) + 1
                 assert not views and not unitaries
             expected = ref_compound_rotation(psi, energy, 0.7, 0.3, k % 3 == 0)
-            del cores[:], unitaries[:]
+            del cores[:], closed_forms[:], unitaries[:]
             assert qp.compound_rotation_check(psi, energy, 0.7, 0.3, k % 3 == 0) == expected
-            assert len(cores) == len(unitaries) == 2
+            # one closed-form SU(2) per qubit, the gate's angle core and the end state's
+            assert len(closed_forms) == len(cores) == 2 and not unitaries
         assert not schedules
 
     def test_linear_drift_slope_and_residual(self):
@@ -531,6 +533,45 @@ class TestRecurrenceDrift:
             with pytest.raises(ValueError, match="two distinct finite times"):
                 qp.recurrence_drift(entangled_state(200), 1, 1.0, grid)
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("chi", [
+        qp.EPS_DEGEN, math.nextafter(qp.EPS_DEGEN, 0.0),
+        qp.states.HALF_PI - qp.EPS_DEGEN, math.nextafter(qp.states.HALF_PI - qp.EPS_DEGEN, math.inf)],
+        ids=["separable-edge", "below-separable-edge", "maximal-edge", "above-maximal-edge"])
+    def test_gate_is_the_band_of_angles_from_state(self, monkeypatch, chi):
+        # with every chi reading exactly at a band edge or one ulp past it, both checks refuse
+        # exactly where angles_from_state does
+        monkeypatch.setattr(qp.states, "_chi", lambda amps, n1: chi)
+        psi = entangled_state(600)
+        try:
+            qp.angles_from_state(psi)
+            refused = False
+        except (qp.SeparableGamma, qp.MaximalEntanglement):
+            refused = True
+        assert refused == (chi in (math.nextafter(qp.EPS_DEGEN, 0.0),
+                                   math.nextafter(qp.states.HALF_PI - qp.EPS_DEGEN, math.inf)))
+        for check in (lambda: qp.recurrence_drift(psi, 1, 1.0, np.linspace(0.0, 1.0, 10)),
+                      lambda: qp.compound_rotation_check(psi, 1.0, 0.7, 0.3, True)):
+            if refused:
+                with pytest.raises(qp.DegenerateState):
+                    check()
+            else:
+                assert np.isfinite(check()).all()
+
+    @pytest.mark.parametrize("inside, outside", [
+        (2 * qp.EPS_DEGEN, math.nextafter(qp.EPS_DEGEN, 0.0)),
+        (qp.states.HALF_PI - 2 * qp.EPS_DEGEN, math.nextafter(qp.states.HALF_PI - qp.EPS_DEGEN, math.inf))],
+        ids=["separable-edge", "maximal-edge"])
+    def test_turned_state_leaving_the_band_is_degenerate(self, monkeypatch, inside, outside):
+        # the start state reads inside the band and every later one just outside it, as rounding
+        # can make a turned state read: the refusal is DegenerateState, not _angles' own
+        for check in (lambda: qp.recurrence_drift(psi, 2, 1.0, np.linspace(0.0, 1.0, 10)),
+                      lambda: qp.compound_rotation_check(psi, 1.0, 0.7, 0.3, False)):
+            psi = entangled_state(601)
+            readings = iter([inside])
+            monkeypatch.setattr(qp.states, "_chi", lambda amps, n1: next(readings, outside))
+            with pytest.raises(qp.DegenerateState, match="needs a partially entangled state"):
+                check()
 
     def test_opposite_rotations_cancel(self):
         for seed in range(20):

@@ -39,6 +39,34 @@ class TestStateFiles:
             fileio.save_state(path, fileio.load_state(path))
             assert path.read_text() == text
 
+    @pytest.mark.parametrize("size", [4, 2])
+    def test_as_is_band_is_the_unit_rule(self, tmp_path, size):
+        # vectors scaled to the edge of the as-is band, where np.linalg.norm and the package's
+        # sum of squares disagree on about 3%: a vector loads as-is exactly when as_state (or
+        # as_spinor) accepts it, and whatever loads passes that rule
+        rng = np.random.default_rng(83)
+        path = tmp_path / "file.json"
+        check = qp.as_state if size == 4 else qp.as_spinor
+        as_is = 0
+        for _ in range(400):
+            z = rng.normal(size=2 * size)
+            v = (z[0::2] + 1j * z[1::2]) / np.linalg.norm(z) * math.sqrt(1 + 1e-12)
+            if size == 4:
+                fileio.save_state(path, v)
+                loaded = fileio.load_state(path)
+            else:
+                fileio.save_decomposition(path, qp.SpinorDecomposition(0.3, v, v))
+                loaded = fileio.load_decomposition(path).spinor1
+            try:
+                check(v)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert np.array_equal(loaded, v) == accepted
+            check(loaded)
+            as_is += accepted
+        assert 0 < as_is < 400
+
     def test_slightly_off_norm_is_silently_fixed(self, tmp_path):
         path = tmp_path / "state.json"
         psi = SINGLET * (1 + 5e-10)

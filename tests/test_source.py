@@ -73,21 +73,50 @@ def test_full_backend_composes_nothing():
     called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
               for node in ast.walk(steps) if isinstance(node, ast.Call)}
     assert "local_unitary" in called
-    shared = called & {"_cayley_klein", "_rotated", "_kron2"}
+    shared = called & {"_cayley_klein", "_rotated"}
     assert not shared, f"_full_steps calls {sorted(shared)}"
+
+
+def _calls(module, name):
+    # every name called in the function and in the module functions it calls, transitively
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called, todo = set(), [name]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee in functions and callee not in called:
+                    todo.append(callee)
+                called.add(callee)
+    return called
 
 
 def test_dynamics_reads_angles_from_the_core():
     # dynamics takes the six angles from states._angles, not from the public AngleSet view,
-    # and each drift grid point is one closed-form SU(2), not a full-backend step
+    # and both appendix checks turn each qubit by one closed-form SU(2), not a full-backend step
     found = _nodes(lambda node: isinstance(node, ast.Call) and "angles_from_state" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None)), "dynamics.py")
     assert not found, f"angles_from_state called in dynamics.py: {found}"
-    drift = _function("dynamics.py", "recurrence_drift")
-    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-              for node in ast.walk(drift) if isinstance(node, ast.Call)}
-    wrappers = called & {"_full_steps", "local_unitary"}
-    assert not wrappers, f"recurrence_drift calls {sorted(wrappers)}"
+    for name in ("recurrence_drift", "compound_rotation_check"):
+        called = _calls("dynamics.py", name)
+        assert {"_cayley_klein", "_contract", "_angles"} <= called
+        wrappers = called & {"_full_steps", "local_unitary", "su2_operator"}
+        assert not wrappers, f"{name} calls {sorted(wrappers)}"
+
+
+def test_band_is_stated_in_states_alone():
+    # where gamma is defined is _angles' rule; dynamics takes its refusals rather than a gate
+    # of its own on chi
+    found = _nodes(lambda node: isinstance(node, ast.Name) and node.id == "HALF_PI", "dynamics.py")
+    assert not found, f"HALF_PI named in dynamics.py: {found}"
+
+
+def test_fileio_takes_norms_from_the_core():
+    # a file's vector is read as a unit vector by states._norm_sq, the sum behind the state rule
+    found = _nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "linalg",
+                   "fileio.py")
+    assert not found, f"numpy linalg in fileio.py: {found}"
 
 
 def test_collector_paused_only_by_the_schedule_loader():
