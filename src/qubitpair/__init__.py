@@ -53,6 +53,7 @@ from .dynamics import (
     evolve_full_schedule,
     evolve_separable,
     evolve_separable_schedule,
+    evolve_separable_state,
     evolve_spinor,
     local_unitary,
     recurrence_drift,

@@ -1,11 +1,11 @@
 """Head-to-head timing of the full and two-spinor evolution backends.
 
-Times the public evolve_full_schedule and evolve_separable_schedule calls
-on one seeded piecewise-constant schedule pair (monotonic clock, median
-across trials); the decomposition and reconstruction around the separable
-run stay outside the clock.  End states are compared exactly, ledger phase
-applied, so the timings describe equivalent computations.  The speedup is
-informational: on 2x2 operands, constant per-call overheads can dominate.
+Times the public evolve_full_schedule and evolve_separable_state calls,
+both from the state to the state, on one seeded piecewise-constant
+schedule pair (monotonic clock, median across trials).  End states are
+compared exactly, ledger phase applied, so the timings describe equivalent
+computations.  The speedup is informational: on 2x2 operands, constant
+per-call overheads can dominate.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import time
 
 import numpy as np
 
-from .dynamics import (LocalHamiltonian, PhaseLedger, backends_agree, evolve_full_schedule,
-                       evolve_separable_schedule)
+from .dynamics import (LocalHamiltonian, backends_agree, evolve_full_schedule,
+                       evolve_separable_state)
 from .measurement import sample_haar
-from .states import decompose, reconstruct
 
 LOW_CONFIDENCE_STEPS = 1000
 
@@ -53,16 +52,14 @@ def run_benchmark(steps: int, trials: int, seed: int) -> BenchReport:
     rng = np.random.default_rng(seed)
     schedule1, schedule2 = _make_schedule(rng, steps)
     psi0 = sample_haar(1, seed)[0]
-    d0 = decompose(psi0)
 
     full_ns, sep_ns, deviations = [], [], []
     for _ in range(trials):
         start = time.perf_counter_ns()
         psi_full = evolve_full_schedule(psi0, schedule1, schedule2)
         mid = time.perf_counter_ns()
-        d_end, ledger = evolve_separable_schedule(d0, PhaseLedger(), schedule1, schedule2)
+        psi_sep = evolve_separable_state(psi0, schedule1, schedule2)[2]
         end = time.perf_counter_ns()
-        psi_sep = ledger.phase * reconstruct(d_end)
         deviations.append(float(np.max(np.abs(psi_full - psi_sep))))
         full_ns.append((mid - start) / steps)
         sep_ns.append((end - mid) / steps)

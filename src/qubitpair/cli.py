@@ -17,8 +17,8 @@ import numpy as np
 
 from . import fileio
 from .bench import run_benchmark
-from .dynamics import (DEVIATION_BOUND, PhaseLedger, backends_agree, compare_backends,
-                       evolve_full_schedule, evolve_separable_schedule)
+from .dynamics import (DEVIATION_BOUND, backends_agree, compare_backends, evolve_full_schedule,
+                       evolve_separable_state)
 from .measurement import SampleSpec, sample_states
 from .states import (
     HALF_PI,
@@ -27,7 +27,6 @@ from .states import (
     SeparableGamma,
     angles_from_state,
     decompose,
-    reconstruct,
     state_from_angles,
 )
 from .verify import run_suite
@@ -112,8 +111,7 @@ def cmd_evolve(args) -> int:
         _emit({"backend": "full", "amplitudes": fileio.pairs(final)}, args.out_path)
         return 0
     if args.backend == "separable":
-        d, ledger = evolve_separable_schedule(decompose(psi), PhaseLedger(), schedule1, schedule2)
-        final = ledger.phase * reconstruct(d)
+        d, ledger, final = evolve_separable_state(psi, schedule1, schedule2)
         _emit({
             "backend": "separable",
             "chi": d.chi,

@@ -6,7 +6,8 @@ ground truth: each step takes the amplitude matrix M = [[a, b], [c, d]] to U1 M 
 composes each qubit's steps into one SU(2), rotates that spinor of the
 phase-fixed Schmidt decomposition once, keeps chi fixed (no local unitary
 can change the concurrence), and books the scalar parts as accumulated
-phases beta1, beta2 in a ledger.  The exact full state, global phase
+phases beta1, beta2 in a ledger, which evolve_separable_state starts at
+the turn decompose gave the input.  So the exact full state, global phase
 included, is e^(-i(beta1+beta2)) * reconstruct(decomposition) at all
 times.  Natural units, hbar = 1; time dependence is piecewise constant.
 """
@@ -29,13 +30,13 @@ from .states import (
     SpinorDecomposition,
     _angles,
     _contract,
+    _decomposed,
     _half_angle,
     _parity,
     _require_qubit,
     _spherical,
     _values,
     as_state,
-    decompose,
     reconstruct,
     state_bloch_vector,
     wrap_angle,
@@ -127,7 +128,8 @@ class PhaseLedger:
     """Accumulated spin-independent phases, one per qubit.
 
     Evolving qubit i under h_i for time t adds h_i*t to beta_i; the factor
-    restoring the full global phase is ``phase``.
+    restoring the full global phase is ``phase``.  evolve_separable_state
+    starts beta1 at the turn decompose gave its input (0.0 if none).
     """
 
     beta1: float = 0.0
@@ -151,7 +153,7 @@ class EvolutionReport:
 
     max_component_deviation is the plain infinity norm of the amplitude
     difference; no phase alignment is applied, since the ledger already
-    restores the exact global phase.
+    restores the exact global phase, decompose's turn included.
     """
 
     final_state_full: np.ndarray
@@ -239,6 +241,16 @@ def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
     return SpinorDecomposition(d.chi, s1, s2), PhaseLedger(beta1, beta2)
 
 
+def evolve_separable_state(psi, schedule1,
+                           schedule2) -> tuple[SpinorDecomposition, PhaseLedger, np.ndarray]:
+    """(decomposition, ledger, amplitudes) after evolve_separable_schedule from decompose(psi),
+    the ledger's beta1 starting at the angle decompose turned psi by (exactly 0.0 if unturned);
+    the amplitudes, ledger.phase * reconstruct(decomposition), carry psi's global phase."""
+    d, turn = _decomposed(as_state(psi).tolist())
+    d, ledger = evolve_separable_schedule(d, PhaseLedger(turn), schedule1, schedule2)
+    return d, ledger, ledger.phase * reconstruct(d)
+
+
 def evolve_full(psi, h1: LocalHamiltonian, h2: LocalHamiltonian, t: float) -> np.ndarray:
     """Evolve the full 4-vector under h1 x I + I x h2 for time t.
 
@@ -267,8 +279,9 @@ def compare_backends(psi, schedule1, schedule2, trace: bool = False) -> Evolutio
     """Evolve on both backends and report the raw deviation.
 
     The full state steps through the paired schedules (see
-    evolve_full_schedule); with trace=True its six angles are recorded
-    after every step, entries None where undefined.
+    evolve_full_schedule), the separable side is evolve_separable_state;
+    with trace=True the full state's six angles are recorded after every
+    step, entries None where undefined.
     """
     psi = as_state(psi)
     full = psi.tolist()
@@ -277,8 +290,7 @@ def compare_backends(psi, schedule1, schedule2, trace: bool = False) -> Evolutio
         if traces is not None:
             traces.append(_trace_angles(full))
     full = np.array(full)
-    d, ledger = evolve_separable_schedule(decompose(psi), PhaseLedger(), schedule1, schedule2)
-    separable = ledger.phase * reconstruct(d)
+    separable = evolve_separable_state(psi, schedule1, schedule2)[2]
     deviation = float(np.max(np.abs(full - separable)))
     return EvolutionReport(full, separable, deviation, traces)
 

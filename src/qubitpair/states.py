@@ -148,26 +148,28 @@ def _entangled(chi: float) -> bool:
     return chi >= EPS_DEGEN
 
 
-def _phase_fixed(amps, chi: float) -> list[complex]:
+def _phase_fixed(amps, chi: float) -> tuple[list[complex], float]:
+    # amps at the canonical phase, and the angle they were turned by: exactly 0.0 if unturned
     a, b, c, d = amps
     if _entangled(chi):
         ad, bc = a * d, b * c
         det = ad - bc
         # already canonical to within the rounding of ad - bc: no turn (see fix_global_phase)
         if det.real > 0.0 and abs(det.imag) <= 4.0 * _UNIT_ROUNDOFF * (abs(ad) + abs(bc)):
-            return list(amps)
-        turn = cmath.rect(1.0, -0.5 * cmath.phase(det))
+            return list(amps), 0.0
+        angle = -0.5 * cmath.phase(det)
     else:
-        turn = cmath.rect(1.0, -cmath.phase(max(amps, key=abs)))
-    return [turn * v for v in amps]
+        angle = -cmath.phase(max(amps, key=abs))
+    turn = cmath.rect(1.0, angle)
+    return [turn * v for v in amps], angle
 
 
 def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
     r = math.hypot(x, y, z)
     if r == 0.0:
         return 0.0, 0.0
-    # theta by atan2: acos(z/r) loses half its digits near a pole
-    return math.atan2(math.hypot(x, y), z), wrap_angle(math.atan2(y, x))
+    # theta by atan2: acos(z/r) loses half its digits near a pole; phi is 0 on the z-axis
+    return math.atan2(math.hypot(x, y), z), wrap_angle(math.atan2(y, x)) if x or y else 0.0
 
 
 def _direction(x: float, y: float, z: float) -> tuple[complex, complex]:
@@ -225,7 +227,7 @@ def concurrence_angle(psi) -> float:
 
 def _canonical_phase(amps) -> list[complex]:
     # fix_global_phase on Python complexes
-    return _phase_fixed(amps, _chi(amps, _bloch(amps, 1)))
+    return _phase_fixed(amps, _chi(amps, _bloch(amps, 1)))[0]
 
 
 def fix_global_phase(psi) -> np.ndarray:
@@ -361,7 +363,7 @@ def _angles(amps) -> tuple[float, float, float, float, float, float]:
             "the recurrence of a separable state is indistinguishable from a global phase",
             angles=AngleSet(chi, theta1, phi1, theta2, phi2, None))
     overlap = _vdot2(_half_angle(theta2, phi2),
-                     _contract(_half_angle(theta1, phi1), _phase_fixed(amps, chi)))
+                     _contract(_half_angle(theta1, phi1), _phase_fixed(amps, chi)[0]))
     return chi, theta1, phi1, theta2, phi2, wrap_angle(2.0 * cmath.phase(overlap))
 
 
@@ -389,7 +391,7 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
     amps = _values(psi, 4)
     angles = AngleSet(*_angles(amps))
     if cross_check and not abs(math.sin(angles.gamma)
-                               - recurrence_sine(_phase_fixed(amps, angles.chi))) <= EPS_MATCH:
+                               - recurrence_sine(_phase_fixed(amps, angles.chi)[0])) <= EPS_MATCH:
         raise ConsistencyError("projection and sine-quotient recurrences disagree")
     return angles
 
@@ -412,7 +414,7 @@ def recurrence_sine(psi) -> float:
     s2 = math.sin(_spherical(*_bloch(amps, 2))[0])
     if min(s1, s2) < EPS_POLE:
         raise PoleSingularity("a Bloch vector lies within EPS_POLE of a z-axis pole")
-    a, b, c, d = _phase_fixed(amps, chi)
+    a, b, c, d = _phase_fixed(amps, chi)[0]
     return 2.0 * (a * d + b * c).imag / (math.cos(chi) * s1 * s2)
 
 
@@ -437,34 +439,39 @@ def state_from_angles(angles: AngleSet) -> np.ndarray:
                         _half_angle(angles.theta2, angles.phi2))
 
 
-def decompose(psi) -> SpinorDecomposition:
-    """Split a state into (chi, spinor1, spinor2) with no phase ambiguity.
-
-    Entangled input is first rotated to the canonical global phase
-    ((ad - bc) real and non-negative, the identity when already canonical);
-    separable input keeps its phase.  spinor1 points along qubit 1's
-    partial-trace Bloch vector, except at maximal entanglement, where every
-    direction works and +z is the convention.  spinor2 then comes from
-    contracting spinor1's direction with the 2x2 amplitude matrix, which
-    pins qubit 2's direction *and* the input's phase in one
-    well-conditioned step: the state's overlap with spinor1 x spinor2 is
-    real and positive, so reconstruct() returns the input exactly, global
-    sign included.
-    """
-    amps = as_state(psi).tolist()
+def _decomposed(amps) -> tuple[SpinorDecomposition, float]:
+    # decompose on Python complexes, and the angle it turned amps by: exactly 0.0 if unturned
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
-    if _entangled(chi):
-        amps = _phase_fixed(amps, chi)
+    entangled = _entangled(chi)
+    amps, turn = _phase_fixed(amps, chi) if entangled else (amps, 0.0)
     u1 = (1.0 + 0j, 0j) if chi > HALF_PI - EPS_DEGEN else _direction(*n1)
     x, y = _contract(u1, amps)
     r = math.hypot(x.real, x.imag, y.real, y.imag)
     u2 = (x / r, y / r)
-    # the parity pair must carry the rest of the state, with weight sin(chi/2)
-    residual = _vdot2(_parity(*u2), _contract(_parity(*u1), amps)) - math.sin(chi / 2)
-    if abs(residual) > EPS_MATCH:
+    # the parity pair must carry the rest of the state, with weight sin(chi/2); below the band
+    # the input keeps its phase, so the pair's phase is free
+    rest = _vdot2(_parity(*u2), _contract(_parity(*u1), amps))
+    if abs((rest if entangled else abs(rest)) - math.sin(chi / 2)) > EPS_MATCH:
         raise ValueError("decomposition consistency check failed; input is not a unit state")
-    return SpinorDecomposition(chi, np.array(u1), np.array(u2))
+    return SpinorDecomposition(chi, np.array(u1), np.array(u2)), turn
+
+
+def decompose(psi) -> SpinorDecomposition:
+    """Split a state into (chi, spinor1, spinor2) with no phase ambiguity.
+
+    Entangled input is first turned to the canonical global phase ((ad - bc)
+    real and non-negative; no turn when already canonical, else a global
+    phase that dynamics.evolve_separable_state books into its ledger);
+    separable input keeps its phase.  spinor1 points along qubit 1's
+    partial-trace Bloch vector, except at maximal entanglement, where every
+    direction works and +z is the convention.  spinor2 then comes from
+    contracting spinor1's direction with the 2x2 amplitude matrix, which
+    pins qubit 2's direction *and* the remaining phase in one
+    well-conditioned step: the state's overlap with spinor1 x spinor2 is
+    real and positive, so reconstruct() returns the turned input exactly.
+    """
+    return _decomposed(as_state(psi).tolist())[0]
 
 
 def reconstruct(d: SpinorDecomposition) -> np.ndarray:

@@ -189,6 +189,24 @@ class TestEvolve:
         assert np.max(np.abs(full - sep)) < 1e-9
         assert {"chi", "spinor1", "spinor2", "beta1", "beta2"} <= set(sep_obj)
 
+    def test_off_phase_state_file_keeps_its_phase(self, tmp_path):
+        # decompose turns i*psi back by a quarter turn; the separable output's beta1 carries
+        # that turn, so both backends end on the same amplitudes, global phase included
+        state, s1, s2 = self._files(tmp_path, seed=45)
+        off = write_state(tmp_path / "off.json", 1j * fileio.load_state(state))
+        outs = {}
+        for name, path in (("canonical", state), ("off", off)):
+            for backend in ("full", "separable"):
+                out = tmp_path / f"{name}-{backend}.json"
+                assert main(["evolve", "--in", path, "--schedule1", s1, "--schedule2", s2,
+                             "--backend", backend, "--out", str(out)]) == 0
+                outs[name, backend] = read_json(out)
+        full, sep = (np.array([complex(re, im) for re, im in outs["off", backend]["amplitudes"]])
+                     for backend in ("full", "separable"))
+        assert np.max(np.abs(full - sep)) < 1e-9
+        turn = outs["off", "separable"]["beta1"] - outs["canonical", "separable"]["beta1"]
+        assert abs(abs(turn) - math.pi / 2) < 1e-12
+
     @pytest.mark.parametrize("backend", ["full", "separable", "both"])
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_schedule_value_is_parse_error(self, tmp_path, capsys, backend, literal):
@@ -374,8 +392,8 @@ class TestReaderEdgeSweep:
             assert bool(warned) == (tier == "warned"), (argv, warned)
 
     def _state_commands(self, tmp_path, path):
-        # evolve reads its state file the same way for every backend; "both" compares the
-        # backends, which test_both_backends_off_the_canonical_phase covers
+        # evolve reads its state file the same way for every backend, and "both" must find the
+        # backends agreeing on every input the reader accepts, off the canonical phase too
         s1 = write_schedule(tmp_path / "s1.json", 1,
                             [(qp.LocalHamiltonian(0.3, [0.2, -0.4, 1.1]), 0.7)])
         s2 = write_schedule(tmp_path / "s2.json", 2,
@@ -383,7 +401,7 @@ class TestReaderEdgeSweep:
         return ([["convert", "--in", path, "--from", "amplitudes", "--to", to] for to in FORMATS]
                 + [["decompose", "--in", path]]
                 + [["evolve", "--in", path, "--schedule1", s1, "--schedule2", s2, "--backend", b]
-                   for b in ("full", "separable")])
+                   for b in ("full", "separable", "both")])
 
     @pytest.mark.parametrize("delta, tier", NORM_TIERS)
     def test_state_files(self, tmp_path, capsys, delta, tier):
@@ -442,9 +460,6 @@ class TestReaderEdgeSweep:
                 assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0, argv
             assert capsys.readouterr() == ("", "")
 
-    @pytest.mark.xfail(strict=True, reason="the separable backend starts from decompose(psi), "
-                       "which turns psi to the canonical phase, and the ledger does not carry "
-                       "the turn back, so the backends differ by that global phase")
     def test_both_backends_off_the_canonical_phase(self, tmp_path):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"amplitudes": EDGE_STATE}))
@@ -527,9 +542,8 @@ class TestBackendAgreementRule:
         # the full end state is off the separable one (zero) by exactly ``deviation``
         monkeypatch.setattr(qp.bench, "evolve_full_schedule",
                             lambda *a: np.array([deviation, 0, 0, 0], dtype=complex))
-        monkeypatch.setattr(qp.bench, "evolve_separable_schedule",
-                            lambda d, ledger, *a: (d, qp.PhaseLedger()))
-        monkeypatch.setattr(qp.bench, "reconstruct", lambda d: np.zeros(4, dtype=complex))
+        monkeypatch.setattr(qp.bench, "evolve_separable_state",
+                            lambda *a: (None, None, np.zeros(4, dtype=complex)))
         report = qp.run_benchmark(steps=3, trials=2, seed=1)
         assert report.max_deviation == deviation
         assert report.status == ("VALID" if agree else "INVALID")

@@ -133,3 +133,17 @@ def test_collector_paused_only_by_the_schedule_loader():
     assert not outside, f"the collector is toggled outside fileio.load_schedule: {outside}"
     imported = _nodes(lambda node: isinstance(node, ast.ImportFrom) and node.module == "gc")
     assert not imported, f"names imported from gc: {imported}"
+
+
+def test_separable_run_is_assembled_in_dynamics_alone():
+    # cli and bench take the whole run, decomposition to amplitudes, from
+    # dynamics.evolve_separable_state and never build it from its parts
+    parts = {"PhaseLedger", "reconstruct", "evolve_separable_schedule"}
+
+    def names_a_part(node):
+        return parts & {getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "name", None)}
+
+    for module in ("cli.py", "bench.py"):
+        found = _nodes(names_a_part, module)
+        assert not found, f"{module} names a part of the separable run: {found}"

@@ -125,6 +125,15 @@ class TestBlochVector:
                 n = qp.state_bloch_vector(psi, qubit)
                 assert abs(np.linalg.norm(n) - np.cos(chi)) < 1e-9
 
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    @pytest.mark.parametrize("y", [0.0, -0.0])
+    @pytest.mark.parametrize("z, theta", [(1.0, 0.0), (-1.0, np.pi)])
+    def test_phi_is_zero_on_the_poles(self, x, y, z, theta):
+        # atan2 of signed zeros gives 0 or pi; on the z-axis phi is +0.0 for every sign
+        got_theta, phi = qp.spherical_angles([x, y, z])
+        assert got_theta == theta
+        assert phi == 0.0 and np.copysign(1.0, phi) == 1.0
+
 
 class TestSpinors:
     @pytest.mark.parametrize("args,expected", [
