@@ -29,6 +29,7 @@ from .states import (
     SeparableGamma,
     SpinorDecomposition,
     _angles,
+    _bloch,
     _contract,
     _decomposed,
     _half_angle,
@@ -38,7 +39,6 @@ from .states import (
     _values,
     as_state,
     reconstruct,
-    state_bloch_vector,
     wrap_angle,
 )
 
@@ -307,27 +307,45 @@ def aligned_eigenvectors(direction) -> tuple[np.ndarray, np.ndarray]:
     return np.array(plus), np.array(minus)
 
 
+def _aligned_field(x: float, y: float, z: float, energy: float) -> tuple[float, float, float]:
+    # energy * (x, y, z) for a unit axis and a positive finite energy, once the axis's half-angle
+    # eigenspinors are checked at +-energy against v.sigma = [[vz, vx - i vy], [vx + i vy, -vz]]
+    length = math.hypot(x, y, z)
+    if not abs(length - 1.0) <= 1e-9:
+        raise NonUnitDirection(f"|direction| = {length!r}")
+    if not 0.0 < energy < math.inf:
+        raise ValueError(f"energy must be positive and finite, got {energy!r}")
+    vx, vy, vz = energy * x, energy * y, energy * z
+    for (u, l), e in zip(_eigenspinors(x, y, z), (energy, -energy)):
+        r0, r1 = (vz - e) * u + complex(vx, -vy) * l, complex(vx, vy) * u - (vz + e) * l
+        if not math.hypot(r0.real, r0.imag, r1.real, r1.imag) < 1e-10:
+            raise ConsistencyError("psi_plus, psi_minus are not eigenvectors at +-energy")
+    return vx, vy, vz
+
+
 def aligned_hamiltonian(direction, energy: float) -> LocalHamiltonian:
     """Traceless Hamiltonian of strength ``energy`` along a unit Bloch axis.
 
     When the axis matches a qubit's own partial-trace direction this is the
     generator of pure recurrence rotation: it leaves both Bloch vectors and
-    chi untouched and drifts gamma linearly.
+    chi untouched and drifts gamma linearly.  Its v is energy * direction,
+    once the two eigenspinors check out at +-energy (ConsistencyError
+    otherwise); a non-unit direction raises NonUnitDirection, an energy that
+    is not positive and finite ValueError.
     """
-    direction = np.asarray(direction, dtype=float).reshape(3)
-    axis = direction.tolist()
-    length = math.hypot(*axis)
-    if abs(length - 1.0) > 1e-9:
-        raise NonUnitDirection(f"|direction| = {length!r}")
-    if not energy > 0.0:
-        raise ValueError("energy must be positive")
-    h = LocalHamiltonian(0.0, energy * direction)
-    (m00, m01), (m10, m11) = h.matrix().tolist()
-    for (u, l), e in zip(_eigenspinors(*axis), (energy, -energy)):
-        r0, r1 = m00 * u + m01 * l - e * u, m10 * u + m11 * l - e * l  # (m - e) s
-        if not math.hypot(r0.real, r0.imag, r1.real, r1.imag) < 1e-10:
-            raise ConsistencyError("psi_plus, psi_minus are not eigenvectors at +-energy")
-    return h
+    axis = np.asarray(direction, dtype=float).reshape(3).tolist()
+    return LocalHamiltonian(0.0, _aligned_field(*axis, energy))
+
+
+def _own_axis(amps, qubit: int, floor: float) -> tuple[float, float, float]:
+    # n/|n| for one qubit's Bloch vector n, with |n| as np.linalg.norm gives it: the axis keeps
+    # those bits; DegenerateState where |n| <= floor
+    _require_qubit(qubit)
+    x, y, z = n = _bloch(amps, qubit)
+    r = float(np.linalg.norm(n))
+    if not r > floor:
+        raise DegenerateState("the chosen qubit's Bloch vector vanishes")
+    return x / r, y / r, z / r
 
 
 def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -341,12 +359,8 @@ def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarr
     four coefficients is checked to 1e-12 (ConsistencyError).
     """
     psi = as_state(psi)
-    n = state_bloch_vector(psi, qubit)
-    r = float(np.linalg.norm(n))
-    if r <= EPS_DEGEN:
-        raise DegenerateState("the chosen qubit's Bloch vector vanishes")
-    plus, minus = _eigenspinors(*(n / r).tolist())
     a, b, c, d = psi.tolist()
+    plus, minus = _eigenspinors(*_own_axis((a, b, c, d), qubit, EPS_DEGEN))
     amps = (a, b, c, d) if qubit == 1 else (a, c, b, d)
     coeffs = np.array([*_contract(plus, amps), *_contract(minus, amps)])
     basis = np.array([row for u, l in (plus, minus) for row in ((u, 0, l, 0), (0, u, 0, l))])
@@ -365,8 +379,24 @@ def _unwrap_nearest(gammas: list[float]) -> list[float]:
 
 
 def _circular_spread(values) -> float:
+    # the largest turn from the first angle to another, each difference reduced exactly
     ref = values[0]
-    return max(abs(wrap_angle(v - ref)) for v in values)
+    return max(abs(math.remainder(v - ref, 2.0 * math.pi)) for v in values)
+
+
+def _line_fit(times: list[float], values: list[float]) -> tuple[float, float]:
+    # (slope, largest |value - line|) of the least-squares line, in closed form on Python floats:
+    # the times are centred on their midpoint and scaled by the larger half of their span into
+    # [-1, 1], so two distinct finite times neither overflow nor divide by zero; only the slope,
+    # put back into the grid's units, can overflow, on a span of a few subnormals
+    count, lo, hi = len(times), min(times), max(times)
+    mid = 0.5 * lo + 0.5 * hi
+    half_span = max(hi - mid, mid - lo)
+    xs = [(t - mid) / half_span for t in times]
+    x_mean, v_mean = sum(xs) / count, sum(values) / count
+    dxs, dvs = [x - x_mean for x in xs], [v - v_mean for v in values]
+    slope = sum(dx * dv for dx, dv in zip(dxs, dvs)) / sum(dx * dx for dx in dxs)
+    return slope / half_span, max(abs(dv - slope * dx) for dx, dv in zip(dxs, dvs))
 
 
 def _aligned_turns(psi, what: str, turns, times) -> tuple[tuple, list[tuple]]:
@@ -378,9 +408,9 @@ def _aligned_turns(psi, what: str, turns, times) -> tuple[tuple, list[tuple]]:
     try:
         start, axes, records = _angles(amps), [], []
         for qubit, energy, flip in turns:
-            n = state_bloch_vector(amps, qubit)
-            axis = n / np.linalg.norm(n)
-            axes.append((qubit, aligned_hamiltonian(-axis if flip else axis, energy).v.tolist()))
+            x, y, z = _own_axis(amps, qubit, 0.0)
+            axes.append((qubit, _aligned_field(-x, -y, -z, energy) if flip
+                         else _aligned_field(x, y, z, energy)))
         for t in times:
             a, b, c, d = amps
             for qubit, v in axes:
@@ -401,24 +431,27 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     Evolves the full state across t_grid under the aligned Hamiltonian of
     strength ``energy`` on the chosen qubit, extracts gamma at each time
     (projection method, unwrapped by nearest-branch continuation), and
-    returns (slope, residual): the fitted d(gamma)/dt and the largest
-    absolute deviation from the fit.  Each grid state is the closed-form
-    turn compound_rotation_check also takes: the aligned SU(2), traceless,
-    on the rotated qubit alone, which is one evolve_full step with the other
-    qubit under ZERO_HAMILTONIAN, bit for bit but for the sign of a zero.
+    returns (slope, residual): d(gamma)/dt of the closed-form least-squares
+    line, fitted on Python floats with the times centred and scaled by their
+    span, and the largest absolute deviation from it.  Each grid state is
+    the closed-form turn compound_rotation_check also takes: the aligned
+    SU(2), traceless, on the rotated qubit alone, which is one evolve_full
+    step with the other qubit under ZERO_HAMILTONIAN, bit for bit but for
+    the sign of a zero.
     psi and every grid state must lie where angles_from_state defines gamma
     (DegenerateState otherwise); the five other angles must stay constant to
     1e-8 (ConsistencyError otherwise).  The slope comes out at -2*energy.
-    t_grid must hold two distinct finite times at least (ValueError otherwise).
+    t_grid must hold two distinct finite times at least, spanning enough
+    time for a finite slope (ValueError otherwise).
     """
     grid = np.asarray(t_grid, dtype=float)
     times = grid.tolist()
     if not (grid.ndim == 1 and np.isfinite(grid).all() and len(set(times)) >= 2):
         raise ValueError(f"t_grid must hold at least two distinct finite times, got {t_grid!r}")
     _, records = _aligned_turns(psi, "recurrence drift", [(qubit, energy, False)], times)
-    gammas = _unwrap_nearest([r[5] for r in records])
-    slope, intercept = np.polyfit(times, gammas, 1).tolist()
-    residual = max(abs(g - (slope * t + intercept)) for t, g in zip(times, gammas))
+    slope, residual = _line_fit(times, _unwrap_nearest([r[5] for r in records]))
+    if not math.isfinite(slope):
+        raise ValueError(f"t_grid spans too short a time for a finite slope, got {t_grid!r}")
     for k, name in ((0, "chi"), (1, "theta1"), (3, "theta2"), (2, "phi1"), (4, "phi2")):
         values = [r[k] for r in records]
         spread = _circular_spread(values) if name.startswith("phi") else max(values) - min(values)

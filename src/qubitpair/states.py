@@ -165,11 +165,15 @@ def _phase_fixed(amps, chi: float) -> tuple[list[complex], float]:
 
 
 def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
-    r = math.hypot(x, y, z)
-    if r == 0.0:
+    rho = math.hypot(x, y)
+    if rho == 0.0 and z == 0.0:
         return 0.0, 0.0
-    # theta by atan2: acos(z/r) loses half its digits near a pole; phi is 0 on the z-axis
-    return math.atan2(math.hypot(x, y), z), wrap_angle(math.atan2(y, x)) if x or y else 0.0
+    # theta by atan2: acos(z/r) loses half its digits near a pole; phi is 0 on the z-axis and
+    # within rounding of it, where x and y are noise of a few ulp of |n| and their signs say
+    # nothing: hypot(x, y) <= 4u|z|, the same test as 4u|n| there (|n| rounds to |z|), and
+    # one that cannot overflow
+    phi = wrap_angle(math.atan2(y, x)) if rho > 4.0 * _UNIT_ROUNDOFF * abs(z) else 0.0
+    return math.atan2(rho, z), phi
 
 
 def _direction(x: float, y: float, z: float) -> tuple[complex, complex]:
@@ -273,7 +277,8 @@ def spinor_bloch_vector(spinor) -> np.ndarray:
 
 
 def spherical_angles(n) -> tuple[float, float]:
-    """(theta, phi) of a 3-vector; phi defaults to 0 on the z-axis poles."""
+    """(theta, phi) of a 3-vector; phi is 0 on the z-axis poles and within rounding of them,
+    where hypot(x, y) <= 4u|z| (u = 2^-53), which is 4u|n| there."""
     return _spherical(*np.asarray(n, dtype=float).reshape(3).tolist())
 
 

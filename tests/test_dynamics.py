@@ -513,6 +513,16 @@ class TestAlignedHamiltonian:
             # the minus spinor is the parity image of the plus spinor
             assert np.max(np.abs(minus - qp.parity(plus))) < 1e-12
 
+    def test_v_is_energy_times_direction(self):
+        # aligned_hamiltonian is a view of the float core: its v is e * d bit for bit
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            d = rng.normal(size=3)
+            d /= np.linalg.norm(d)
+            e = float(rng.uniform(0.1, 3.0))
+            h = qp.aligned_hamiltonian(d, e)
+            assert h.h_i == 0.0 and np.array_equal(h.v, e * d)
+
     def test_rejects_non_unit_direction(self):
         with pytest.raises(qp.NonUnitDirection):
             qp.aligned_hamiltonian([0, 0, 2], 1.0)
@@ -526,19 +536,24 @@ class TestAlignedHamiltonian:
             qp.aligned_hamiltonian([0.36, 0.48, 0.8], 1.0)
 
 
-def ref_recurrence_drift(psi, qubit, energy, t_grid):
-    """recurrence_drift's (slope, residual) in the two-qubit form: evolve_full steps both
+def ref_drift_gammas(psi, qubit, energy, t_grid):
+    """recurrence_drift's unwrapped gammas in the two-qubit form: evolve_full steps both
     qubits, the other one under ZERO_HAMILTONIAN, at numpy-scalar grid times."""
     n = qp.state_bloch_vector(psi, qubit)
     h = qp.aligned_hamiltonian(n / np.linalg.norm(n), energy)
     h1, h2 = (h, qp.ZERO_HAMILTONIAN) if qubit == 1 else (qp.ZERO_HAMILTONIAN, h)
-    t_grid = np.asarray(t_grid, dtype=float)
     gammas = np.array([qp.angles_from_state(qp.evolve_full(psi, h1, h2, t)).gamma
-                       for t in t_grid])
+                       for t in np.asarray(t_grid, dtype=float)])
     for k in range(1, len(gammas)):
         gammas[k] += 2.0 * np.pi * round((gammas[k - 1] - gammas[k]) / (2.0 * np.pi))
-    slope, intercept = np.polyfit(t_grid, gammas, 1)
-    return float(slope), float(np.max(np.abs(gammas - (slope * t_grid + intercept))))
+    return gammas
+
+
+def ref_recurrence_drift(psi, qubit, energy, t_grid):
+    """recurrence_drift's (slope, residual) from ref_drift_gammas, by the package's closed-form
+    line fit (test_fit_matches_polyfit checks that fit against np.polyfit)."""
+    gammas = ref_drift_gammas(psi, qubit, energy, t_grid)
+    return qp.dynamics._line_fit(np.asarray(t_grid, dtype=float).tolist(), gammas.tolist())
 
 
 def ref_compound_rotation(psi, energy1, energy2, t, same_handed):
@@ -586,6 +601,45 @@ class TestRecurrenceDrift:
             # one closed-form SU(2) per qubit, the gate's angle core and the end state's
             assert len(closed_forms) == len(cores) == 2 and not unitaries
         assert not schedules
+
+    def test_fit_matches_polyfit(self):
+        # the closed-form line agrees with numpy's least-squares fit on the same gammas
+        rng = np.random.default_rng(67)
+        grids = [np.linspace(0.0, 1.0, 50), np.array([0.0, 0.05, 0.3, 0.31, 0.9, 1.7, 2.0]),
+                 np.linspace(-3.0, 7.0, 11)]
+        for k, ang in enumerate(band_angle_sets(30, 67)):
+            psi, grid = qp.state_from_angles(ang), grids[k % 3]
+            qubit, energy = 1 + k % 2, float(rng.uniform(0.3, 2.0))
+            gammas = ref_drift_gammas(psi, qubit, energy, grid)
+            slope, intercept = np.polyfit(grid, gammas, 1)
+            residual = np.max(np.abs(gammas - (slope * grid + intercept)))
+            got_slope, got_residual = qp.recurrence_drift(psi, qubit, energy, grid)
+            assert abs(got_slope - slope) <= 1e-12 and abs(got_residual - residual) <= 1e-12
+        for _ in range(200):  # lines with noise well off the drift's, on unordered grids
+            grid = rng.uniform(-5.0, 5.0, size=int(rng.integers(2, 60)))
+            values = rng.normal() * grid + rng.normal() + rng.normal(scale=0.1, size=grid.size)
+            slope, intercept = np.polyfit(grid, values, 1)
+            residual = np.max(np.abs(values - (slope * grid + intercept)))
+            got_slope, got_residual = qp.dynamics._line_fit(grid.tolist(), values.tolist())
+            assert abs(got_slope - slope) <= 1e-12 and abs(got_residual - residual) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [[0.0, 5e-324], [-1e300, 1e300]], ids=["subnormal", "huge"])
+    def test_extreme_grids_give_a_finite_line(self, grid):
+        # the fit centres and scales the times, so neither a subnormal span nor a huge one ends
+        # in a warning, ZeroDivisionError, inf or NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = qp.recurrence_drift(entangled_state(200), 1, 1.0, grid)
+            except ValueError:
+                return
+        assert len(got) == 2 and all(math.isfinite(x) for x in got)
+
+    def test_subnormal_span_with_an_overflowing_slope_is_refused(self, monkeypatch):
+        # a slope of one ulp of gamma over a 5e-324 span is past the largest double
+        monkeypatch.setattr(qp.dynamics, "_unwrap_nearest", lambda gammas: [0.0, 1e-15])
+        with pytest.raises(ValueError, match="finite slope"):
+            qp.recurrence_drift(entangled_state(200), 1, 1.0, [0.0, 5e-324])
 
     def test_linear_drift_slope_and_residual(self):
         grid = np.linspace(0.0, 1.0, 50)
@@ -668,6 +722,20 @@ class TestRecurrenceDrift:
         delta = qp.compound_rotation_check(entangled_state(400), 1.0, 1.0, 0.1,
                                            same_handed=True)
         assert abs(abs(delta) - 0.4) < 1e-6
+
+    def test_exact_pole_states_follow_the_closed_form(self):
+        # at exact Bloch poles the turned state's x and y are rounding noise; read as phi they
+        # would shift gamma and put the result pi off -2(E1 +- E2)t
+        e1, e2 = 1.0, 0.7
+        for theta1 in (0.0, math.pi):
+            for theta2 in (0.0, math.pi):
+                for chi in np.linspace(1e-6, math.pi / 2 - 1e-6, 35).tolist():
+                    psi = qp.state_from_angles(qp.AngleSet(chi, theta1, 0.0, theta2, 0.0, 0.4))
+                    for t in (0.1, 0.3, 0.7, 1.3):
+                        for same in (True, False):
+                            got = qp.compound_rotation_check(psi, e1, e2, t, same)
+                            want = -2.0 * (e1 + e2 if same else e1 - e2) * t
+                            assert abs(qp.wrap_angle(got - want)) < 1e-12
 
     def test_zero_time_is_zero(self):
         assert qp.compound_rotation_check(entangled_state(500), 1.0, 1.0, 0.0,

@@ -93,15 +93,18 @@ def _calls(module, name):
 
 
 def test_dynamics_reads_angles_from_the_core():
-    # dynamics takes the six angles from states._angles, not from the public AngleSet view,
-    # and both appendix checks turn each qubit by one closed-form SU(2), not a full-backend step
+    # dynamics takes the six angles from states._angles, not from the public AngleSet view;
+    # both appendix checks turn each qubit by one closed-form SU(2), not a full-backend step,
+    # about an axis and field from the float cores (no numpy vector, Hamiltonian or matrix),
+    # and fit the drift in closed form
     found = _nodes(lambda node: isinstance(node, ast.Call) and "angles_from_state" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None)), "dynamics.py")
     assert not found, f"angles_from_state called in dynamics.py: {found}"
     for name in ("recurrence_drift", "compound_rotation_check"):
         called = _calls("dynamics.py", name)
-        assert {"_cayley_klein", "_contract", "_angles"} <= called
-        wrappers = called & {"_full_steps", "local_unitary", "su2_operator"}
+        assert {"_cayley_klein", "_contract", "_angles", "_own_axis", "_aligned_field"} <= called
+        wrappers = called & {"_full_steps", "local_unitary", "su2_operator", "aligned_hamiltonian",
+                             "state_bloch_vector", "LocalHamiltonian", "matrix", "polyfit"}
         assert not wrappers, f"{name} calls {sorted(wrappers)}"
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,17 @@ class TestBlochVector:
         got_theta, phi = qp.spherical_angles([x, y, z])
         assert got_theta == theta
         assert phi == 0.0 and np.copysign(1.0, phi) == 1.0
+
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_phi_is_zero_within_rounding_of_the_poles(self, z):
+        # x and y of a few ulp of |n| are rounding noise: phi is 0 while hypot(x, y) <= 4u|n|,
+        # u = 2^-53, and atan2(y, x) past that, also where |n| overflows
+        u = 2.0 ** -53
+        for x, y in [(u, -u), (-u, -u), (-2.0 * u, 0.0), (-2.0 * u, 2.0 * u), (0.0, -4.0 * u)]:
+            assert qp.spherical_angles([x, y, z])[1] == 0.0
+        for x, y, scale in [(-1e-15, 0.0, 1.0), (1e-15, -1e-15, 1.0), (0.0, 5.0 * u, 1.0),
+                            (1e308, -1e308, 1e308)]:
+            assert qp.spherical_angles([x, y, scale * z])[1] == qp.wrap_angle(math.atan2(y, x))
 
 
 class TestSpinors:
