@@ -43,6 +43,7 @@ from .dynamics import (
     NonUnitDirection,
     PhaseLedger,
     Schedule,
+    StepOverflow,
     aligned_eigenvectors,
     aligned_hamiltonian,
     aligned_mode_coefficients,
@@ -61,14 +62,10 @@ from .dynamics import (
 )
 
 from .measurement import (
-    SampleSpec,
     born_full,
     born_local,
-    oracle_matrix_exp,
-    oracle_partial_trace,
     sample_fixed_concurrence,
     sample_haar,
-    sample_states,
 )
 
 from .bench import BenchReport, run_benchmark

@@ -19,7 +19,7 @@ from . import fileio
 from .bench import run_benchmark
 from .dynamics import (DEVIATION_BOUND, backends_agree, compare_backends, evolve_full_schedule,
                        evolve_separable_state)
-from .measurement import SampleSpec, sample_states
+from .measurement import sample_fixed_concurrence, sample_haar
 from .states import (
     HALF_PI,
     MaximalEntanglement,
@@ -179,8 +179,9 @@ def cmd_sample(args) -> int:
     _check_seed(args.seed)
     if args.fixed_chi is not None and not 0.0 <= args.fixed_chi <= HALF_PI:
         raise fileio.ParseError(f"--fixed-chi out of [0, pi/2]: {args.fixed_chi!r}")
-    spec = SampleSpec(args.count, args.seed, args.fixed_chi)
-    _emit([{"amplitudes": amps} for amps in fileio.pairs(sample_states(spec))], args.out_path)
+    states = (sample_haar(args.count, args.seed) if args.fixed_chi is None
+              else sample_fixed_concurrence(args.count, args.seed, args.fixed_chi))
+    _emit([{"amplitudes": amps} for amps in fileio.pairs(states)], args.out_path)
     return 0
 
 

@@ -7,9 +7,9 @@ composes each qubit's steps into one SU(2), rotates that spinor of the
 phase-fixed Schmidt decomposition once, keeps chi fixed (no local unitary
 can change the concurrence), and books the scalar parts as accumulated
 phases beta1, beta2 in a ledger, which evolve_separable_state starts at
-the turn decompose gave the input.  So the exact full state, global phase
-included, is e^(-i(beta1+beta2)) * reconstruct(decomposition) at all
-times.  Natural units, hbar = 1; time dependence is piecewise constant.
+the turn that brought the input to ad - bc >= 0.  So the exact full state,
+global phase included, is e^(-i(beta1+beta2)) * reconstruct(decomposition) at
+all times.  Natural units, hbar = 1; time dependence is piecewise constant.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .states import (
     _angles,
     _bloch,
     _contract,
-    _decomposed,
     _half_angle,
+    _ledger_decomposed,
     _parity,
     _require_qubit,
     _spherical,
@@ -58,6 +58,10 @@ class DegenerateState(ValueError):
     """A recurrence-drift check needs a partially entangled state."""
 
 
+class StepOverflow(ValueError):
+    """A step's rotation angle |v|*t or phase h_i*t, or a schedule's summed phase, overflows."""
+
+
 @dataclasses.dataclass(frozen=True)
 class LocalHamiltonian:
     """One qubit's Hamiltonian h_i*I + v.sigma; v may be the zero vector."""
@@ -68,20 +72,14 @@ class LocalHamiltonian:
     def __post_init__(self):
         object.__setattr__(self, "h_i", float(self.h_i))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float).reshape(3))
-        x, y, z = self.v.tolist()
-        if not (math.isfinite(self.h_i) and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ValueError(f"Hamiltonian entries must be finite: h_i = {self.h_i!r}, v = {self.v!r}")
+        if not (math.isfinite(self.h_i) and math.isfinite(math.hypot(*self.v.tolist()))):
+            raise ValueError(f"h_i and |v| must be finite: h_i = {self.h_i!r}, v = {self.v!r}")
 
     @classmethod
     def _unchecked(cls, h_i: float, v: np.ndarray) -> "LocalHamiltonian":
         self = object.__new__(cls)  # a Schedule's step: its arrays were checked once, read-only
         self.__dict__.update(h_i=h_i, v=v)
         return self
-
-    def matrix(self) -> np.ndarray:
-        vx, vy, vz = self.v
-        return np.array([[self.h_i + vz, vx - 1j * vy],
-                         [vx + 1j * vy, self.h_i - vz]])
 
 
 ZERO_HAMILTONIAN = LocalHamiltonian(0.0, np.zeros(3))
@@ -101,8 +99,10 @@ class Schedule:
         if not (h.ndim == 1 and v.shape == (len(h), 3) and dt.shape == h.shape):
             raise ValueError(f"a schedule needs h (S,), v (S, 3) and dt (S,), "
                              f"got shapes {h.shape}, {v.shape}, {dt.shape}")
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise ValueError("schedule entries must be finite")
+        with np.errstate(over="ignore"):  # a |v| past the float range fails the check below
+            speed = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+        if not all(np.isfinite(a).all() for a in (h, speed, dt)):
+            raise ValueError("schedule entries and each |v| must be finite")
         for name, a in zip(("h", "v", "dt"), arrays):
             a.flags.writeable = False  # so the checks above hold for the object's whole life
             object.__setattr__(self, name, a)
@@ -129,7 +129,7 @@ class PhaseLedger:
 
     Evolving qubit i under h_i for time t adds h_i*t to beta_i; the factor
     restoring the full global phase is ``phase``.  evolve_separable_state
-    starts beta1 at the turn decompose gave its input (0.0 if none).
+    starts beta1 at the turn it gives its input before decomposing (0.0 if none).
     """
 
     beta1: float = 0.0
@@ -166,7 +166,10 @@ def _cayley_klein(x: float, y: float, z: float, t: float) -> tuple[complex, comp
     """(a, b) of exp(-i (v.sigma) t) = [[a, b], [-b*, a*]] = cos(|v|t) I - i sin(|v|t) v_hat.sigma,
     on Python floats; math.hypot keeps a finite |v| from overflowing."""
     speed = math.hypot(x, y, z)
-    c = math.cos(speed * t)
+    try:
+        c = math.cos(speed * t)
+    except ValueError:  # speed * t overflowed: caught, not tested for, so steps cost no more
+        raise StepOverflow(f"|v| * t overflows: |v| = {speed!r}, t = {t!r}") from None
     s = math.sin(speed * t) / speed if speed else t  # sin(|v|t)/|v| tends to t
     return complex(c, -s * z), complex(-s * y, -s * x)
 
@@ -179,7 +182,11 @@ def su2_operator(h: LocalHamiltonian, t: float) -> np.ndarray:
 
 def local_unitary(h: LocalHamiltonian, t: float) -> np.ndarray:
     """The complete one-qubit evolution operator, scalar phase included."""
-    return cmath.exp(-1j * h.h_i * t) * su2_operator(h, t)
+    try:
+        phase = cmath.exp(-1j * h.h_i * t)
+    except ValueError:  # h_i * t overflowed
+        raise StepOverflow(f"h_i * t overflows: h_i = {h.h_i!r}, t = {t!r}") from None
+    return phase * su2_operator(h, t)
 
 
 def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
@@ -229,6 +236,8 @@ def _rotated(spinor, schedule, beta: float) -> tuple[np.ndarray, float]:
         a, b = _cayley_klein(x, y, z, t)
         big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
         beta += h_i * t
+    if not math.isfinite(beta):
+        raise StepOverflow(f"the summed phase h_i * dt overflows: beta = {beta!r}")
     u, l = _values(spinor, 2)
     return np.array([big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u]), beta
 
@@ -244,9 +253,10 @@ def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
 def evolve_separable_state(psi, schedule1,
                            schedule2) -> tuple[SpinorDecomposition, PhaseLedger, np.ndarray]:
     """(decomposition, ledger, amplitudes) after evolve_separable_schedule from decompose(psi),
-    the ledger's beta1 starting at the angle decompose turned psi by (exactly 0.0 if unturned);
-    the amplitudes, ledger.phase * reconstruct(decomposition), carry psi's global phase."""
-    d, turn = _decomposed(as_state(psi).tolist())
+    beta1 starting at decompose's turn of psi (exactly 0.0 if none; below chi = EPS_DEGEN, at a
+    turn to ad - bc >= 0 taken first); the amplitudes, ledger.phase * reconstruct(decomposition),
+    carry psi's global phase."""
+    d, turn = _ledger_decomposed(as_state(psi).tolist())
     d, ledger = evolve_separable_schedule(d, PhaseLedger(turn), schedule1, schedule2)
     return d, ledger, ledger.phase * reconstruct(d)
 
@@ -309,18 +319,17 @@ def aligned_eigenvectors(direction) -> tuple[np.ndarray, np.ndarray]:
 
 def _aligned_field(x: float, y: float, z: float, energy: float) -> tuple[float, float, float]:
     # energy * (x, y, z) for a unit axis and a positive finite energy, once the axis's half-angle
-    # eigenspinors are checked at +-energy against v.sigma = [[vz, vx - i vy], [vx + i vy, -vz]]
+    # eigenspinors pass at +-1 on n.sigma, energy times their residual within 1e-10 * max(1, energy)
     length = math.hypot(x, y, z)
     if not abs(length - 1.0) <= 1e-9:
         raise NonUnitDirection(f"|direction| = {length!r}")
     if not 0.0 < energy < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy!r}")
-    vx, vy, vz = energy * x, energy * y, energy * z
-    for (u, l), e in zip(_eigenspinors(x, y, z), (energy, -energy)):
-        r0, r1 = (vz - e) * u + complex(vx, -vy) * l, complex(vx, vy) * u - (vz + e) * l
-        if not math.hypot(r0.real, r0.imag, r1.real, r1.imag) < 1e-10:
+    for (u, l), e in zip(_eigenspinors(x, y, z), (1.0, -1.0)):
+        r0, r1 = (z - e) * u + complex(x, -y) * l, complex(x, y) * u - (z + e) * l
+        if not energy * math.hypot(r0.real, r0.imag, r1.real, r1.imag) < 1e-10 * max(1.0, energy):
             raise ConsistencyError("psi_plus, psi_minus are not eigenvectors at +-energy")
-    return vx, vy, vz
+    return energy * x, energy * y, energy * z
 
 
 def aligned_hamiltonian(direction, energy: float) -> LocalHamiltonian:

@@ -1,11 +1,8 @@
-"""Born-rule probabilities, seeded state samplers, and brute-force oracles.
+"""Born-rule probabilities and seeded state samplers.
 
 The two Born computations are deliberately redundant: born_full projects on
 the 4-dim state vector, born_local uses only one qubit's (chi, spinor)
-data, and the two must agree to machine precision.  The oracles at the
-bottom (outer-product partial trace, eigendecomposition matrix
-exponential) exist so every closed form elsewhere has an independent
-check.
+data, and the two must agree to machine precision.
 
 Randomness comes from numpy's default PCG64 bit generator, always through
 an explicit seed, so every sample set reproduces bit for bit.
@@ -13,14 +10,11 @@ an explicit seed, so every sample set reproduces bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
-from .dynamics import LocalHamiltonian
 from .states import (
-    HALF_PI,
     AngleSet,
     ConsistencyError,
     _canonical_phase,
@@ -33,22 +27,6 @@ from .states import (
     state_from_angles,
     wrap_angle,
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class SampleSpec:
-    """What to sample: how many states, from which seed, optionally pinned
-    to a fixed concurrence angle."""
-
-    count: int
-    seed: int
-    fixed_chi: float | None = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if self.fixed_chi is not None and not 0.0 <= self.fixed_chi <= HALF_PI:
-            raise ValueError(f"fixed_chi out of [0, pi/2]: {self.fixed_chi!r}")
 
 
 def born_full(psi, qubit: int, direction) -> float:
@@ -122,38 +100,3 @@ def sample_fixed_concurrence(count: int, seed: int, chi: float) -> np.ndarray:
         out[k] = state_from_angles(AngleSet(chi, theta1, wrap_angle(phi1), theta2,
                                             wrap_angle(phi2), wrap_angle(gamma)))
     return out
-
-
-def sample_states(spec: SampleSpec) -> np.ndarray:
-    """Dispatch on the spec: Haar unless fixed_chi is set."""
-    if spec.fixed_chi is None:
-        return sample_haar(spec.count, spec.seed)
-    return sample_fixed_concurrence(spec.count, spec.seed, spec.fixed_chi)
-
-
-def oracle_partial_trace(psi, qubit: int) -> np.ndarray:
-    """Partial trace the slow way: build the 4x4 projector and sum the
-    traced index explicitly.  Validates the closed-form reduced_density."""
-    psi = as_state(psi)
-    rho4 = np.outer(psi, psi.conj())
-    rho = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for k in range(2):
-            for j in range(2):
-                if qubit == 1:
-                    rho[i, k] += rho4[2 * i + j, 2 * k + j]
-                elif qubit == 2:
-                    rho[i, k] += rho4[i + 2 * j, k + 2 * j]
-                else:
-                    raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
-    return rho
-
-
-def oracle_matrix_exp(h: LocalHamiltonian, t: float, include_scalar: bool = False) -> np.ndarray:
-    """exp(-iHt) by eigendecomposition, an independent check on the closed
-    form su2_operator.  With include_scalar the e^(-i h_i t) factor is kept."""
-    m = h.matrix()
-    if not include_scalar:
-        m = m - h.h_i * np.eye(2)
-    w, vecs = np.linalg.eigh(m)
-    return vecs @ np.diag(np.exp(-1j * w * t)) @ vecs.conj().T

@@ -148,20 +148,24 @@ def _entangled(chi: float) -> bool:
     return chi >= EPS_DEGEN
 
 
-def _phase_fixed(amps, chi: float) -> tuple[list[complex], float]:
-    # amps at the canonical phase, and the angle they were turned by: exactly 0.0 if unturned
-    a, b, c, d = amps
-    if _entangled(chi):
-        ad, bc = a * d, b * c
-        det = ad - bc
-        # already canonical to within the rounding of ad - bc: no turn (see fix_global_phase)
-        if det.real > 0.0 and abs(det.imag) <= 4.0 * _UNIT_ROUNDOFF * (abs(ad) + abs(bc)):
-            return list(amps), 0.0
-        angle = -0.5 * cmath.phase(det)
-    else:
-        angle = -cmath.phase(max(amps, key=abs))
+def _det_fixed(amps) -> tuple[list[complex], float]:
+    # amps turned to ad - bc real and positive, and the angle; exactly 0.0, unturned, where the
+    # turn is rounding: ad - bc so already, or noise, to within 4u(|ad| + |bc|) (fix_global_phase)
+    ad, bc = amps[0] * amps[3], amps[1] * amps[2]
+    det, slack = ad - bc, 4.0 * _UNIT_ROUNDOFF * (abs(ad) + abs(bc))
+    if abs(det) <= slack or (det.real > 0.0 and abs(det.imag) <= slack):
+        return list(amps), 0.0
+    angle = -0.5 * cmath.phase(det)
     turn = cmath.rect(1.0, angle)
     return [turn * v for v in amps], angle
+
+
+def _ledger_decomposed(amps) -> tuple[SpinorDecomposition, float]:
+    # _decomposed for a run whose ledger carries the phase, and the turn; below the band, where
+    # decompose keeps the phase but rebuilds ad - bc >= 0, amps take _det_fixed's turn first
+    amps, turn = (amps, 0.0) if _entangled(_chi(amps, _bloch(amps, 1))) else _det_fixed(amps)
+    d, again = _decomposed(amps)
+    return d, turn + again
 
 
 def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
@@ -180,6 +184,8 @@ def _direction(x: float, y: float, z: float) -> tuple[complex, complex]:
     r = math.hypot(x, y, z)
     if r == 0.0:
         raise ValueError("the zero vector has no direction")
+    if r > 1e300:  # r + |z| may overflow; halving every term leaves each quotient below as it was
+        x, y, z, r = 0.5 * x, 0.5 * y, 0.5 * z, 0.5 * r
     if z >= 0.0:
         k = math.hypot(r + z, x, y)
         return complex((r + z) / k), complex(x / k, y / k)
@@ -231,7 +237,10 @@ def concurrence_angle(psi) -> float:
 
 def _canonical_phase(amps) -> list[complex]:
     # fix_global_phase on Python complexes
-    return _phase_fixed(amps, _chi(amps, _bloch(amps, 1)))[0]
+    if _entangled(_chi(amps, _bloch(amps, 1))):
+        return _det_fixed(amps)[0]
+    turn = cmath.rect(1.0, -cmath.phase(max(amps, key=abs)))
+    return [turn * v for v in amps]
 
 
 def fix_global_phase(psi) -> np.ndarray:
@@ -368,7 +377,7 @@ def _angles(amps) -> tuple[float, float, float, float, float, float]:
             "the recurrence of a separable state is indistinguishable from a global phase",
             angles=AngleSet(chi, theta1, phi1, theta2, phi2, None))
     overlap = _vdot2(_half_angle(theta2, phi2),
-                     _contract(_half_angle(theta1, phi1), _phase_fixed(amps, chi)[0]))
+                     _contract(_half_angle(theta1, phi1), _det_fixed(amps)[0]))
     return chi, theta1, phi1, theta2, phi2, wrap_angle(2.0 * cmath.phase(overlap))
 
 
@@ -396,7 +405,7 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
     amps = _values(psi, 4)
     angles = AngleSet(*_angles(amps))
     if cross_check and not abs(math.sin(angles.gamma)
-                               - recurrence_sine(_phase_fixed(amps, angles.chi)[0])) <= EPS_MATCH:
+                               - recurrence_sine(_det_fixed(amps)[0])) <= EPS_MATCH:
         raise ConsistencyError("projection and sine-quotient recurrences disagree")
     return angles
 
@@ -419,7 +428,7 @@ def recurrence_sine(psi) -> float:
     s2 = math.sin(_spherical(*_bloch(amps, 2))[0])
     if min(s1, s2) < EPS_POLE:
         raise PoleSingularity("a Bloch vector lies within EPS_POLE of a z-axis pole")
-    a, b, c, d = _phase_fixed(amps, chi)[0]
+    a, b, c, d = _det_fixed(amps)[0]
     return 2.0 * (a * d + b * c).imag / (math.cos(chi) * s1 * s2)
 
 
@@ -449,7 +458,7 @@ def _decomposed(amps) -> tuple[SpinorDecomposition, float]:
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
     entangled = _entangled(chi)
-    amps, turn = _phase_fixed(amps, chi) if entangled else (amps, 0.0)
+    amps, turn = _det_fixed(amps) if entangled else (amps, 0.0)
     u1 = (1.0 + 0j, 0j) if chi > HALF_PI - EPS_DEGEN else _direction(*n1)
     x, y = _contract(u1, amps)
     r = math.hypot(x.real, x.imag, y.real, y.imag)

@@ -483,9 +483,11 @@ class TestSampleCommand:
         out = tmp_path / "samples.json"
         assert main(["sample", "--count", "5", "--seed", "2",
                      "--fixed-chi", str(np.pi / 2), "--out", str(out)]) == 0
-        for rec in read_json(out):
-            psi = np.array([complex(re, im) for re, im in rec["amplitudes"]])
-            assert abs(qp.concurrence(psi) - 1.0) < 1e-12
+        psi = np.array([[complex(re, im) for re, im in rec["amplitudes"]]
+                        for rec in read_json(out)])
+        for state in psi:
+            assert abs(qp.concurrence(state) - 1.0) < 1e-12
+        assert np.array_equal(psi, qp.sample_fixed_concurrence(5, 2, np.pi / 2))
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -501,7 +503,7 @@ class TestSampleCommand:
         assert text == out.read_text()
         psi = np.array([[complex(re, im) for re, im in rec["amplitudes"]]
                         for rec in json.loads(text)])
-        assert np.array_equal(psi, qp.sample_states(qp.SampleSpec(4, 9, None)))
+        assert np.array_equal(psi, qp.sample_haar(4, 9))
 
     def test_bad_fixed_chi_is_usage_error(self, tmp_path, capsys):
         code = main(["sample", "--count", "1", "--seed", "1", "--fixed-chi", "9"])

@@ -7,6 +7,7 @@ import pytest
 
 import qubitpair as qp
 from qubitpair.verify import band_angle_sets, random_schedule
+from oracles import hamiltonian_matrix, oracle_matrix_exp
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -32,7 +33,7 @@ class TestSu2Operator:
         for _ in range(500):
             h = qp.LocalHamiltonian(0.0, rng.normal(size=3))
             t = float(rng.uniform(-3, 3))
-            worst = max(worst, np.max(np.abs(qp.su2_operator(h, t) - qp.oracle_matrix_exp(h, t))))
+            worst = max(worst, np.max(np.abs(qp.su2_operator(h, t) - oracle_matrix_exp(h, t))))
         assert worst < 1e-10
 
     def test_unitary_and_special(self):
@@ -59,6 +60,19 @@ class TestSu2Operator:
             with pytest.raises(ValueError, match="finite"):
                 qp.LocalHamiltonian(0.0, v)
 
+    def test_hamiltonian_rejects_an_overflowing_field(self):
+        # each entry is finite but |v| is not: su2_operator(h, 0.0) came out NaN
+        with pytest.raises(ValueError, match="finite"):
+            qp.LocalHamiltonian(0.0, [1.7e308, 1.7e308, 0.0])
+
+    def test_overflowing_step_is_a_typed_refusal(self):
+        # |v| * t and h_i * t past the float range used to end in a bare "math domain error"
+        with pytest.raises(qp.StepOverflow, match=r"\|v\| \* t overflows: \|v\| = 1e\+300, "
+                                                  r"t = 10000000000.0"):
+            qp.su2_operator(qp.LocalHamiltonian(1e300, [1e300, 0, 0]), 1e10)
+        with pytest.raises(qp.StepOverflow, match=r"h_i \* t overflows: h_i = 1e\+300"):
+            qp.local_unitary(qp.LocalHamiltonian(1e300, [0, 0, 0]), 1e10)
+
     def test_scalar_part_is_excluded(self):
         h = qp.LocalHamiltonian(5.0, [0, 0, 1.0])
         hv = qp.LocalHamiltonian(0.0, [0, 0, 1.0])
@@ -66,14 +80,14 @@ class TestSu2Operator:
 
     def test_oracle_values(self):
         h = qp.LocalHamiltonian(0.0, [0, 0, 1.0])
-        u = qp.oracle_matrix_exp(h, np.pi / 2)
+        u = oracle_matrix_exp(h, np.pi / 2)
         assert np.allclose(u, -1j * np.diag([1, -1]), atol=1e-10)  # -i sigma_z
-        assert np.allclose(qp.oracle_matrix_exp(h, np.pi), -np.eye(2), atol=1e-10)
+        assert np.allclose(oracle_matrix_exp(h, np.pi), -np.eye(2), atol=1e-10)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
     def test_oracle_scalar_factor(self):
         h = qp.LocalHamiltonian(0.7, np.zeros(3))
-        assert np.allclose(qp.oracle_matrix_exp(h, 2.0, include_scalar=True),
+        assert np.allclose(oracle_matrix_exp(h, 2.0, include_scalar=True),
                            np.exp(-1.4j) * np.eye(2), atol=1e-12)
 
 
@@ -296,8 +310,7 @@ class TestSeparableState:
     @pytest.mark.parametrize("chi", SEPARABLE_BAND_CHIS)
     def test_separable_band_decomposes_off_the_canonical_phase(self, chi):
         # the parity pair's phase is free below the band: the consistency check must not refuse
-        # a unit state for it, and both backends still agree (they differ by at most
-        # 2 sin(chi/2), below chi, by the xfail below)
+        # a unit state for it, and both backends still agree
         rng = np.random.default_rng(38)
         for psi in qp.sample_fixed_concurrence(200, 32, chi):
             qp.decompose(1j * psi)
@@ -306,15 +319,23 @@ class TestSeparableState:
                                          random_schedule(rng, 10, True))
             assert qp.dynamics.backends_agree(report.max_component_deviation)
 
-    @pytest.mark.xfail(strict=True, reason="below EPS_DEGEN decompose keeps the input's phase and "
-                       "the ledger starts at 0.0, but a decomposition always has ad - bc >= 0: "
-                       "e^(i alpha) psi comes back off by up to 2 sin(chi/2) |sin alpha|, "
-                       "past 1e-10")
     @pytest.mark.parametrize("chi", SEPARABLE_BAND_CHIS)
     def test_separable_band_round_trip_off_the_canonical_phase(self, chi):
+        # below EPS_DEGEN decompose keeps the input's phase, but a decomposition always has
+        # ad - bc >= 0: the run turns the input to that phase first and books the turn
         rng = np.random.default_rng(40)
         for psi in qp.sample_fixed_concurrence(4, 41, chi):
             assert_runs_from_state_to_state(rng, 1j * psi)
+
+    def test_overflowing_schedule_is_a_typed_refusal(self):
+        psi = entangled_state(42)
+        angle = qp.Schedule([0.0], [[1e200, 0.0, 0.0]], [1e200])
+        phases = qp.Schedule([1e308, 1e308], [[0.0, 0.0, 0.0]] * 2, [1.0, 1.0])  # each finite
+        for run in (qp.evolve_separable_state, qp.evolve_full_schedule):
+            with pytest.raises(qp.StepOverflow, match=r"\|v\| = 1e\+200, t = 1e\+200"):
+                run(psi, angle, [])
+        with pytest.raises(qp.StepOverflow, match="summed phase"):
+            qp.evolve_separable_state(psi, [], phases)
 
     def test_ledger_carries_the_turn(self):
         # e^(i alpha) psi with psi canonical and |alpha| < pi/2 is turned back by -alpha
@@ -435,7 +456,9 @@ class TestComposedSchedules:
 
     @pytest.mark.parametrize("h, v, dt", [([math.nan], [[0.0, 0.0, 1.0]], [1.0]),
                                           ([0.5], [[0.0, math.inf, 1.0]], [1.0]),
-                                          ([0.5], [[0.0, 0.0, 1.0]], [-math.inf])])
+                                          ([0.5], [[0.0, 0.0, 1.0]], [-math.inf]),
+                                          # finite entries, |v| not: a dt of 0 evolved to NaN
+                                          ([0.5], [[1.7e308, 1.7e308, 0.0]], [0.0])])
     def test_schedule_refuses_non_finite_entries(self, h, v, dt):
         # a LocalHamiltonian refuses these too, so no backend ever sees them
         with pytest.raises(ValueError, match="must be finite"):
@@ -495,7 +518,7 @@ class TestAlignedHamiltonian:
     def test_x_axis_eigenvectors(self):
         h = qp.aligned_hamiltonian([1, 0, 0], 2.0)
         plus, minus = qp.aligned_eigenvectors([1, 0, 0])
-        m = h.matrix()
+        m = hamiltonian_matrix(h)
         assert np.linalg.norm(m @ plus - 2.0 * plus) < 1e-10
         assert np.linalg.norm(m @ minus + 2.0 * minus) < 1e-10
         assert np.max(np.abs(np.abs(plus) - SQ2)) < 1e-12
@@ -508,8 +531,8 @@ class TestAlignedHamiltonian:
             e = float(rng.uniform(0.1, 3.0))
             h = qp.aligned_hamiltonian(d, e)
             plus, minus = qp.aligned_eigenvectors(d)
-            assert np.linalg.norm(h.matrix() @ plus - e * plus) < 1e-10
-            assert np.linalg.norm(h.matrix() @ minus + e * minus) < 1e-10
+            assert np.linalg.norm(hamiltonian_matrix(h) @ plus - e * plus) < 1e-10
+            assert np.linalg.norm(hamiltonian_matrix(h) @ minus + e * minus) < 1e-10
             # the minus spinor is the parity image of the plus spinor
             assert np.max(np.abs(minus - qp.parity(plus))) < 1e-12
 
@@ -529,11 +552,29 @@ class TestAlignedHamiltonian:
         with pytest.raises(ValueError):
             qp.aligned_hamiltonian([0, 0, 1], 0.0)
 
-    def test_eigenpair_check_refuses_swapped_eigenspinors(self, monkeypatch):
+    @pytest.mark.parametrize("energy", [1.0, 1e6, 1e308])
+    def test_eigenpair_check_refuses_swapped_eigenspinors(self, monkeypatch, energy):
         real = qp.dynamics._eigenspinors
         monkeypatch.setattr(qp.dynamics, "_eigenspinors", lambda *axis: real(*axis)[::-1])
         with pytest.raises(qp.ConsistencyError, match="not eigenvectors"):
-            qp.aligned_hamiltonian([0.36, 0.48, 0.8], 1.0)
+            qp.aligned_hamiltonian([0.36, 0.48, 0.8], energy)
+
+    @pytest.mark.parametrize("energy", [1e6, 1e308])
+    def test_eigenpair_check_refuses_a_nearby_spinor(self, monkeypatch, energy):
+        # a plus spinor off by 1e-9 leaves a residual of 1e-9 * energy, past 1e-10 * energy
+        real = qp.dynamics._eigenspinors
+
+        def nearby(*axis):
+            (u, l), minus = real(*axis)
+            u += 1e-9j * abs(u)
+            norm = math.hypot(abs(u), abs(l))
+            return (u / norm, l / norm), minus
+
+        monkeypatch.setattr(qp.dynamics, "_eigenspinors", nearby)
+        with pytest.raises(qp.ConsistencyError, match="not eigenvectors"):
+            qp.aligned_hamiltonian([0.36, 0.48, 0.8], energy)
+        monkeypatch.undo()
+        qp.aligned_hamiltonian([0.36, 0.48, 0.8], energy)
 
 
 def ref_drift_gammas(psi, qubit, energy, t_grid):
@@ -649,6 +690,12 @@ class TestRecurrenceDrift:
             slope, residual = qp.recurrence_drift(psi, 1 + seed % 2, energy, grid)
             assert residual < 1e-8
             assert abs(abs(slope) - 2 * energy) < 1e-6
+
+    def test_large_energy_drifts_at_minus_two_e(self):
+        # the eigenpair check scales with the energy: at 1e6 its rounding used to fail an
+        # absolute 1e-10 and raise ConsistencyError
+        slope, _ = qp.recurrence_drift(entangled_state(200), 1, 1e6, np.linspace(0, 1e-6, 5))
+        assert slope == pytest.approx(-2e6, rel=1e-9)
 
     def test_drift_sign_convention(self):
         # rotating about the qubit's own axis with positive energy lowers

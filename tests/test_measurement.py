@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitpair as qp
+from oracles import oracle_matrix_exp, oracle_partial_trace
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -147,30 +148,18 @@ class TestSamplers:
             assert corpus.shape == (0, 4)
             assert corpus.dtype == np.complex128
 
-    def test_sample_spec_dispatch(self):
-        spec = qp.SampleSpec(count=5, seed=1)
-        assert np.array_equal(qp.sample_states(spec), qp.sample_haar(5, 1))
-        spec = qp.SampleSpec(count=5, seed=1, fixed_chi=0.3)
-        assert np.array_equal(qp.sample_states(spec), qp.sample_fixed_concurrence(5, 1, 0.3))
-
-    def test_sample_spec_validation(self):
-        with pytest.raises(ValueError):
-            qp.SampleSpec(count=0, seed=1)
-        with pytest.raises(ValueError):
-            qp.SampleSpec(count=1, seed=1, fixed_chi=2.0)
-
 
 class TestOracles:
     def test_partial_trace_known_states(self):
-        assert np.allclose(qp.oracle_partial_trace([1, 0, 0, 0], 1), [[1, 0], [0, 0]])
-        assert np.allclose(qp.oracle_partial_trace(SINGLET, 2), np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(oracle_partial_trace([1, 0, 0, 0], 1), [[1, 0], [0, 0]])
+        assert np.allclose(oracle_partial_trace(SINGLET, 2), np.eye(2) / 2, atol=1e-12)
 
     def test_partial_trace_matches_closed_form(self):
         for psi in qp.sample_haar(500, 15):
             for qubit in (1, 2):
-                assert np.max(np.abs(qp.oracle_partial_trace(psi, qubit)
+                assert np.max(np.abs(oracle_partial_trace(psi, qubit)
                                      - qp.reduced_density(psi, qubit))) < 1e-12
 
     def test_matrix_exp_identity_for_zero_field(self):
         h = qp.LocalHamiltonian(0.0, np.zeros(3))
-        assert np.allclose(qp.oracle_matrix_exp(h, 1.7), np.eye(2), atol=1e-12)
+        assert np.allclose(oracle_matrix_exp(h, 1.7), np.eye(2), atol=1e-12)
