@@ -2,10 +2,11 @@
 
 Times the public evolve_full_schedule and evolve_separable_state calls,
 both from the state to the state, on one seeded piecewise-constant
-schedule pair (monotonic clock, median across trials).  End states are
-compared exactly, ledger phase applied, so the timings describe equivalent
-computations.  The speedup is informational: on 2x2 operands, constant
-per-call overheads can dominate.
+Schedule pair, the input form ``evolve`` reads from its files (monotonic
+clock, median across trials).  End states are compared exactly, ledger
+phase applied, so the timings describe equivalent computations.  The
+speedup is informational: on 2x2 operands, constant per-call overheads
+can dominate.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import time
 
 import numpy as np
 
-from .dynamics import (LocalHamiltonian, backends_agree, evolve_full_schedule,
-                       evolve_separable_state)
+from .dynamics import Schedule, backends_agree, evolve_full_schedule, evolve_separable_state
 from .measurement import sample_haar
 
 LOW_CONFIDENCE_STEPS = 1000
@@ -37,12 +37,12 @@ class BenchReport:
         return dataclasses.asdict(self)
 
 
-def _make_schedule(rng: np.random.Generator, steps: int):
-    """Two (LocalHamiltonian, dt) schedules; step k of both shares one dt."""
-    draws = [(LocalHamiltonian(float(rng.normal()), rng.normal(size=3)),
-              LocalHamiltonian(float(rng.normal()), rng.normal(size=3)),
-              float(rng.uniform(0.01, 0.1))) for _ in range(steps)]
-    return [(h1, dt) for h1, _, dt in draws], [(h2, dt) for _, h2, dt in draws]
+def _make_schedule(rng: np.random.Generator, steps: int) -> tuple[Schedule, Schedule]:
+    """Two Schedules drawn per step as h1, v1, h2, v2 and the one dt step k of both shares."""
+    rows = np.array([(rng.normal(), *rng.normal(size=3), rng.normal(), *rng.normal(size=3),
+                      rng.uniform(0.01, 0.1)) for _ in range(steps)]).reshape(-1, 9)
+    return (Schedule(rows[:, 0], rows[:, 1:4], rows[:, 8]),
+            Schedule(rows[:, 4], rows[:, 5:8], rows[:, 8]))
 
 
 def run_benchmark(steps: int, trials: int, seed: int) -> BenchReport:

@@ -101,8 +101,11 @@ class Schedule:
                              f"got shapes {h.shape}, {v.shape}, {dt.shape}")
         with np.errstate(over="ignore"):  # a |v| past the float range fails the check below
             speed = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
-        if not all(np.isfinite(a).all() for a in (h, speed, dt)):
-            raise ValueError("schedule entries and each |v| must be finite")
+        bad = ~(np.isfinite(h) & np.isfinite(speed) & np.isfinite(dt))
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"schedule entries and each |v| must be finite: step {k} has "
+                             f"h = {float(h[k])!r}, v = {v[k].tolist()!r}, dt = {float(dt[k])!r}")
         for name, a in zip(("h", "v", "dt"), arrays):
             a.flags.writeable = False  # so the checks above hold for the object's whole life
             object.__setattr__(self, name, a)
@@ -199,7 +202,7 @@ def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
 def _full_steps(psi, schedule1, schedule2):
     """Yield (a, b, c, d) after each paired step, M = [[a, b], [c, d]] going to U1 M U2^T."""
     a, b, c, d = psi
-    for step1, step2 in itertools.zip_longest(schedule1, schedule2):
+    for step1, step2 in itertools.zip_longest(as_schedule(schedule1), as_schedule(schedule2)):
         if step1 is not None:
             (p, q), (r, s) = local_unitary(*step1).tolist()
             a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
@@ -212,7 +215,8 @@ def _full_steps(psi, schedule1, schedule2):
 def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     """Run two per-qubit piecewise-constant schedules on the full state.
 
-    Schedules are Schedules or sequences of (LocalHamiltonian, duration).
+    Schedules are Schedules or sequences of (LocalHamiltonian, duration), each read
+    through as_schedule, so a non-finite duration is refused (ValueError).
     Steps are paired, one from each schedule, with no identity padding: once
     the shorter schedule has run out, the longer one's steps act alone.  The
     two qubits' unitaries commute, so the pairing does not depend on timing.
@@ -226,13 +230,10 @@ def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
 def _rotated(spinor, schedule, beta: float) -> tuple[np.ndarray, float]:
     # the spinor under the product [[A, B], [-B*, A*]] of the schedule's SU(2)
     # steps, and beta plus the steps' h_i * dt, summed in step order
-    if isinstance(schedule, Schedule):
-        v = iter(schedule.v.ravel().tolist())  # one flat list read three at a time, not S lists
-        steps = zip(schedule.h.tolist(), v, v, v, schedule.dt.tolist())
-    else:
-        steps = ((h.h_i, *h.v.tolist(), dt) for h, dt in schedule)
+    schedule = as_schedule(schedule)
+    v = iter(schedule.v.ravel().tolist())  # one flat list read three at a time, not S lists
     big_a, big_b = 1 + 0j, 0j
-    for h_i, x, y, z, t in steps:
+    for h_i, x, y, z, t in zip(schedule.h.tolist(), v, v, v, schedule.dt.tolist()):
         a, b = _cayley_klein(x, y, z, t)
         big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
         beta += h_i * t

@@ -186,6 +186,9 @@ def _direction(x: float, y: float, z: float) -> tuple[complex, complex]:
         raise ValueError("the zero vector has no direction")
     if r > 1e300:  # r + |z| may overflow; halving every term leaves each quotient below as it was
         x, y, z, r = 0.5 * x, 0.5 * y, 0.5 * z, 0.5 * r
+    elif r < 2.0 ** -900:  # subnormal terms round in r, r + |z| and k; 2**600 lifts each exactly
+        x, y, z = x * 2.0 ** 600, y * 2.0 ** 600, z * 2.0 ** 600
+        r = math.hypot(x, y, z)
     if z >= 0.0:
         k = math.hypot(r + z, x, y)
         return complex((r + z) / k), complex(x / k, y / k)
@@ -484,6 +487,10 @@ def decompose(psi) -> SpinorDecomposition:
     pins qubit 2's direction *and* the remaining phase in one
     well-conditioned step: the state's overlap with spinor1 x spinor2 is
     real and positive, so reconstruct() returns the turned input exactly.
+    Below the band (0 < chi < EPS_DEGEN) the phase of ad - bc is gamma,
+    which is not carried: every decomposition rebuilds ad - bc >= 0, so
+    reconstruct() can miss the input, fix_global_phase's included, by up
+    to 2 sin(chi/2), the representation's floor.
     """
     return _decomposed(as_state(psi).tolist())[0]
 

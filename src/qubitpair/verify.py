@@ -51,14 +51,11 @@ def _circ(a: float, b: float) -> float:
     return abs(states.wrap_angle(a - b))
 
 
-def random_hamiltonian(rng: np.random.Generator, scalar: bool) -> dynamics.LocalHamiltonian:
-    h_i = float(rng.normal()) if scalar else 0.0
-    return dynamics.LocalHamiltonian(h_i, rng.normal(size=3))
-
-
-def random_schedule(rng: np.random.Generator, steps: int, scalar: bool):
-    return [(random_hamiltonian(rng, scalar), float(rng.uniform(0.01, 0.3)))
-            for _ in range(steps)]
+def random_schedule(rng: np.random.Generator, steps: int, scalar: bool) -> dynamics.Schedule:
+    """Drawn per step in this order: h_i (if scalar, else 0.0), v and dt."""
+    rows = np.array([(rng.normal() if scalar else 0.0, *rng.normal(size=3), rng.uniform(0.01, 0.3))
+                     for _ in range(steps)]).reshape(-1, 5)
+    return dynamics.Schedule(rows[:, 0], rows[:, 1:4], rows[:, 4])
 
 
 # ---------------------------------------------------------------- roundtrip
@@ -154,7 +151,7 @@ def dynamics_suite(trials: int, seed: int) -> list[PropertyResult]:
 
     worst = 0.0
     for _ in range(trials):
-        h = random_hamiltonian(rng, scalar=False)
+        h = dynamics.LocalHamiltonian(0.0, rng.normal(size=3))
         t = float(rng.uniform(-2, 2))
         s = measurement.sample_haar(1, int(rng.integers(2 ** 63)))[0][:2]
         s /= np.linalg.norm(s)

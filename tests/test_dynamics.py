@@ -139,7 +139,7 @@ class TestFullBackend:
     @pytest.mark.parametrize("lengths", [(0, 0), (1, 0), (0, 3), (7, 3), (3, 7)])
     def test_matches_per_step_kron_reference(self, lengths):
         rng = np.random.default_rng(40 + 10 * lengths[0] + lengths[1])
-        lists = [random_schedule(rng, n, True) for n in lengths]
+        lists = [list(random_schedule(rng, n, True)) for n in lengths]
         psi = entangled_state(41)
         expected = kron_steps(psi, *lists)
         final = expected[-1] if expected else psi
@@ -163,7 +163,7 @@ class TestFullBackend:
         monkeypatch.setattr(qp.dynamics, "local_unitary",
                             lambda h, t: calls.append(t) or unitary(h, t))
         rng = np.random.default_rng(43)
-        schedule1, schedule2 = random_schedule(rng, 3, True), random_schedule(rng, 2, True)
+        schedule1, schedule2 = (list(random_schedule(rng, n, True)) for n in (3, 2))
         psi = entangled_state(44)
         qp.evolve_full_schedule(psi, schedule1, schedule2)
         assert sorted(calls) == sorted(dt for _, dt in schedule1 + schedule2)
@@ -359,7 +359,7 @@ class TestComposedSchedules:
     @pytest.mark.parametrize("steps", [0, 1, 10, 2000])
     def test_composition_matches_per_step_product(self, steps):
         rng = np.random.default_rng(100 + steps)
-        schedules = [random_schedule(rng, steps, True) for _ in range(2)]
+        schedules = [list(random_schedule(rng, steps, True)) for _ in range(2)]
         if steps:
             schedules[0][steps // 2] = (qp.ZERO_HAMILTONIAN, 0.4)
             schedules[1][-1] = (qp.LocalHamiltonian(0.0, [1e200, 1e200, 0.0]), 1e-200)
@@ -376,7 +376,7 @@ class TestComposedSchedules:
 
     def test_list_and_schedule_inputs_agree_bit_for_bit(self):
         rng = np.random.default_rng(23)
-        lists = [random_schedule(rng, 50, True), random_schedule(rng, 7, True)]
+        lists = [list(random_schedule(rng, 50, True)), list(random_schedule(rng, 7, True))]
         stacked = [qp.as_schedule(s) for s in lists]
         assert [len(s) for s in stacked] == [50, 7]
         assert qp.as_schedule(stacked[0]) is stacked[0]
@@ -421,7 +421,7 @@ class TestComposedSchedules:
 
     def test_schedule_iterates_as_its_steps(self):
         rng = np.random.default_rng(26)
-        steps = random_schedule(rng, 5, True)
+        steps = list(random_schedule(rng, 5, True))
         for (h, dt), (h2, dt2) in zip(steps, qp.as_schedule(steps), strict=True):
             assert h2.h_i == h.h_i and np.array_equal(h2.v, h.v) and dt2 == dt
 
@@ -463,6 +463,34 @@ class TestComposedSchedules:
         # a LocalHamiltonian refuses these too, so no backend ever sees them
         with pytest.raises(ValueError, match="must be finite"):
             qp.Schedule(h, v, dt)
+
+    @pytest.mark.parametrize("h, v, dt, named", [
+        ([0.5, 0.5, 0.5], [[0.0, 0.0, 1.0]] * 3, [0.25, math.nan, math.inf],
+         "step 1 has h = 0.5, v = [0.0, 0.0, 1.0], dt = nan"),
+        ([0.5, -math.inf, math.nan], [[0.0, 0.0, 1.0]] * 3, [0.25] * 3,
+         "step 1 has h = -inf, v = [0.0, 0.0, 1.0], dt = 0.25"),
+        ([0.5, 0.5], [[0.0, 0.0, 1.0], [1.7e308, 1.7e308, 0.0]], [0.25, 0.0],
+         "step 1 has h = 0.5, v = [1.7e+308, 1.7e+308, 0.0], dt = 0.0"),
+        ([0.5], [[0.0, 0.0, 1.0]], [-math.inf],
+         "step 0 has h = 0.5, v = [0.0, 0.0, 1.0], dt = -inf")])
+    def test_schedule_refusal_names_the_first_bad_step(self, h, v, dt, named):
+        with pytest.raises(ValueError, match="must be finite") as refusal:
+            qp.Schedule(h, v, dt)
+        assert named in str(refusal.value)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_list_step_with_non_finite_dt_is_refused(self, dt):
+        # each backend reads a list through as_schedule, so Schedule's finiteness rule refuses
+        # the step, where a NaN dt would run through the full backend into NaN amplitudes
+        psi = entangled_state(45)
+        h = qp.LocalHamiltonian(0.3, [0.1, -0.2, 0.5])
+        good, bad = [(h, 0.1)] * 3, [(h, 0.1), (h, 0.2), (h, dt)]
+        for schedules in ((bad, good), (good, bad)):
+            for run in (qp.evolve_full_schedule, qp.evolve_separable_state, qp.compare_backends):
+                with pytest.raises(ValueError, match=f"step 2 has .* dt = {dt!r}"):
+                    run(psi, *schedules)
+        with pytest.raises(ValueError, match=f"step 0 has .* dt = {dt!r}"):
+            qp.evolve_full(psi, h, h, dt)
 
     def test_su2_operator_is_the_closed_form(self):
         rng = np.random.default_rng(27)

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qubitpair as qp
@@ -123,10 +123,12 @@ def test_compound_rotation_check(psi, energy1, energy2, t, same_handed):
 
 @SWEEP
 @given(VECTORS)
+@example((5e-324, 0.0, 0.0))
 def test_vector_angles_and_spinors(n):
     assert_finite_or_refused(lambda: qp.spherical_angles(n))
-    if any(n):  # the zero vector has no direction at any scale
+    if any(n):  # the zero vector has no direction at any scale, every other one a unit spinor
         assert_finite_or_refused(lambda: qp.bloch_direction_spinor(n))
+        assert abs(np.linalg.norm(qp.bloch_direction_spinor(n)) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("n", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])

@@ -77,6 +77,27 @@ def test_full_backend_composes_nothing():
     assert not shared, f"_full_steps calls {sorted(shared)}"
 
 
+def test_backends_read_one_schedule_form():
+    # each backend takes its schedules through as_schedule, so _rotated reads Schedule arrays
+    # alone and a list meets the Schedule's finiteness rule on both sides
+    for name in ("_full_steps", "_rotated"):
+        function = _function("dynamics.py", name)
+        called = {getattr(node.func, "id", None) for node in ast.walk(function)
+                  if isinstance(node, ast.Call)}
+        assert "as_schedule" in called, f"{name} does not call as_schedule"
+    rotated = _function("dynamics.py", "_rotated")
+    found = [node.lineno for node in ast.walk(rotated)
+             if (isinstance(node, ast.Name) and node.id == "isinstance")
+             or (isinstance(node, ast.Attribute) and node.attr == "h_i")]
+    assert not found, f"_rotated branches on its input's type or reads h_i at lines {found}"
+
+
+def test_samplers_draw_schedules_without_hamiltonians():
+    # verify and bench draw Schedule arrays, the form the evolve command reads from its files
+    for module, name in (("verify.py", "random_schedule"), ("bench.py", "_make_schedule")):
+        assert "LocalHamiltonian" not in _calls(module, name), f"{module}:{name} builds one"
+
+
 def _calls(module, name):
     # every name called in the function and in the module functions it calls, transitively
     tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))

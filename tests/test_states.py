@@ -188,6 +188,16 @@ class TestSpinors:
         small = qp.bloch_direction_spinor(np.array(n) / 1e308)
         assert np.max(np.abs(qp.bloch_direction_spinor(n) - small)) < 1e-15
 
+    @pytest.mark.parametrize("n", [(5e-324, 0.0, 0.0), (3e-320, 0.0, 3e-320),
+                                   (-5e-324, 5e-324, -5e-324)])
+    def test_direction_spinor_of_a_subnormal_vector(self, n):
+        # subnormal terms rounded in r + |z| and k: +x came out as (1, 1), of norm sqrt(2)
+        s = qp.bloch_direction_spinor(n)
+        scaled = np.array(n) * 2.0 ** 1000  # exact, and far from the subnormals
+        assert abs(np.linalg.norm(s) - 1.0) < 1e-15
+        assert np.max(np.abs(s - qp.bloch_direction_spinor(scaled))) < 1e-15
+        assert np.max(np.abs(qp.spinor_bloch_vector(s) - scaled / np.linalg.norm(scaled))) < 1e-15
+
 
 class TestAngleConversions:
     def test_forward_map_trivial(self):
@@ -387,6 +397,21 @@ class TestDecomposition:
     def test_rejects_unnormalized_input(self):
         with pytest.raises(ValueError):
             qp.decompose([1, 0, 0, 1])
+
+    @pytest.mark.parametrize("chi", [1e-11, 1e-10, 5e-10, pytest.param(
+        math.nextafter(qp.EPS_DEGEN, 0.0), marks=pytest.mark.xfail(strict=True, reason=(
+            "at the band edge fix_global_phase and decompose can take the band test on opposite "
+            "sides of rounding, and decompose then turns the fixed state by a whole phase")))])
+    def test_round_trip_below_the_band_misses_by_at_most_the_floor(self, chi):
+        # below EPS_DEGEN a decomposition does not carry gamma, the determinant's phase: it
+        # rebuilds ad - bc >= 0, so a phase-fixed separable state comes back within
+        # 2 sin(chi/2) of itself, and that floor is reached
+        rng = np.random.default_rng(73)
+        floor, worst = 2.0 * math.sin(chi / 2.0), 0.0
+        for x in qp.sample_fixed_concurrence(300, 32, chi):
+            psi = qp.fix_global_phase(np.exp(1j * rng.uniform(-np.pi, np.pi)) * x)
+            worst = max(worst, float(np.max(np.abs(qp.reconstruct(qp.decompose(psi)) - psi))))
+        assert 0.9 * floor < worst <= floor
 
 
 class TestUnitCoercion:

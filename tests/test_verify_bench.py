@@ -1,7 +1,41 @@
+import numpy as np
 import pytest
 
-from qubitpair.bench import run_benchmark
-from qubitpair.verify import SUITES, run_suite
+import qubitpair as qp
+from qubitpair.bench import _make_schedule, run_benchmark
+from qubitpair.verify import SUITES, random_schedule, run_suite
+
+
+def assert_same_schedule(got, expected):
+    assert type(got) is qp.Schedule
+    for name in ("h", "v", "dt"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 10])
+@pytest.mark.parametrize("scalar", [True, False])
+def test_verify_schedule_keeps_its_draw_order(steps, scalar):
+    # per step: h_i (drawn only if scalar), v, then dt, one checked Hamiltonian per step
+    rng = np.random.default_rng(61 + steps)
+    expected = []
+    for _ in range(steps):
+        h_i = float(rng.normal()) if scalar else 0.0
+        expected.append((qp.LocalHamiltonian(h_i, rng.normal(size=3)),
+                         float(rng.uniform(0.01, 0.3))))
+    got = random_schedule(np.random.default_rng(61 + steps), steps, scalar)
+    assert_same_schedule(got, qp.as_schedule(expected))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 10])
+def test_bench_schedules_keep_their_draw_order(steps):
+    # per step: h1, v1, h2, v2, then the dt both qubits share
+    rng = np.random.default_rng(71 + steps)
+    draws = [(qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3)),
+              qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3)),
+              float(rng.uniform(0.01, 0.1))) for _ in range(steps)]
+    got = _make_schedule(np.random.default_rng(71 + steps), steps)
+    assert_same_schedule(got[0], qp.as_schedule([(h1, dt) for h1, _, dt in draws]))
+    assert_same_schedule(got[1], qp.as_schedule([(h2, dt) for _, h2, dt in draws]))
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
