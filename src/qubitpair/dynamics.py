@@ -23,7 +23,6 @@ import numpy as np
 
 from .states import (
     EPS_DEGEN,
-    AngleSet,
     ConsistencyError,
     MaximalEntanglement,
     SeparableGamma,
@@ -152,17 +151,15 @@ class PhaseLedger:
 
 @dataclasses.dataclass
 class EvolutionReport:
-    """Side-by-side result of both backends for one schedule pair.
-
-    max_component_deviation is the plain infinity norm of the amplitude
-    difference; no phase alignment is applied, since the ledger already
+    """Both backends' end states for one state and schedule pair: evolve_full_schedule's and
+    evolve_separable_state's amplitudes.  max_component_deviation is the plain infinity
+    norm of their difference; no phase alignment is applied, since the ledger already
     restores the exact global phase, decompose's turn included.
     """
 
     final_state_full: np.ndarray
     final_state_separable: np.ndarray
     max_component_deviation: float
-    angle_traces: list[AngleSet | None] | None = None
 
 
 def _cayley_klein(x: float, y: float, z: float, t: float) -> tuple[complex, complex]:
@@ -199,9 +196,9 @@ def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
     return s, ledger.advanced(qubit, beta)
 
 
-def _full_steps(psi, schedule1, schedule2):
-    """Yield (a, b, c, d) after each paired step, M = [[a, b], [c, d]] going to U1 M U2^T."""
-    a, b, c, d = psi
+def _full_steps(psi, schedule1, schedule2) -> np.ndarray:
+    """The amplitudes after all paired steps, each taking M = [[a, b], [c, d]] to U1 M U2^T."""
+    a, b, c, d = as_state(psi).tolist()
     for step1, step2 in itertools.zip_longest(as_schedule(schedule1), as_schedule(schedule2)):
         if step1 is not None:
             (p, q), (r, s) = local_unitary(*step1).tolist()
@@ -209,22 +206,20 @@ def _full_steps(psi, schedule1, schedule2):
         if step2 is not None:
             (p, q), (r, s) = local_unitary(*step2).tolist()
             a, b, c, d = a * p + b * q, a * r + b * s, c * p + d * q, c * r + d * s
-        yield a, b, c, d
+    return np.array((a, b, c, d))
 
 
 def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     """Run two per-qubit piecewise-constant schedules on the full state.
 
-    Schedules are Schedules or sequences of (LocalHamiltonian, duration), each read
-    through as_schedule, so a non-finite duration is refused (ValueError).
+    psi must be a unit 4-vector, as evolve_separable_state requires (ValueError otherwise,
+    NaN and inf included).  Schedules are Schedules or sequences of (LocalHamiltonian,
+    duration), each read through as_schedule, so a non-finite duration is refused (ValueError).
     Steps are paired, one from each schedule, with no identity padding: once
     the shorter schedule has run out, the longer one's steps act alone.  The
     two qubits' unitaries commute, so the pairing does not depend on timing.
     """
-    final = _values(psi, 4)
-    for final in _full_steps(final, schedule1, schedule2):
-        pass
-    return np.array(final)
+    return _full_steps(psi, schedule1, schedule2)
 
 
 def _rotated(spinor, schedule, beta: float) -> tuple[np.ndarray, float]:
@@ -267,7 +262,7 @@ def evolve_full(psi, h1: LocalHamiltonian, h2: LocalHamiltonian, t: float) -> np
 
     Scalar parts included, so this is the ground-truth backend.
     """
-    return np.array(next(_full_steps(_values(psi, 4), [(h1, t)], [(h2, t)])))
+    return _full_steps(psi, [(h1, t)], [(h2, t)])
 
 
 def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
@@ -277,33 +272,12 @@ def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
     return evolve_separable_schedule(d, ledger, [(h1, t)], [(h2, t)])
 
 
-def _trace_angles(amps) -> AngleSet | None:
-    try:
-        return AngleSet(*_angles(amps))
-    except SeparableGamma as exc:
-        return exc.angles
-    except MaximalEntanglement:
-        return None
-
-
-def compare_backends(psi, schedule1, schedule2, trace: bool = False) -> EvolutionReport:
-    """Evolve on both backends and report the raw deviation.
-
-    The full state steps through the paired schedules (see
-    evolve_full_schedule), the separable side is evolve_separable_state;
-    with trace=True the full state's six angles are recorded after every
-    step, entries None where undefined.
-    """
-    psi = as_state(psi)
-    full = psi.tolist()
-    traces: list[AngleSet | None] | None = [] if trace else None
-    for full in _full_steps(full, schedule1, schedule2):
-        if traces is not None:
-            traces.append(_trace_angles(full))
-    full = np.array(full)
+def compare_backends(psi, schedule1, schedule2) -> EvolutionReport:
+    """Evolve psi on both backends, evolve_full_schedule's run and evolve_separable_state's,
+    and report the raw deviation; psi must be a unit 4-vector (ValueError otherwise)."""
+    full = _full_steps(psi, schedule1, schedule2)
     separable = evolve_separable_state(psi, schedule1, schedule2)[2]
-    deviation = float(np.max(np.abs(full - separable)))
-    return EvolutionReport(full, separable, deviation, traces)
+    return EvolutionReport(full, separable, float(np.max(np.abs(full - separable))))
 
 
 def _eigenspinors(x: float, y: float, z: float) -> tuple[tuple[complex, complex], ...]:

@@ -243,7 +243,9 @@ def _canonical_phase(amps) -> list[complex]:
     if _entangled(_chi(amps, _bloch(amps, 1))):
         return _det_fixed(amps)[0]
     turn = cmath.rect(1.0, -cmath.phase(max(amps, key=abs)))
-    return [turn * v for v in amps]
+    out = [turn * v for v in amps]
+    # the output's rounding can cross the band edge, so decompose's band test is taken on it too
+    return _det_fixed(out)[0] if _entangled(_chi(out, _bloch(out, 1))) else out
 
 
 def fix_global_phase(psi) -> np.ndarray:

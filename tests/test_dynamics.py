@@ -145,14 +145,8 @@ class TestFullBackend:
         final = expected[-1] if expected else psi
         for schedules in (lists, [qp.as_schedule(s) for s in lists]):
             assert np.max(np.abs(qp.evolve_full_schedule(psi, *schedules) - final)) <= 1e-13
-            report = qp.compare_backends(psi, *schedules, trace=True)
+            report = qp.compare_backends(psi, *schedules)
             assert np.max(np.abs(report.final_state_full - final)) <= 1e-13
-            # one angle record after every paired step
-            assert len(report.angle_traces) == len(expected)
-            for got, state in zip(report.angle_traces, expected):
-                ref = qp.angles_from_state(state)
-                assert max(abs(qp.wrap_angle(getattr(got, f) - getattr(ref, f)))
-                           for f in ("chi", "theta1", "phi1", "theta2", "phi2", "gamma")) < 1e-10
         for k, state in enumerate(expected, 1):
             prefixes = [s[:k] for s in lists]
             assert np.max(np.abs(qp.evolve_full_schedule(psi, *prefixes) - state)) <= 1e-13
@@ -170,6 +164,16 @@ class TestFullBackend:
         calls.clear()
         qp.evolve_separable_schedule(qp.decompose(psi), qp.PhaseLedger(), schedule1, schedule2)
         assert calls == []
+
+    @pytest.mark.parametrize("psi", [[np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [0, 2, 0, 0]])
+    def test_refuses_states_the_separable_side_refuses(self, psi):
+        h = qp.LocalHamiltonian(0.4, [0.1, -0.2, 0.3])
+        for run in (lambda: qp.evolve_full_schedule(psi, [(h, 0.5)], []),
+                    lambda: qp.evolve_full(psi, h, h, 0.5),
+                    lambda: qp.compare_backends(psi, [(h, 0.5)], []),
+                    lambda: qp.evolve_separable_state(psi, [(h, 0.5)], [])):
+            with pytest.raises(ValueError, match="not normalized"):
+                run()
 
     def test_zero_hamiltonians_do_nothing(self):
         psi = entangled_state(7)
@@ -232,13 +236,11 @@ class TestSeparableBackend:
         assert abs(qp.concurrence(report.final_state_full) - c0) < 1e-12
         assert abs(qp.concurrence(report.final_state_separable) - c0) < 1e-12
 
-    def test_compare_backends_with_traces(self):
+    def test_compare_backends_agree_on_traceless_schedules(self):
         rng = np.random.default_rng(19)
         report = qp.compare_backends(entangled_state(20), random_schedule(rng, 5, False),
-                                     random_schedule(rng, 5, False), trace=True)
+                                     random_schedule(rng, 5, False))
         assert report.max_component_deviation < 1e-9
-        assert len(report.angle_traces) == 5
-        assert all(t is not None for t in report.angle_traces)
 
     def test_mismatched_schedule_lengths(self):
         rng = np.random.default_rng(21)
@@ -252,8 +254,12 @@ class TestSeparableBackend:
         d, ledger = qp.evolve_separable_schedule(qp.decompose(psi), qp.PhaseLedger(), long, short)
         separable = ledger.phase * qp.reconstruct(d)
         assert np.max(np.abs(separable - report.final_state_full)) < 1e-9
-        traced = qp.compare_backends(psi, long, short, trace=True)
-        assert len(traced.angle_traces) == 7
+        # compare_backends is the two public runs side by side, bit for bit
+        for schedules in ((long, short), (list(long), list(short))):
+            report = qp.compare_backends(psi, *schedules)
+            assert np.array_equal(report.final_state_full, qp.evolve_full_schedule(psi, *schedules))
+            assert np.array_equal(report.final_state_separable,
+                                  qp.evolve_separable_state(psi, *schedules)[2])
 
 
 # chi at both exact edges, in the band above EPS_DEGEN where the phase fix turns by a noisy

@@ -92,6 +92,26 @@ def test_backends_read_one_schedule_form():
     assert not found, f"_rotated branches on its input's type or reads h_i at lines {found}"
 
 
+def test_compare_backends_is_the_two_runs():
+    # the backends are compared as they run for every caller: one call to each whole run, no
+    # step loop of compare_backends' own, and no per-step output for an option to collect
+    # (Schedule.__iter__, the step reader, is the one generator left)
+    tree = ast.parse((SOURCE / "dynamics.py").read_text(encoding="utf-8"))
+    found = [node.lineno for function in tree.body if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function) if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    found += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.arg) and node.arg == "trace"]
+    assert not found, f"a yielding function or a trace parameter in dynamics.py at lines {found}"
+    compare = _function("dynamics.py", "compare_backends")
+    loops = [node.lineno for node in ast.walk(compare)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, f"compare_backends loops at lines {loops}"
+    called = [getattr(node.func, "id", None) for node in ast.walk(compare)
+              if isinstance(node, ast.Call)]
+    for name in ("_full_steps", "evolve_separable_state"):
+        assert called.count(name) == 1, f"compare_backends calls {name} {called.count(name)} times"
+
+
 def test_samplers_draw_schedules_without_hamiltonians():
     # verify and bench draw Schedule arrays, the form the evolve command reads from its files
     for module, name in (("verify.py", "random_schedule"), ("bench.py", "_make_schedule")):
