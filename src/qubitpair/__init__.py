@@ -16,8 +16,6 @@ from .states import (
     angles_from_state,
     as_spinor,
     as_state,
-    bloch_direction_spinor,
-    bloch_vector,
     concurrence,
     concurrence_angle,
     decompose,
@@ -26,7 +24,6 @@ from .states import (
     reconstruct,
     reconstruct_from_products,
     recurrence_sine,
-    reduced_density,
     spherical_angles,
     spinor_bloch_vector,
     spinor_from_angles,
@@ -44,7 +41,6 @@ from .dynamics import (
     PhaseLedger,
     Schedule,
     StepOverflow,
-    aligned_eigenvectors,
     aligned_hamiltonian,
     aligned_mode_coefficients,
     as_schedule,
@@ -55,7 +51,6 @@ from .dynamics import (
     evolve_separable,
     evolve_separable_schedule,
     evolve_separable_state,
-    evolve_spinor,
     local_unitary,
     recurrence_drift,
     su2_operator,

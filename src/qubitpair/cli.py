@@ -54,9 +54,14 @@ def _fail(code: str, message: str) -> int:
     return 2
 
 
+# the largest --count, --trials and --steps; scaled from smaller runs on a 2-vCPU host, a run
+# at it peaks near 1.4 GB (sample), 1 GB over ~30 min (verify) or 0.5 GB at ~25 s a trial (bench)
+COUNT_CEILING = 10**6
+
+
 def _check_count(option: str, value: int) -> None:
-    if value < 1:
-        raise fileio.ParseError(f"{option} must be at least 1, got {value}")
+    if not 1 <= value <= COUNT_CEILING:
+        raise fileio.ParseError(f"{option} must be in [1, {COUNT_CEILING}], got {value}")
 
 
 def _check_seed(value: int) -> None:
@@ -215,20 +220,24 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run seeded property suites")
     v.add_argument("--suite", choices=("roundtrip", "dynamics", "born", "appendix", "all"),
                    default="all")
-    v.add_argument("--trials", type=int, default=500)
+    v.add_argument("--trials", type=int, default=500,
+                   help=f"trials per suite, 1 to {COUNT_CEILING} (default %(default)s)")
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--out", dest="out_path", metavar="PATH")
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="time the full vs separable backends")
-    b.add_argument("--steps", type=int, default=10000)
-    b.add_argument("--trials", type=int, default=5)
+    b.add_argument("--steps", type=int, default=10000,
+                   help=f"steps per backend run, 1 to {COUNT_CEILING} (default %(default)s)")
+    b.add_argument("--trials", type=int, default=5,
+                   help=f"timed runs per backend, 1 to {COUNT_CEILING} (default %(default)s)")
     b.add_argument("--seed", type=int, default=1)
     b.add_argument("--out", dest="out_path", metavar="PATH")
     b.set_defaults(func=cmd_bench)
 
     s = sub.add_parser("sample", help="write seeded random states")
-    s.add_argument("--count", type=int, required=True)
+    s.add_argument("--count", type=int, required=True,
+                   help=f"states to write, 1 to {COUNT_CEILING}")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--fixed-chi", dest="fixed_chi", type=float)
     s.add_argument("--out", dest="out_path", metavar="PATH")

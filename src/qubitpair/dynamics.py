@@ -137,12 +137,6 @@ class PhaseLedger:
     beta1: float = 0.0
     beta2: float = 0.0
 
-    def advanced(self, qubit: int, delta: float) -> "PhaseLedger":
-        _require_qubit(qubit)
-        if qubit == 1:
-            return PhaseLedger(self.beta1 + delta, self.beta2)
-        return PhaseLedger(self.beta1, self.beta2 + delta)
-
     @property
     def phase(self) -> complex:
         """e^(-i(beta1+beta2)), as a product: two finite betas can overflow their sum."""
@@ -187,13 +181,6 @@ def local_unitary(h: LocalHamiltonian, t: float) -> np.ndarray:
     except ValueError:  # h_i * t overflowed
         raise StepOverflow(f"h_i * t overflows: h_i = {h.h_i!r}, t = {t!r}") from None
     return phase * su2_operator(h, t)
-
-
-def evolve_spinor(spinor, h: LocalHamiltonian, t: float, ledger: PhaseLedger,
-                  qubit: int) -> tuple[np.ndarray, PhaseLedger]:
-    """Rotate one local spinor and book its scalar energy into the ledger."""
-    s, beta = _rotated(spinor, [(h, t)], 0.0)
-    return s, ledger.advanced(qubit, beta)
 
 
 def _full_steps(psi, schedule1, schedule2) -> np.ndarray:
@@ -284,12 +271,6 @@ def _eigenspinors(x: float, y: float, z: float) -> tuple[tuple[complex, complex]
     # the half-angle spinor along (x, y, z) and its parity image, as Python complexes
     plus = _half_angle(*_spherical(x, y, z))
     return plus, _parity(*plus)
-
-
-def aligned_eigenvectors(direction) -> tuple[np.ndarray, np.ndarray]:
-    """Half-angle eigenspinors (psi_plus, psi_minus) of v.sigma along a unit axis."""
-    plus, minus = _eigenspinors(*np.asarray(direction, dtype=float).reshape(3).tolist())
-    return np.array(plus), np.array(minus)
 
 
 def _aligned_field(x: float, y: float, z: float, energy: float) -> tuple[float, float, float]:

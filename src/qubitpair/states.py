@@ -181,14 +181,9 @@ def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
 
 
 def _direction(x: float, y: float, z: float) -> tuple[complex, complex]:
+    # _decomposed passes qubit 1's Bloch vector of a unit state inside the band, so r = |n1| lies
+    # in [1e-9, 1] to rounding: r + |z| and k can neither overflow nor lose bits to subnormals
     r = math.hypot(x, y, z)
-    if r == 0.0:
-        raise ValueError("the zero vector has no direction")
-    if r > 1e300:  # r + |z| may overflow; halving every term leaves each quotient below as it was
-        x, y, z, r = 0.5 * x, 0.5 * y, 0.5 * z, 0.5 * r
-    elif r < 2.0 ** -900:  # subnormal terms round in r, r + |z| and k; 2**600 lifts each exactly
-        x, y, z = x * 2.0 ** 600, y * 2.0 ** 600, z * 2.0 ** 600
-        r = math.hypot(x, y, z)
     if z >= 0.0:
         k = math.hypot(r + z, x, y)
         return complex((r + z) / k), complex(x / k, y / k)
@@ -265,19 +260,6 @@ def fix_global_phase(psi) -> np.ndarray:
     return np.array(_canonical_phase(_values(psi, 4)))
 
 
-def reduced_density(psi, qubit: int) -> np.ndarray:
-    """One qubit's 2x2 density matrix, by partial trace over the other."""
-    _require_qubit(qubit)
-    p, q, w = _reduced(_values(psi, 4), qubit)
-    return np.array([[p, w], [w.conjugate(), q]])
-
-
-def bloch_vector(rho) -> np.ndarray:
-    """Bloch vector of a 2x2 density matrix, from rho = (I + n.sigma)/2."""
-    (p, w), (_, q) = np.asarray(rho, dtype=complex).tolist()
-    return np.array(_bloch_of(p.real, q.real, w))
-
-
 def state_bloch_vector(psi, qubit: int) -> np.ndarray:
     """Bloch vector of one qubit of a two-qubit state; |n| = cos(chi)."""
     _require_qubit(qubit)
@@ -294,16 +276,6 @@ def spherical_angles(n) -> tuple[float, float]:
     """(theta, phi) of a 3-vector; phi is 0 on the z-axis poles and within rounding of them,
     where hypot(x, y) <= 4u|z| (u = 2^-53), which is 4u|n| there."""
     return _spherical(*np.asarray(n, dtype=float).reshape(3).tolist())
-
-
-def bloch_direction_spinor(n) -> np.ndarray:
-    """Unit spinor pointing along a Bloch vector.
-
-    Built directly from the cartesian components (two overlapping charts,
-    picked by the sign of n_z), so it has no pole singularities.  The
-    overall phase is a fixed convention of the chart, not of (theta, phi).
-    """
-    return np.array(_direction(*np.asarray(n, dtype=float).reshape(3).tolist()))
 
 
 def spinor_from_angles(theta: float, phi: float = 0.0, alpha: float = 0.0) -> np.ndarray:

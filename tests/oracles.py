@@ -12,7 +12,8 @@ import qubitpair as qp
 
 def oracle_partial_trace(psi, qubit: int) -> np.ndarray:
     """Partial trace the slow way: build the 4x4 projector and sum the
-    traced index explicitly.  Validates the closed-form reduced_density."""
+    traced index explicitly.  Through oracle_bloch_vector it validates the
+    closed-form state_bloch_vector."""
     psi = qp.as_state(psi)
     rho4 = np.outer(psi, psi.conj())
     rho = np.zeros((2, 2), dtype=complex)
@@ -26,6 +27,16 @@ def oracle_partial_trace(psi, qubit: int) -> np.ndarray:
                 else:
                     raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
     return rho
+
+
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+
+
+def oracle_bloch_vector(psi, qubit: int) -> np.ndarray:
+    """One qubit's Bloch vector as the Pauli expectations tr(rho sigma_k) of the
+    oracle's partial trace rho."""
+    rho = oracle_partial_trace(psi, qubit)
+    return np.array([np.trace(rho @ sigma).real for sigma in PAULIS])
 
 
 def hamiltonian_matrix(h: qp.LocalHamiltonian) -> np.ndarray:

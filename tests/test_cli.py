@@ -9,7 +9,7 @@ import pytest
 
 import qubitpair as qp
 from qubitpair import fileio
-from qubitpair.cli import FORMATS, main
+from qubitpair.cli import COUNT_CEILING, FORMATS, main
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -321,6 +321,31 @@ def test_count_below_one_is_usage_error(argv, capsys):
     error = stdout_json(capsys)["error"]
     assert error["code"] == "PARSE"
     assert argv[1] in error["message"]
+
+
+@pytest.mark.parametrize("count", [COUNT_CEILING + 1, 10**13])
+@pytest.mark.parametrize("argv", [
+    ["bench", "--steps"],
+    ["bench", "--trials"],
+    ["sample", "--count"],
+    ["verify", "--trials"],
+])
+def test_count_past_the_ceiling_is_usage_error(argv, count, capsys, monkeypatch):
+    # refused before any work: a call into the work would fail the test instead of allocating
+    def no_work(*args):
+        raise AssertionError(f"work started for {argv}")
+
+    for name in ("run_benchmark", "run_suite", "sample_haar", "sample_fixed_concurrence"):
+        monkeypatch.setattr(qp.cli, name, no_work)
+    assert main([*argv, str(count)]) == 2
+    error = stdout_json(capsys)["error"]
+    assert error["code"] == "PARSE"
+    assert argv[1] in error["message"] and str(COUNT_CEILING) in error["message"]
+
+
+@pytest.mark.parametrize("option", ["--count", "--steps", "--trials"])
+def test_count_at_the_ceiling_is_accepted(option):
+    qp.cli._check_count(option, COUNT_CEILING)
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,13 @@ SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
 
 
+def eigenspinors(direction):
+    """dynamics._eigenspinors as arrays: the half-angle spinor along a unit axis and its
+    parity image."""
+    plus, minus = qp.dynamics._eigenspinors(*np.asarray(direction, dtype=float).tolist())
+    return np.array(plus), np.array(minus)
+
+
 def entangled_state(seed):
     ang = band_angle_sets(1, seed)[0]
     return qp.state_from_angles(ang)
@@ -93,10 +100,10 @@ class TestSu2Operator:
 
 class TestSpinorEvolution:
     def test_ledger_books_scalar_energy(self):
-        ledger = qp.PhaseLedger()
         h = qp.LocalHamiltonian(1.5, np.zeros(3))
-        s, ledger = qp.evolve_spinor([1, 0], h, 2.0, ledger, 1)
-        assert np.allclose(s, [1, 0], atol=1e-12)
+        d, ledger = qp.evolve_separable_schedule(qp.decompose([1, 0, 0, 0]), qp.PhaseLedger(),
+                                                 [(h, 2.0)], [])
+        assert np.allclose(d.spinor1, [1, 0], atol=1e-12)
         assert ledger.beta1 == pytest.approx(3.0, abs=1e-12)
         assert ledger.beta2 == 0.0
 
@@ -107,8 +114,10 @@ class TestSpinorEvolution:
             s = qp.as_spinor(rng.standard_normal(2) + 1j * rng.standard_normal(2),
                              normalize=True)
             h = qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3))
-            out, ledger = qp.evolve_spinor(s, h, float(rng.uniform(0, 2)), ledger, 2)
-            assert abs(np.vdot(out, out).real - 1) < 1e-12
+            d = qp.SpinorDecomposition(0.0, np.array([1, 0], dtype=complex), s)
+            d, ledger = qp.evolve_separable_schedule(d, ledger, [],
+                                                     [(h, float(rng.uniform(0, 2)))])
+            assert abs(np.vdot(d.spinor2, d.spinor2).real - 1) < 1e-12
 
     def test_singlet_quarter_turn_matches_full_backend(self):
         # rotate qubit 1 by pi about z: the full backend is the oracle for
@@ -117,8 +126,8 @@ class TestSpinorEvolution:
         h1 = qp.LocalHamiltonian(0.0, [0, 0, energy])
         expected = qp.evolve_full(SINGLET, h1, qp.ZERO_HAMILTONIAN, t)
         d = qp.decompose(SINGLET)
-        s1, ledger = qp.evolve_spinor(d.spinor1, h1, t, qp.PhaseLedger(), 1)
-        got = ledger.phase * qp.reconstruct(qp.SpinorDecomposition(d.chi, s1, d.spinor2))
+        d, ledger = qp.evolve_separable_schedule(d, qp.PhaseLedger(), [(h1, t)], [])
+        got = ledger.phase * qp.reconstruct(d)
         assert np.max(np.abs(got - expected)) < 1e-12
         assert np.max(np.abs(expected - (-1j) * np.array([0, SQ2, SQ2, 0]))) < 1e-12
 
@@ -545,13 +554,13 @@ class TestAlignedHamiltonian:
         h = qp.aligned_hamiltonian([0, 0, 1], 1.0)
         assert h.h_i == 0.0
         assert np.allclose(h.v, [0, 0, 1])
-        plus, minus = qp.aligned_eigenvectors([0, 0, 1])
+        plus, minus = eigenspinors([0, 0, 1])
         assert np.allclose(plus, [1, 0], atol=1e-12)
         assert np.allclose(np.abs(minus), [0, 1], atol=1e-12)
 
     def test_x_axis_eigenvectors(self):
         h = qp.aligned_hamiltonian([1, 0, 0], 2.0)
-        plus, minus = qp.aligned_eigenvectors([1, 0, 0])
+        plus, minus = eigenspinors([1, 0, 0])
         m = hamiltonian_matrix(h)
         assert np.linalg.norm(m @ plus - 2.0 * plus) < 1e-10
         assert np.linalg.norm(m @ minus + 2.0 * minus) < 1e-10
@@ -564,7 +573,7 @@ class TestAlignedHamiltonian:
             d /= np.linalg.norm(d)
             e = float(rng.uniform(0.1, 3.0))
             h = qp.aligned_hamiltonian(d, e)
-            plus, minus = qp.aligned_eigenvectors(d)
+            plus, minus = eigenspinors(d)
             assert np.linalg.norm(hamiltonian_matrix(h) @ plus - e * plus) < 1e-10
             assert np.linalg.norm(hamiltonian_matrix(h) @ minus + e * minus) < 1e-10
             # the minus spinor is the parity image of the plus spinor
@@ -851,7 +860,7 @@ class TestAlignedModes:
             psi = qp.state_from_angles(ang)
             coeffs, basis = qp.aligned_mode_coefficients(psi, qubit)
             n = qp.state_bloch_vector(psi, qubit)
-            plus, minus = qp.aligned_eigenvectors(n / np.linalg.norm(n))
+            plus, minus = eigenspinors(n / np.linalg.norm(n))
             modes = [(s, e) for s in (plus, minus) for e in (e0, e1)]
             rows = [np.kron(s, e) if qubit == 1 else np.kron(e, s) for s, e in modes]
             assert np.array_equal(basis, rows)

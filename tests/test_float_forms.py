@@ -163,8 +163,6 @@ def test_phase_fix_and_bloch_geometry(corpus):
             n = qp.state_bloch_vector(psi, qubit)
             assert np.max(np.abs(n - ref_bloch(psi, qubit))) < TOL
             assert angle_gap(qp.spherical_angles(n), ref_spherical(n)) < TOL
-            if np.linalg.norm(n) > EPS_DEGEN:
-                assert np.max(np.abs(qp.bloch_direction_spinor(n) - ref_direction(n))) < TOL
 
 
 def test_decompose_and_reconstruct(corpus):

@@ -9,7 +9,6 @@ import math
 import warnings
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -80,8 +79,6 @@ def test_one_step_evolution(psi, h1, h2, t):
     d, ledger = qp.decompose(psi), qp.PhaseLedger()
     assert_finite_or_refused(lambda: qp.evolve_full(psi, h1, h2, t), qp.StepOverflow)
     assert_finite_or_refused(lambda: qp.evolve_separable(d, ledger, h1, h2, t), qp.StepOverflow)
-    assert_finite_or_refused(lambda: qp.evolve_spinor(d.spinor2, h2, t, ledger, 2),
-                             qp.StepOverflow)
 
 
 @SWEEP
@@ -124,14 +121,5 @@ def test_compound_rotation_check(psi, energy1, energy2, t, same_handed):
 @SWEEP
 @given(VECTORS)
 @example((5e-324, 0.0, 0.0))
-def test_vector_angles_and_spinors(n):
+def test_vector_angles(n):
     assert_finite_or_refused(lambda: qp.spherical_angles(n))
-    if any(n):  # the zero vector has no direction at any scale, every other one a unit spinor
-        assert_finite_or_refused(lambda: qp.bloch_direction_spinor(n))
-        assert abs(np.linalg.norm(qp.bloch_direction_spinor(n)) - 1.0) < 1e-15
-
-
-@pytest.mark.parametrize("n", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
-def test_the_zero_vector_has_no_direction(n):
-    with pytest.raises(ValueError, match="zero vector"):
-        qp.bloch_direction_spinor(n)

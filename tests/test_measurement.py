@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitpair as qp
-from oracles import oracle_matrix_exp, oracle_partial_trace
+from oracles import oracle_bloch_vector, oracle_matrix_exp, oracle_partial_trace
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -157,8 +157,8 @@ class TestOracles:
     def test_partial_trace_matches_closed_form(self):
         for psi in qp.sample_haar(500, 15):
             for qubit in (1, 2):
-                assert np.max(np.abs(oracle_partial_trace(psi, qubit)
-                                     - qp.reduced_density(psi, qubit))) < 1e-12
+                assert np.max(np.abs(oracle_bloch_vector(psi, qubit)
+                                     - qp.state_bloch_vector(psi, qubit))) < 1e-12
 
     def test_matrix_exp_identity_for_zero_field(self):
         h = qp.LocalHamiltonian(0.0, np.zeros(3))

@@ -1,9 +1,11 @@
 """Rules the package source itself must keep."""
 
 import ast
+import re
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "qubitpair"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "qubitpair"
 
 
 def _nodes(match, pattern="*.py"):
@@ -191,3 +193,21 @@ def test_separable_run_is_assembled_in_dynamics_alone():
     for module in ("cli.py", "bench.py"):
         found = _nodes(names_a_part, module)
         assert not found, f"{module} names a part of the separable run: {found}"
+
+
+def test_every_public_name_has_a_caller():
+    # a name the package exports is run by another module of it, a demo or the benchmark, or
+    # shown in README.md; one that only tests call goes, and the tests move to its core
+    init = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules = [*SOURCE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    named = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in modules:
+        if path.name != "__init__.py":
+            named |= {node.id if isinstance(node, ast.Name) else node.attr
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = sorted(exported - named)
+    assert not unused, f"public names that nothing outside the tests references: {unused}"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitpair as qp
-from oracles import oracle_partial_trace
+from oracles import oracle_bloch_vector
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -69,27 +69,33 @@ class TestConcurrence:
                 np.arcsin(qp.concurrence(psi)), abs=1e-12)
 
 
-class TestReducedDensity:
+class TestStateBlochVector:
     def test_zero_state(self):
-        assert np.allclose(qp.reduced_density([1, 0, 0, 0], 1), [[1, 0], [0, 0]])
+        assert np.allclose(qp.state_bloch_vector([1, 0, 0, 0], 1), [0, 0, 1])
 
     def test_singlet_is_maximally_mixed(self):
         for qubit in (1, 2):
-            assert np.allclose(qp.reduced_density(SINGLET, qubit), np.eye(2) / 2, atol=1e-12)
+            assert np.allclose(qp.state_bloch_vector(SINGLET, qubit), 0.0, atol=1e-12)
 
     def test_matches_outer_product_oracle(self):
         for psi in haar(500, 5):
             for qubit in (1, 2):
-                assert np.max(np.abs(qp.reduced_density(psi, qubit)
-                                     - oracle_partial_trace(psi, qubit))) < 1e-12
+                assert np.max(np.abs(qp.state_bloch_vector(psi, qubit)
+                                     - oracle_bloch_vector(psi, qubit))) < 1e-12
 
     def test_rejects_bad_qubit(self):
         with pytest.raises(ValueError):
-            qp.reduced_density(SINGLET, 3)
+            qp.state_bloch_vector(SINGLET, 3)
+
+
+def bloch_of(rho):
+    """The Bloch vector of a 2x2 matrix by the package's closed form, states._bloch_of."""
+    (p, w), (_, q) = np.asarray(rho, dtype=complex).tolist()
+    return np.array(qp.states._bloch_of(p.real, q.real, w))
 
 
 def numpy_bloch_vector(rho):
-    """bloch_vector as numpy arithmetic on the matrix entries, the reference form."""
+    """bloch_of as numpy arithmetic on the matrix entries, the reference form."""
     rho = np.asarray(rho, dtype=complex)
     w = 2.0 * rho[0, 1]
     return np.array([w.real, -w.imag, float(np.real(rho[0, 0] - rho[1, 1]))])
@@ -110,7 +116,7 @@ class TestBlochVector:
             z = rng.standard_normal(12) * 10.0 ** rng.integers(-100, 100)
             rho = (z[:4] + 1j * z[4:8]).reshape(2, 2)
             spinor = z[8:10] + 1j * z[10:]
-            assert np.array_equal(qp.bloch_vector(rho), numpy_bloch_vector(rho))
+            assert np.array_equal(bloch_of(rho), numpy_bloch_vector(rho))
             assert np.array_equal(qp.spinor_bloch_vector(spinor),
                                   numpy_spinor_bloch_vector(spinor))
 
@@ -120,7 +126,7 @@ class TestBlochVector:
         ([[0.5, 0], [0, 0.5]], (0, 0, 0)),
     ])
     def test_known_matrices(self, rho, n):
-        assert np.allclose(qp.bloch_vector(np.array(rho, dtype=complex)), n, atol=1e-12)
+        assert np.allclose(bloch_of(rho), n, atol=1e-12)
 
     def test_length_is_cos_chi(self):
         for psi in haar(2000, 17):
@@ -174,31 +180,6 @@ class TestSpinors:
         assert abs(np.vdot(s, qp.parity(s))) < 1e-12
         assert np.allclose(qp.spinor_bloch_vector(qp.parity(s)),
                            -qp.spinor_bloch_vector(s), atol=1e-12)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(-0.999, 1.0), st.floats(-np.pi + 1e-9, np.pi),
-           st.floats(-np.pi + 1e-9, np.pi))
-    def test_direction_spinor_points_along_input(self, ct, phi, _unused):
-        theta = float(np.arccos(ct))
-        n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), ct])
-        s = qp.bloch_direction_spinor(n)
-        assert np.max(np.abs(qp.spinor_bloch_vector(s) - n)) < 1e-12
-
-    @pytest.mark.parametrize("n", [(0.0, 0.0, 1e308), (1e308, 0.0, 1e308), (0.0, 1e308, -1e308)])
-    def test_direction_spinor_of_a_huge_vector(self, n):
-        # r + |z| overflowed and made the spinor NaN; it is the direction's own spinor
-        small = qp.bloch_direction_spinor(np.array(n) / 1e308)
-        assert np.max(np.abs(qp.bloch_direction_spinor(n) - small)) < 1e-15
-
-    @pytest.mark.parametrize("n", [(5e-324, 0.0, 0.0), (3e-320, 0.0, 3e-320),
-                                   (-5e-324, 5e-324, -5e-324)])
-    def test_direction_spinor_of_a_subnormal_vector(self, n):
-        # subnormal terms rounded in r + |z| and k: +x came out as (1, 1), of norm sqrt(2)
-        s = qp.bloch_direction_spinor(n)
-        scaled = np.array(n) * 2.0 ** 1000  # exact, and far from the subnormals
-        assert abs(np.linalg.norm(s) - 1.0) < 1e-15
-        assert np.max(np.abs(s - qp.bloch_direction_spinor(scaled))) < 1e-15
-        assert np.max(np.abs(qp.spinor_bloch_vector(s) - scaled / np.linalg.norm(scaled))) < 1e-15
 
 
 class TestAngleConversions:
@@ -380,6 +361,34 @@ class TestDecomposition:
                 r = np.linalg.norm(n)
                 if r > 1e-9:
                     assert np.max(np.abs(qp.spinor_bloch_vector(s) - n / r)) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-0.999, 1.0), st.floats(-np.pi + 1e-9, np.pi),
+           st.floats(-np.pi + 1e-9, np.pi))
+    def test_decomposed_spinor1_points_along_qubit1(self, ct, phi, gamma):
+        # spinor1 is the direction spinor of n1/|n1|, from two charts picked by the sign of n_z
+        psi = qp.state_from_angles(qp.AngleSet(0.6, float(np.arccos(ct)), phi, 1.1, 0.3, gamma))
+        n = qp.state_bloch_vector(psi, 1)
+        n /= np.linalg.norm(n)
+        assert np.max(np.abs(qp.spinor_bloch_vector(qp.decompose(psi).spinor1) - n)) < 1e-12
+
+    def test_decomposed_spinor1_at_the_shortest_bloch_vector(self):
+        # just inside the maximal band edge |n1| is EPS_DEGEN, the shortest vector decompose
+        # turns into a direction; rounding puts some chis past the edge, where spinor1 is +z
+        chi = qp.states.HALF_PI - qp.EPS_DEGEN * (1 + 1e-7)
+        directed = 0
+        for psi in qp.sample_fixed_concurrence(2000, 113, chi):
+            d = qp.decompose(psi)
+            assert abs(np.linalg.norm(d.spinor1) - 1.0) < 1e-15
+            if d.chi > qp.states.HALF_PI - qp.EPS_DEGEN:
+                assert np.array_equal(d.spinor1, [1, 0])
+                continue
+            directed += 1
+            n = qp.state_bloch_vector(psi, 1)
+            r = np.linalg.norm(n)
+            assert r > qp.EPS_DEGEN * (1 - 1e-6)
+            assert np.max(np.abs(qp.spinor_bloch_vector(d.spinor1) - n / r)) < 1e-9
+        assert directed > 1000
 
     def test_reconstruction_paths_agree(self):
         for psi in haar(1000, 61):
