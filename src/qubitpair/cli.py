@@ -55,7 +55,8 @@ def _fail(code: str, message: str) -> int:
 
 
 # the largest --count, --trials and --steps; scaled from smaller runs on a 2-vCPU host, a run
-# at it peaks near 1.4 GB (sample), 1 GB over ~30 min (verify) or 0.5 GB at ~25 s a trial (bench)
+# at it peaks near 0.6 GB (sample: 187 MB at 300,000), 1 GB over ~30 min (verify) or 0.5 GB at
+# ~25 s a trial (bench)
 COUNT_CEILING = 10**6
 
 
@@ -186,7 +187,7 @@ def cmd_sample(args) -> int:
         raise fileio.ParseError(f"--fixed-chi out of [0, pi/2]: {args.fixed_chi!r}")
     states = (sample_haar(args.count, args.seed) if args.fixed_chi is None
               else sample_fixed_concurrence(args.count, args.seed, args.fixed_chi))
-    _emit([{"amplitudes": amps} for amps in fileio.pairs(states)], args.out_path)
+    fileio.save_state_list(args.out_path, states)
     return 0
 
 

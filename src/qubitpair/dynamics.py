@@ -1,23 +1,25 @@
 """Local Hamiltonians, per-qubit schedules and the two unitary evolution backends.
 
 A local Hamiltonian h_i*I + v.sigma acts on one qubit only.  The full backend is
-ground truth: each step takes the amplitude matrix M = [[a, b], [c, d]] to U1 M U2^T
-(no 4x4 product).  The separable backend never touches the amplitudes: it
+ground truth: it runs each qubit's schedule on its own, step by step, qubit 1's steps
+taking the amplitude matrix M = [[a, b], [c, d]] to U1 M and qubit 2's to M U2^T (no 4x4
+product).  The separable backend never touches the amplitudes: it
 composes each qubit's steps into one SU(2), rotates that spinor of the
 phase-fixed Schmidt decomposition once, keeps chi fixed (no local unitary
 can change the concurrence), and books the scalar parts as accumulated
-phases beta1, beta2 in a ledger, which evolve_separable_state starts at
+phases beta1, beta2 in a ledger, each an exact sum rounded once beside the
+remainder those roundings leave, which evolve_separable_state starts at
 the turn that brought the input to ad - bc >= 0.  So the exact full state,
-global phase included, is e^(-i(beta1+beta2)) * reconstruct(decomposition) at
-all times.  Natural units, hbar = 1; time dependence is piecewise constant.
+global phase included, is e^(-i(beta1+beta2+remainder)) * reconstruct(decomposition)
+at all times.  Natural units, hbar = 1; time dependence is piecewise constant.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -129,18 +131,22 @@ def as_schedule(schedule) -> Schedule:
 class PhaseLedger:
     """Accumulated spin-independent phases, one per qubit.
 
-    Evolving qubit i under h_i for time t adds h_i*t to beta_i; the factor
-    restoring the full global phase is ``phase``.  evolve_separable_state
-    starts beta1 at the turn it gives its input before decomposing (0.0 if none).
+    Evolving qubit i under h_i for time t adds h_i*t to beta_i: each beta_i is the exact sum
+    of its start and its steps' h_i*t, rounded once, and ``remainder`` holds what those
+    roundings leave, so ``phase``, the factor restoring the full global phase, comes from
+    exact sums at any magnitude.  evolve_separable_state starts beta1 at the turn it gives its
+    input before decomposing (0.0 if none).
     """
 
     beta1: float = 0.0
     beta2: float = 0.0
+    remainder: float = 0.0
 
     @property
     def phase(self) -> complex:
-        """e^(-i(beta1+beta2)), as a product: two finite betas can overflow their sum."""
-        return cmath.exp(-1j * self.beta1) * cmath.exp(-1j * self.beta2)
+        """e^(-i(beta1+beta2+remainder)), as a product: two finite betas can overflow their sum."""
+        return (cmath.exp(-1j * self.beta1) * cmath.exp(-1j * self.beta2)
+                * cmath.exp(-1j * self.remainder))
 
 
 @dataclasses.dataclass
@@ -183,17 +189,12 @@ def local_unitary(h: LocalHamiltonian, t: float) -> np.ndarray:
     return phase * su2_operator(h, t)
 
 
-def _full_steps(psi, schedule1, schedule2) -> np.ndarray:
-    """The amplitudes after all paired steps, each taking M = [[a, b], [c, d]] to U1 M U2^T."""
-    a, b, c, d = as_state(psi).tolist()
-    for step1, step2 in itertools.zip_longest(as_schedule(schedule1), as_schedule(schedule2)):
-        if step1 is not None:
-            (p, q), (r, s) = local_unitary(*step1).tolist()
-            a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-        if step2 is not None:
-            (p, q), (r, s) = local_unitary(*step2).tolist()
-            a, b, c, d = a * p + b * q, a * r + b * s, c * p + d * q, c * r + d * s
-    return np.array((a, b, c, d))
+def _left_steps(a, b, c, d, schedule) -> tuple[complex, complex, complex, complex]:
+    # M = [[a, b], [c, d]] taken to U M by each step's local_unitary U, in step order
+    for step in as_schedule(schedule):
+        (p, q), (r, s) = local_unitary(*step).tolist()
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return a, b, c, d
 
 
 def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
@@ -202,35 +203,47 @@ def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     psi must be a unit 4-vector, as evolve_separable_state requires (ValueError otherwise,
     NaN and inf included).  Schedules are Schedules or sequences of (LocalHamiltonian,
     duration), each read through as_schedule, so a non-finite duration is refused (ValueError).
-    Steps are paired, one from each schedule, with no identity padding: once
-    the shorter schedule has run out, the longer one's steps act alone.  The
-    two qubits' unitaries commute, so the pairing does not depend on timing.
+    The two qubits' unitaries commute, so each schedule runs on its own: qubit 1's steps take
+    the amplitude matrix M to U1 M, then qubit 2's take it to M U2^T = (U2 M^T)^T.
     """
-    return _full_steps(psi, schedule1, schedule2)
+    a, b, c, d = _left_steps(*as_state(psi).tolist(), schedule1)
+    a, c, b, d = _left_steps(a, c, b, d, schedule2)
+    return np.array((a, b, c, d))
 
 
-def _rotated(spinor, schedule, beta: float) -> tuple[np.ndarray, float]:
-    # the spinor under the product [[A, B], [-B*, A*]] of the schedule's SU(2)
-    # steps, and beta plus the steps' h_i * dt, summed in step order
-    schedule = as_schedule(schedule)
+def _rotated(spinor, schedule: Schedule) -> np.ndarray:
+    # the spinor under the product [[A, B], [-B*, A*]] of the schedule's SU(2) steps
     v = iter(schedule.v.ravel().tolist())  # one flat list read three at a time, not S lists
     big_a, big_b = 1 + 0j, 0j
-    for h_i, x, y, z, t in zip(schedule.h.tolist(), v, v, v, schedule.dt.tolist()):
+    for x, y, z, t in zip(v, v, v, schedule.dt.tolist()):
         a, b = _cayley_klein(x, y, z, t)
         big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
-        beta += h_i * t
-    if not math.isfinite(beta):
-        raise StepOverflow(f"the summed phase h_i * dt overflows: beta = {beta!r}")
     u, l = _values(spinor, 2)
-    return np.array([big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u]), beta
+    return np.array([big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u])
+
+
+def _summed_phase(schedule: Schedule, *start: float) -> tuple[float, float]:
+    # (beta, remainder): the exact sum of start and the steps' h_i * dt, as Python floats (a
+    # numpy product would warn on overflow), rounded once, and what that rounding leaves
+    terms = [*start, *map(operator.mul, schedule.h.tolist(), schedule.dt.tolist())]
+    try:
+        beta = math.fsum(terms)
+        return beta, math.fsum([*terms, -beta])
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        raise StepOverflow(f"the summed phase h_i * dt overflows: largest |term| = "
+                           f"{max(map(abs, terms))!r}") from None
 
 
 def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
                               schedule1, schedule2) -> tuple[SpinorDecomposition, PhaseLedger]:
-    """Run the same schedules on the two 2-dim spinors, each composed into one SU(2) first."""
-    s1, beta1 = _rotated(d.spinor1, schedule1, ledger.beta1)
-    s2, beta2 = _rotated(d.spinor2, schedule2, ledger.beta2)
-    return SpinorDecomposition(d.chi, s1, s2), PhaseLedger(beta1, beta2)
+    """Run the same schedules on the two 2-dim spinors, each composed into one SU(2) first,
+    and book each qubit's phases exactly; qubit 1's sum takes in the ledger's remainder."""
+    schedule1, schedule2 = as_schedule(schedule1), as_schedule(schedule2)
+    beta1, rest1 = _summed_phase(schedule1, ledger.beta1, ledger.remainder)
+    beta2, rest2 = _summed_phase(schedule2, ledger.beta2)
+    return (SpinorDecomposition(d.chi, _rotated(d.spinor1, schedule1),
+                                _rotated(d.spinor2, schedule2)),
+            PhaseLedger(beta1, beta2, rest1 + rest2))
 
 
 def evolve_separable_state(psi, schedule1,
@@ -249,7 +262,7 @@ def evolve_full(psi, h1: LocalHamiltonian, h2: LocalHamiltonian, t: float) -> np
 
     Scalar parts included, so this is the ground-truth backend.
     """
-    return _full_steps(psi, [(h1, t)], [(h2, t)])
+    return evolve_full_schedule(psi, [(h1, t)], [(h2, t)])
 
 
 def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
@@ -262,7 +275,7 @@ def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
 def compare_backends(psi, schedule1, schedule2) -> EvolutionReport:
     """Evolve psi on both backends, evolve_full_schedule's run and evolve_separable_state's,
     and report the raw deviation; psi must be a unit 4-vector (ValueError otherwise)."""
-    full = _full_steps(psi, schedule1, schedule2)
+    full = evolve_full_schedule(psi, schedule1, schedule2)
     separable = evolve_separable_state(psi, schedule1, schedule2)[2]
     return EvolutionReport(full, separable, float(np.max(np.abs(full - separable))))
 

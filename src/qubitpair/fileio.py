@@ -17,6 +17,7 @@ loading a saved file reproduces every value bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import json
@@ -228,5 +229,19 @@ def _load_schedule(path) -> tuple[int, Schedule]:
         raise ParseError(f"{path}: entry {failing - 1}: {error}") from None
 
 
+# states per dumps call: a state's lists, dict and text cost ~1.6 kB while it is written, so
+# the writer's peak stays near 7 MB whatever the count
+STATE_LIST_CHUNK = 4096
+
+
 def save_state_list(path, states) -> None:
-    write_json(path, [{"amplitudes": a} for a in pairs(np.reshape(states, (len(states), 4)))])
+    """Write a state-list file, [{"amplitudes": [[re, im] * 4]}, ...], to path, or to stdout
+    where path is None, as one dumps per STATE_LIST_CHUNK states with the brackets peeled off:
+    the bytes of one dumps of the whole list."""
+    states = np.reshape(states, (len(states), 4))
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as out:
+        out.write("[")
+        for start in range(0, len(states), STATE_LIST_CHUNK):
+            chunk = pairs(states[start:start + STATE_LIST_CHUNK])
+            out.write((", " if start else "") + dumps([{"amplitudes": a} for a in chunk])[1:-1])
+        out.write("]\n")

@@ -33,18 +33,15 @@ def band_angle_sets(count: int, seed: int, chi_lo: float = 0.05,
                     sin_floor: float = 0.05) -> list[states.AngleSet]:
     """Angle sets away from every degeneracy: chi inside [chi_lo, chi_hi]
     and both thetas at least arcsin(sin_floor) from the poles."""
-    rng = np.random.default_rng(seed)
+    # one row of six draws per set, in the order of six rng.uniform calls, each scaled as
+    # rng.uniform scales it: chi, theta1, phi1, theta2, phi2, gamma
     t_lo = float(np.arcsin(sin_floor))
-    out = []
-    for _ in range(count):
-        out.append(states.AngleSet(
-            chi=float(rng.uniform(chi_lo, chi_hi)),
-            theta1=float(rng.uniform(t_lo, np.pi - t_lo)),
-            phi1=states.wrap_angle(rng.uniform(-np.pi, np.pi)),
-            theta2=float(rng.uniform(t_lo, np.pi - t_lo)),
-            phi2=states.wrap_angle(rng.uniform(-np.pi, np.pi)),
-            gamma=states.wrap_angle(rng.uniform(-np.pi, np.pi))))
-    return out
+    low = np.array([chi_lo, t_lo, -np.pi, t_lo, -np.pi, -np.pi])
+    high = np.array([chi_hi, np.pi - t_lo, np.pi, np.pi - t_lo, np.pi, np.pi])
+    draws = low + (high - low) * np.random.default_rng(seed).random((count, 6))
+    wrap = states.wrap_angle
+    return [states.AngleSet(chi, theta1, wrap(phi1), theta2, wrap(phi2), wrap(gamma))
+            for chi, theta1, phi1, theta2, phi2, gamma in draws.tolist()]
 
 
 def _circ(a: float, b: float) -> float:

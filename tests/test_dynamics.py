@@ -160,6 +160,22 @@ class TestFullBackend:
             prefixes = [s[:k] for s in lists]
             assert np.max(np.abs(qp.evolve_full_schedule(psi, *prefixes) - state)) <= 1e-13
 
+    @pytest.mark.parametrize("lengths", [(0, 4), (5, 0), (6, 3), (2, 9)])
+    def test_runs_qubit_one_then_qubit_two_bit_for_bit(self, lengths):
+        # each schedule runs on its own: qubit 1's local_unitary steps as U M, then qubit 2's
+        # as M U^T, on Python complexes
+        rng = np.random.default_rng(45 + 10 * lengths[0] + lengths[1])
+        schedules = [random_schedule(rng, n, True) for n in lengths]
+        psi = entangled_state(46)
+        m = psi.reshape(2, 2).tolist()
+        for h, dt in schedules[0]:
+            u = qp.local_unitary(h, dt).tolist()
+            m = [[u[i][0] * m[0][j] + u[i][1] * m[1][j] for j in (0, 1)] for i in (0, 1)]
+        for h, dt in schedules[1]:
+            u = qp.local_unitary(h, dt).tolist()
+            m = [[m[i][0] * u[j][0] + m[i][1] * u[j][1] for j in (0, 1)] for i in (0, 1)]
+        assert qp.evolve_full_schedule(psi, *schedules).tolist() == [*m[0], *m[1]]
+
     def test_one_local_unitary_per_qubit_step(self, monkeypatch):
         calls = []
         unitary = qp.dynamics.local_unitary
@@ -383,11 +399,23 @@ class TestComposedSchedules:
         assert got.chi == d.chi
         assert np.max(np.abs(got.spinor1 - stepwise(d.spinor1, schedules[0]))) < 1e-13
         assert np.max(np.abs(got.spinor2 - stepwise(d.spinor2, schedules[1]))) < 1e-13
-        betas = [0.0, 0.0]
-        for k, schedule in enumerate(schedules):
-            for h, dt in schedule:
-                betas[k] += h.h_i * dt
-        assert (ledger.beta1, ledger.beta2) == tuple(betas)
+        # each beta is the exact sum of the steps' h_i * dt, rounded once; the remainder is
+        # what the two roundings leave
+        terms = [[h.h_i * dt for h, dt in schedule] for schedule in schedules]
+        betas = tuple(map(math.fsum, terms))
+        assert (ledger.beta1, ledger.beta2) == betas
+        assert ledger.remainder == sum(math.fsum([*t, -beta]) for t, beta in zip(terms, betas))
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e8])
+    def test_large_scalar_energies_keep_the_backends_together(self, scale):
+        # the ledger sums each qubit's h_i * dt exactly; summed step by step, these 2 x 2,000
+        # steps drifted 2.4e-11, 3.6e-7 and 1.5e-5 from the full backend
+        rng = np.random.default_rng(33)
+        schedules = [random_schedule(rng, 2000, True) for _ in range(2)]
+        schedules = [qp.Schedule(scale * (1.0 + 0.01 * rng.normal(size=2000)), s.v, s.dt)
+                     for s in schedules]
+        report = qp.compare_backends(entangled_state(34), *schedules)
+        assert report.max_component_deviation <= 1e-12
 
     def test_list_and_schedule_inputs_agree_bit_for_bit(self):
         rng = np.random.default_rng(23)
@@ -418,21 +446,23 @@ class TestComposedSchedules:
         assert collections_during(
             lambda: out.extend(qp.evolve_separable_schedule(d, start, *schedules))) == []
 
-        def per_row(spinor, schedule, beta):  # the composition as one list per step reads it
+        def per_row(spinor, schedule):  # the composition as one list per step reads it
             big_a, big_b = 1 + 0j, 0j
-            for h_i, (x, y, z), t in zip(schedule.h.tolist(), schedule.v.tolist(),
-                                         schedule.dt.tolist()):
+            for (x, y, z), t in zip(schedule.v.tolist(), schedule.dt.tolist()):
                 a, b = qp.dynamics._cayley_klein(x, y, z, t)
                 big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
-                beta += h_i * t
             u, l = spinor.tolist()
-            return [big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u], beta
+            return [big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u]
 
-        (s1, beta1), (s2, beta2) = (per_row(d.spinor1, schedules[0], start.beta1),
-                                    per_row(d.spinor2, schedules[1], start.beta2))
+        def beta(schedule, start):  # the exact sum, rounded once
+            return math.fsum([start, *(h * t for h, t in zip(schedule.h.tolist(),
+                                                             schedule.dt.tolist()))])
+
         got, ledger = out
-        assert got.spinor1.tolist() == s1 and got.spinor2.tolist() == s2
-        assert (ledger.beta1, ledger.beta2) == (beta1, beta2)
+        assert got.spinor1.tolist() == per_row(d.spinor1, schedules[0])
+        assert got.spinor2.tolist() == per_row(d.spinor2, schedules[1])
+        assert (ledger.beta1, ledger.beta2) == (beta(schedules[0], start.beta1),
+                                                beta(schedules[1], start.beta2))
 
     def test_schedule_iterates_as_its_steps(self):
         rng = np.random.default_rng(26)
@@ -672,19 +702,19 @@ class TestRecurrenceDrift:
             grid = grids[k % 2]
             for qubit in (1, 2):
                 expected = ref_recurrence_drift(psi, qubit, energy, grid)
-                del cores[:], closed_forms[:], views[:], unitaries[:]
+                # the reference reaches evolve_full_schedule through evolve_full
+                del cores[:], closed_forms[:], views[:], unitaries[:], schedules[:]
                 got = qp.recurrence_drift(psi, qubit, energy, grid)
                 assert got == expected and all(type(x) is float for x in got)
                 # one closed-form SU(2) per grid point, at most one extra angle core for the
                 # gate, and no public wrapper
                 assert len(closed_forms) == len(grid) <= len(cores) <= len(grid) + 1
-                assert not views and not unitaries
+                assert not views and not unitaries and not schedules
             expected = ref_compound_rotation(psi, energy, 0.7, 0.3, k % 3 == 0)
-            del cores[:], closed_forms[:], unitaries[:]
+            del cores[:], closed_forms[:], unitaries[:], schedules[:]
             assert qp.compound_rotation_check(psi, energy, 0.7, 0.3, k % 3 == 0) == expected
             # one closed-form SU(2) per qubit, the gate's angle core and the end state's
-            assert len(closed_forms) == len(cores) == 2 and not unitaries
-        assert not schedules
+            assert len(closed_forms) == len(cores) == 2 and not unitaries and not schedules
 
     def test_fit_matches_polyfit(self):
         # the closed-form line agrees with numpy's least-squares fit on the same gammas

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,31 @@ class TestStateListFiles:
         assert path.read_text() == json.dumps(reference) + "\n"
         for psi in states[-3:]:
             assert json.dumps(fileio.pairs(psi)) == json.dumps(per_element_pairs(psi))
+
+    @pytest.mark.parametrize("count", [0, fileio.STATE_LIST_CHUNK - 1, fileio.STATE_LIST_CHUNK,
+                                       fileio.STATE_LIST_CHUNK + 1])
+    def test_chunks_write_one_dumps_of_the_whole_list(self, tmp_path, capsys, count):
+        states = qp.sample_haar(count + 1, 35)[:count]
+        expected = json.dumps([{"amplitudes": fileio.pairs(s)} for s in states]) + "\n"
+        path = tmp_path / "corpus.json"
+        fileio.save_state_list(path, states)
+        assert path.read_text() == expected
+        capsys.readouterr()
+        fileio.save_state_list(None, states)
+        assert capsys.readouterr().out == expected
+
+    def test_writer_holds_one_chunk_at_a_time(self, tmp_path):
+        # the writer's peak is one chunk's lists and text, not the whole list's
+        peaks = []
+        for count in (4000, 40000):
+            states = qp.sample_haar(count, 36)
+            tracemalloc.start()
+            try:
+                fileio.save_state_list(tmp_path / "corpus.json", states)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestAngleFiles:

@@ -91,6 +91,23 @@ def test_schedule_evolution(psi, s1, s2):
     assert_finite_or_refused(lambda: qp.evolve_separable_state(psi, s1, s2), qp.StepOverflow)
 
 
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(STATES, st.floats(min_value=-1e8, max_value=1e8), st.integers(0, 2000),
+       st.integers(0, 2**32 - 1))
+def test_large_scalar_energies_keep_the_backends_together(psi, scale, length, seed):
+    # scalar energies near scale, 1% apart, on both qubits: the ledger's exact sums keep the
+    # separable run within the backends' bound of the full one
+    rng = np.random.default_rng(seed)
+    schedules = [qp.Schedule(scale * (1.0 + 0.01 * rng.normal(size=length)),
+                             rng.normal(size=(length, 3)), rng.uniform(0.01, 0.3, size=length))
+                 for _ in range(2)]
+    try:
+        report = qp.compare_backends(psi, *schedules)
+    except qp.StepOverflow:
+        return
+    assert qp.dynamics.backends_agree(report.max_component_deviation), report
+
+
 @SWEEP
 @given(st.one_of(AXES, VECTORS), ENERGIES)
 def test_aligned_hamiltonian(direction, energy):

@@ -71,18 +71,36 @@ def test_one_su2_closed_form():
 def test_full_backend_composes_nothing():
     # the full backend takes each step's operators from local_unitary and none of the
     # separable backend's arithmetic, so backend_equivalence compares two computations
-    steps = _function("dynamics.py", "_full_steps")
-    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-              for node in ast.walk(steps) if isinstance(node, ast.Call)}
-    assert "local_unitary" in called
-    shared = called & {"_cayley_klein", "_rotated"}
-    assert not shared, f"_full_steps calls {sorted(shared)}"
+    for name in ("evolve_full_schedule", "_left_steps"):
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(_function("dynamics.py", name))
+                  if isinstance(node, ast.Call)}
+        shared = called & {"_cayley_klein", "_rotated"}
+        assert not shared, f"{name} calls {sorted(shared)}"
+    assert "local_unitary" in called, "_left_steps does not call local_unitary"
+
+
+def test_full_backend_runs_each_qubit_alone():
+    # one per-qubit step loop runs both schedules, so the step update is written once, at the
+    # one local_unitary call in dynamics.py, and no step pairing is left to import itertools for
+    calls = _nodes(lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "local_unitary", "dynamics.py")
+    assert len(calls) == 1, f"local_unitary called at {calls}"
+    imports = _nodes(lambda node: (isinstance(node, ast.Import)
+                                   and any(a.name == "itertools" for a in node.names))
+                     or (isinstance(node, ast.ImportFrom) and node.module == "itertools"),
+                     "dynamics.py")
+    assert not imports, f"itertools imported in dynamics.py: {imports}"
+    full = _function("dynamics.py", "evolve_full_schedule")
+    called = [getattr(node.func, "id", None) for node in ast.walk(full)
+              if isinstance(node, ast.Call)]
+    assert called.count("_left_steps") == 2, f"evolve_full_schedule calls {called}"
 
 
 def test_backends_read_one_schedule_form():
     # each backend takes its schedules through as_schedule, so _rotated reads Schedule arrays
     # alone and a list meets the Schedule's finiteness rule on both sides
-    for name in ("_full_steps", "_rotated"):
+    for name in ("_left_steps", "evolve_separable_schedule"):
         function = _function("dynamics.py", name)
         called = {getattr(node.func, "id", None) for node in ast.walk(function)
                   if isinstance(node, ast.Call)}
@@ -110,7 +128,7 @@ def test_compare_backends_is_the_two_runs():
     assert not loops, f"compare_backends loops at lines {loops}"
     called = [getattr(node.func, "id", None) for node in ast.walk(compare)
               if isinstance(node, ast.Call)]
-    for name in ("_full_steps", "evolve_separable_state"):
+    for name in ("evolve_full_schedule", "evolve_separable_state"):
         assert called.count(name) == 1, f"compare_backends calls {name} {called.count(name)} times"
 
 
@@ -146,8 +164,9 @@ def test_dynamics_reads_angles_from_the_core():
     for name in ("recurrence_drift", "compound_rotation_check"):
         called = _calls("dynamics.py", name)
         assert {"_cayley_klein", "_contract", "_angles", "_own_axis", "_aligned_field"} <= called
-        wrappers = called & {"_full_steps", "local_unitary", "su2_operator", "aligned_hamiltonian",
-                             "state_bloch_vector", "LocalHamiltonian", "matrix", "polyfit"}
+        wrappers = called & {"evolve_full_schedule", "local_unitary", "su2_operator",
+                             "aligned_hamiltonian", "state_bloch_vector", "LocalHamiltonian",
+                             "matrix", "polyfit"}
         assert not wrappers, f"{name} calls {sorted(wrappers)}"
 
 
