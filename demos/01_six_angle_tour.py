@@ -44,7 +44,7 @@ def main():
     print("=" * 72)
     print("3. The recurrence is recovered by projection, then cross-checked")
     print("=" * 72)
-    recovered = qp.angles_from_state(psi, cross_check=True)
+    recovered = qp.angles_from_state(psi)
     print(f"  gamma in  = {angles.gamma:.12f}")
     print(f"  gamma out = {recovered.gamma:.12f}")
     print(f"  sine-quotient formula: sin(gamma) = {qp.recurrence_sine(psi):+.12f}"

@@ -21,10 +21,10 @@ from .dynamics import (DEVIATION_BOUND, backends_agree, compare_backends, evolve
                        evolve_separable_state)
 from .measurement import sample_fixed_concurrence, sample_haar
 from .states import (
-    HALF_PI,
     MaximalEntanglement,
     PoleSingularity,
     SeparableGamma,
+    _check_chi,
     angles_from_state,
     decompose,
     state_from_angles,
@@ -183,8 +183,8 @@ def cmd_bench(args) -> int:
 def cmd_sample(args) -> int:
     _check_count("--count", args.count)
     _check_seed(args.seed)
-    if args.fixed_chi is not None and not 0.0 <= args.fixed_chi <= HALF_PI:
-        raise fileio.ParseError(f"--fixed-chi out of [0, pi/2]: {args.fixed_chi!r}")
+    if args.fixed_chi is not None:
+        _check_chi(args.fixed_chi, "--fixed-chi", fileio.ParseError)
     states = (sample_haar(args.count, args.seed) if args.fixed_chi is None
               else sample_fixed_concurrence(args.count, args.seed, args.fixed_chi))
     fileio.save_state_list(args.out_path, states)

@@ -35,10 +35,10 @@ from .states import (
     _half_angle,
     _ledger_decomposed,
     _parity,
+    _read_decomposition,
     _require_qubit,
     _spherical,
-    _values,
-    as_state,
+    _unit,
     reconstruct,
     wrap_angle,
 )
@@ -175,7 +175,10 @@ def _cayley_klein(x: float, y: float, z: float, t: float) -> tuple[complex, comp
 
 
 def su2_operator(h: LocalHamiltonian, t: float) -> np.ndarray:
-    """exp(-i (v.sigma) t) as a 2x2 array; the scalar part h_i is excluded."""
+    """exp(-i (v.sigma) t) as a 2x2 array; the scalar part h_i is excluded.  t must be
+    finite (ValueError otherwise)."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got t = {t!r}")
     a, b = _cayley_klein(*h.v.tolist(), t)
     return np.array((a, b, -b.conjugate(), a.conjugate())).reshape(2, 2)
 
@@ -206,25 +209,28 @@ def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     The two qubits' unitaries commute, so each schedule runs on its own: qubit 1's steps take
     the amplitude matrix M to U1 M, then qubit 2's take it to M U2^T = (U2 M^T)^T.
     """
-    a, b, c, d = _left_steps(*as_state(psi).tolist(), schedule1)
+    a, b, c, d = _left_steps(*_unit(psi, 4), schedule1)
     a, c, b, d = _left_steps(a, c, b, d, schedule2)
     return np.array((a, b, c, d))
 
 
-def _rotated(spinor, schedule: Schedule) -> np.ndarray:
-    # the spinor under the product [[A, B], [-B*, A*]] of the schedule's SU(2) steps
+def _rotated(spinor: list[complex], schedule: Schedule) -> np.ndarray:
+    # the spinor, two complexes, under the product [[A, B], [-B*, A*]] of the schedule's steps
     v = iter(schedule.v.ravel().tolist())  # one flat list read three at a time, not S lists
     big_a, big_b = 1 + 0j, 0j
     for x, y, z, t in zip(v, v, v, schedule.dt.tolist()):
         a, b = _cayley_klein(x, y, z, t)
         big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
-    u, l = _values(spinor, 2)
+    u, l = spinor
     return np.array([big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u])
 
 
 def _summed_phase(schedule: Schedule, *start: float) -> tuple[float, float]:
-    # (beta, remainder): the exact sum of start and the steps' h_i * dt, as Python floats (a
-    # numpy product would warn on overflow), rounded once, and what that rounding leaves
+    # (beta, remainder): the exact sum of start, a ledger's finite phases, and the steps'
+    # h_i * dt, as Python floats (a numpy product would warn on overflow), rounded once, and
+    # what that rounding leaves
+    if not all(map(math.isfinite, start)):
+        raise ValueError(f"ledger phases must be finite, got {start!r}")
     terms = [*start, *map(operator.mul, schedule.h.tolist(), schedule.dt.tolist())]
     try:
         beta = math.fsum(terms)
@@ -238,11 +244,11 @@ def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
                               schedule1, schedule2) -> tuple[SpinorDecomposition, PhaseLedger]:
     """Run the same schedules on the two 2-dim spinors, each composed into one SU(2) first,
     and book each qubit's phases exactly; qubit 1's sum takes in the ledger's remainder."""
+    chi, spinor1, spinor2 = _read_decomposition(d)
     schedule1, schedule2 = as_schedule(schedule1), as_schedule(schedule2)
     beta1, rest1 = _summed_phase(schedule1, ledger.beta1, ledger.remainder)
     beta2, rest2 = _summed_phase(schedule2, ledger.beta2)
-    return (SpinorDecomposition(d.chi, _rotated(d.spinor1, schedule1),
-                                _rotated(d.spinor2, schedule2)),
+    return (SpinorDecomposition(chi, _rotated(spinor1, schedule1), _rotated(spinor2, schedule2)),
             PhaseLedger(beta1, beta2, rest1 + rest2))
 
 
@@ -252,7 +258,7 @@ def evolve_separable_state(psi, schedule1,
     beta1 starting at decompose's turn of psi (exactly 0.0 if none; below chi = EPS_DEGEN, at a
     turn to ad - bc >= 0 taken first); the amplitudes, ledger.phase * reconstruct(decomposition),
     carry psi's global phase."""
-    d, turn = _ledger_decomposed(as_state(psi).tolist())
+    d, turn = _ledger_decomposed(_unit(psi, 4))
     d, ledger = evolve_separable_schedule(d, PhaseLedger(turn), schedule1, schedule2)
     return d, ledger, ledger.phase * reconstruct(d)
 
@@ -336,15 +342,14 @@ def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarr
     evolution only counter-rotates the two halves.  Completeness of the
     four coefficients is checked to 1e-12 (ConsistencyError).
     """
-    psi = as_state(psi)
-    a, b, c, d = psi.tolist()
-    plus, minus = _eigenspinors(*_own_axis((a, b, c, d), qubit, EPS_DEGEN))
-    amps = (a, b, c, d) if qubit == 1 else (a, c, b, d)
-    coeffs = np.array([*_contract(plus, amps), *_contract(minus, amps)])
+    a, b, c, d = amps = _unit(psi, 4)
+    plus, minus = _eigenspinors(*_own_axis(amps, qubit, EPS_DEGEN))
+    ordered = amps if qubit == 1 else (a, c, b, d)
+    coeffs = np.array([*_contract(plus, ordered), *_contract(minus, ordered)])
     basis = np.array([row for u, l in (plus, minus) for row in ((u, 0, l, 0), (0, u, 0, l))])
     if qubit == 2:
         basis = basis[:, [0, 2, 1, 3]]
-    if not np.linalg.norm(coeffs @ basis - psi) < 1e-12:
+    if not np.linalg.norm(coeffs @ basis - np.array(amps)) < 1e-12:
         raise ConsistencyError("the four aligned modes do not rebuild the state")
     return coeffs, basis
 
@@ -382,7 +387,7 @@ def _aligned_turns(psi, what: str, turns, times) -> tuple[tuple, list[tuple]]:
     # that qubit's own Bloch axis (against it if flip): exp(-i (v.sigma) t), with no scalar phase,
     # is U = [[p, q], [-q*, p*]], whose rows contract the turned qubit as <(p*, q*)| and <(-q, p)|;
     # where _angles refuses psi or a turned state, the check refuses with DegenerateState
-    amps = as_state(psi).tolist()
+    amps = _unit(psi, 4)
     try:
         start, axes, records = _angles(amps), [], []
         for qubit, energy, flip in turns:

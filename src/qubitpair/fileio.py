@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Schedule, as_schedule
-from .states import EPS_NORM, AngleSet, SpinorDecomposition, _norm_sq, reconstruct
+from .states import EPS_NORM, AngleSet, SpinorDecomposition, _check_chi, _norm_sq, reconstruct
 
 
 class ParseError(ValueError):
@@ -74,7 +74,7 @@ def pairs(z) -> list:
 
 
 def _unit_pairs(raw, size: int, where: str) -> np.ndarray:
-    # ``size`` [re, im] pairs read as a unit vector by the core's sum: as-is where _check_unit
+    # ``size`` [re, im] pairs read as a unit vector by the core's sum: as-is where states' reader
     # accepts it (bit-exact round trips), renormalized silently up to |v| - 1 = 1e-9 and with a
     # warning up to 1e-6, rejected beyond; the warning points at the loaders' caller
     if not isinstance(raw, list) or len(raw) != size:
@@ -136,9 +136,7 @@ def load_decomposition(path) -> SpinorDecomposition:
     obj = read_json(path)
     if not isinstance(obj, dict) or not {"chi", "spinor1", "spinor2"} <= set(obj):
         raise ParseError(f"{path}: expected fields chi, spinor1, spinor2")
-    chi = _real(obj["chi"], f"{path}: chi")
-    if not 0.0 <= chi <= np.pi / 2:
-        raise ParseError(f"{path}: chi out of [0, pi/2]: {chi!r}")
+    chi = _check_chi(_real(obj["chi"], f"{path}: chi"), f"{path}: chi", ParseError)
     return SpinorDecomposition(chi, _unit_pairs(obj["spinor1"], 2, f"{path}: spinor1"),
                                _unit_pairs(obj["spinor2"], 2, f"{path}: spinor2"))
 

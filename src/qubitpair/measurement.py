@@ -18,12 +18,12 @@ from .states import (
     AngleSet,
     ConsistencyError,
     _canonical_phase,
+    _check_chi,
     _contract,
     _parity,
     _require_qubit,
+    _unit,
     _vdot2,
-    as_spinor,
-    as_state,
     state_from_angles,
     wrap_angle,
 )
@@ -35,8 +35,8 @@ def born_full(psi, qubit: int, direction) -> float:
     Computed on the full state: <psi| P x I |psi> (or I x P), with P the
     projector onto the direction spinor.
     """
-    a, b, c, d = as_state(psi).tolist()
-    direction = as_spinor(direction).tolist()
+    a, b, c, d = _unit(psi, 4)
+    direction = _unit(direction, 2)
     _require_qubit(qubit)
     x, y = _contract(direction, (a, b, c, d) if qubit == 1 else (a, c, b, d))
     return abs(x) ** 2 + abs(y) ** 2
@@ -50,8 +50,8 @@ def born_local(chi: float, spinor, direction) -> float:
     The reduced form cos(chi) |<dir|s>|^2 + sin^2(chi/2) is evaluated too
     and the two must agree to 1e-12 (ConsistencyError otherwise).
     """
-    spinor = as_spinor(spinor).tolist()
-    direction = as_spinor(direction).tolist()
+    _check_chi(chi)
+    spinor, direction = _unit(spinor, 2), _unit(direction, 2)
     keep = abs(_vdot2(direction, spinor)) ** 2
     flip = abs(_vdot2(direction, _parity(*spinor))) ** 2
     p = math.cos(chi / 2) ** 2 * keep + math.sin(chi / 2) ** 2 * flip

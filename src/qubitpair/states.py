@@ -15,10 +15,13 @@ forms are supported:
 
 The global phase is canonical when (ad - bc) is real and non-negative;
 conversions that need a fixed phase enforce exactly that.  Everything here
-is a pure function over small frozen dataclasses.  Each conversion reads
-its amplitudes or spinor components once as Python complex numbers and
-does the arithmetic with math and cmath, because numpy's fixed cost per
-call on 2- and 4-element arrays is far above the arithmetic itself.
+is a pure function over small frozen dataclasses.  Every public call, here
+and in dynamics and measurement, reads each state or spinor it takes once,
+through one reader (_unit) that returns the components as Python complex
+numbers and refuses a non-unit vector, NaN and inf included, with
+ValueError; a decomposition is read as its chi, held to [0, pi/2], and its
+two spinors.  The arithmetic runs with math and cmath, because numpy's
+fixed cost per call on 2- and 4-element arrays is far above it.
 Vectors come back as numpy arrays and angles as Python floats.
 """
 
@@ -70,9 +73,6 @@ def wrap_angle(x: float) -> float:
     return float(math.pi - (math.pi - x) % (2.0 * math.pi))
 
 
-_STATE_NOT_UNIT = "amplitudes are not normalized: |psi|^2"
-
-
 def _norm_sq(values) -> float:
     nsq = 0.0
     for z in values:
@@ -80,37 +80,44 @@ def _norm_sq(values) -> float:
     return nsq
 
 
-def _check_unit(values, what: str) -> None:
-    # the unit-norm rule on Python complexes; ``what`` heads the message, NaN and inf fail
-    nsq = _norm_sq(values)
-    if not abs(nsq - 1.0) <= EPS_NORM:
-        raise ValueError(f"{what} = {nsq!r}")
-
-
-def _as_unit(values, size: int, what: str, normalize: bool) -> np.ndarray:
-    v = np.asarray(values, dtype=complex).reshape(size)
+def _unit(vector, size: int, normalize: bool = False) -> list[complex]:
+    # the one reader of a state (size 4) or spinor (size 2): its components as Python complexes,
+    # held to the unit-norm rule, which NaN and inf fail; normalize (as_spinor's) scales first
+    v = np.asarray(vector, dtype=complex).reshape(size).tolist()
     if normalize:
-        nsq = _norm_sq(v.tolist())
-        if not 0.0 < nsq < np.inf:
+        nsq = _norm_sq(v)
+        if not 0.0 < nsq < math.inf:
             raise ValueError(f"cannot normalize a vector of squared norm {nsq!r}")
-        return v / np.sqrt(nsq)
-    _check_unit(v.tolist(), what)
+        scale = 1.0 / math.sqrt(nsq)  # numpy's division by a real, bit for bit
+        v = [z * scale for z in v]
+    nsq = _norm_sq(v)
+    if not abs(nsq - 1.0) <= EPS_NORM:
+        what = ("amplitudes are not normalized: |psi|^2" if size == 4
+                else "spinor is not normalized: |s|^2")
+        raise ValueError(f"{what} = {nsq!r}")
     return v
 
 
-def as_state(amplitudes, normalize: bool = False) -> np.ndarray:
-    """Coerce to a complex 4-vector, checking (or restoring) unit norm."""
-    return _as_unit(amplitudes, 4, _STATE_NOT_UNIT, normalize)
+def as_state(amplitudes) -> np.ndarray:
+    """A complex 4-vector of unit norm (ValueError otherwise, NaN and inf included)."""
+    return np.array(_unit(amplitudes, 4))
 
 
 def as_spinor(components, normalize: bool = False) -> np.ndarray:
-    """Coerce to a complex 2-vector, checking (or restoring) unit norm."""
-    return _as_unit(components, 2, "spinor is not normalized: |s|^2", normalize)
+    """A complex 2-vector of unit norm, scaled to it first with normalize (else ValueError)."""
+    return np.array(_unit(components, 2, normalize))
 
 
-def _values(v, size: int) -> list[complex]:
-    # the components as Python complexes, unchecked
-    return np.asarray(v, dtype=complex).reshape(size).tolist()
+def _check_chi(chi, name: str = "chi", error: type[ValueError] = ValueError):
+    # the one range rule for chi, which NaN fails; the loaders name their input and raise theirs
+    if not 0.0 <= chi <= HALF_PI:
+        raise error(f"{name} out of [0, pi/2]: {chi!r}")
+    return chi
+
+
+def _read_decomposition(d) -> tuple[float, list[complex], list[complex]]:
+    # a decomposition's chi by its range rule and its two spinors by the one reader
+    return _check_chi(d.chi), _unit(d.spinor1, 2), _unit(d.spinor2, 2)
 
 
 def _require_qubit(qubit: int) -> None:
@@ -160,10 +167,32 @@ def _det_fixed(amps) -> tuple[list[complex], float]:
     return [turn * v for v in amps], angle
 
 
+def _edge(chi: float) -> bool:
+    # chi within 16u of EPS_DEGEN, the only place a state and its turned self can read on two
+    # sides of the band test: a global turn moves chi by 2.4u at most in 210,000 measured turns
+    return abs(chi - EPS_DEGEN) <= 16.0 * _UNIT_ROUNDOFF
+
+
+def _largest_fixed(amps) -> bool:
+    # the separable rule's canonical form: the largest amplitude real and positive within 4u
+    # (the rule's own turn leaves at most 3.1u, measured over 400,000 amplitudes)
+    m = max(amps, key=abs)
+    return m.real > 0.0 and abs(m.imag) <= 4.0 * _UNIT_ROUNDOFF * m.real
+
+
+def _carries_det_phase(amps, chi: float) -> bool:
+    # decompose's and the ledger's band test: does ad - bc fix the global phase?  In the edge
+    # window, input whose largest amplitude is fixed and whose ad - bc is not keeps its phase
+    if _edge(chi):
+        return _det_fixed(amps)[1] == 0.0 or not _largest_fixed(amps)
+    return _entangled(chi)
+
+
 def _ledger_decomposed(amps) -> tuple[SpinorDecomposition, float]:
-    # _decomposed for a run whose ledger carries the phase, and the turn; below the band, where
-    # decompose keeps the phase but rebuilds ad - bc >= 0, amps take _det_fixed's turn first
-    amps, turn = (amps, 0.0) if _entangled(_chi(amps, _bloch(amps, 1))) else _det_fixed(amps)
+    # _decomposed for a run whose ledger carries the phase, and the turn; where decompose keeps
+    # the phase but rebuilds ad - bc >= 0, amps take _det_fixed's turn first
+    carries = _carries_det_phase(amps, _chi(amps, _bloch(amps, 1)))
+    amps, turn = (amps, 0.0) if carries else _det_fixed(amps)
     d, again = _decomposed(amps)
     return d, turn + again
 
@@ -221,7 +250,7 @@ def _schmidt_sum(chi: float, s1, s2) -> np.ndarray:
 
 def concurrence(psi) -> float:
     """Entanglement measure 2|ad - bc|: 0 separable, 1 maximally entangled."""
-    a, b, c, d = _values(psi, 4)
+    a, b, c, d = _unit(psi, 4)
     return min(2.0 * abs(a * d - b * c), 1.0)
 
 
@@ -229,18 +258,20 @@ def concurrence_angle(psi) -> float:
     """chi in [0, pi/2] as atan2(2|ad - bc|, |n1|), with |n1| = cos(chi) the length of
     qubit 1's Bloch vector: accurate to rounding at both edges, where arcsin of the
     concurrence loses up to half its digits."""
-    amps = _values(psi, 4)
+    amps = _unit(psi, 4)
     return _chi(amps, _bloch(amps, 1))
 
 
 def _canonical_phase(amps) -> list[complex]:
-    # fix_global_phase on Python complexes
-    if _entangled(_chi(amps, _bloch(amps, 1))):
+    # fix_global_phase on Python complexes; in the edge window input canonical by either rule
+    # stays as it is, so a second call cannot take the other rule
+    chi = _chi(amps, _bloch(amps, 1))
+    if _edge(chi) and (_largest_fixed(amps) or _det_fixed(amps)[1] == 0.0):
+        return list(amps)
+    if _entangled(chi):
         return _det_fixed(amps)[0]
     turn = cmath.rect(1.0, -cmath.phase(max(amps, key=abs)))
-    out = [turn * v for v in amps]
-    # the output's rounding can cross the band edge, so decompose's band test is taken on it too
-    return _det_fixed(out)[0] if _entangled(_chi(out, _bloch(out, 1))) else out
+    return [turn * v for v in amps]
 
 
 def fix_global_phase(psi) -> np.ndarray:
@@ -255,27 +286,33 @@ def fix_global_phase(psi) -> np.ndarray:
     is rounding noise of order ulp/|ad - bc|, and a turn by it would move
     every amplitude that far.  So +psi and -psi stay distinct; that
     leftover sign freedom is resolved by decompose(), which measures its
-    phase from the actual input.
+    phase from the actual input.  Within 16u of the band edge, where a turn
+    can move chi across EPS_DEGEN, input canonical by either rule is
+    returned unturned, so a second call never changes the rule.
     """
-    return np.array(_canonical_phase(_values(psi, 4)))
+    return np.array(_canonical_phase(_unit(psi, 4)))
 
 
 def state_bloch_vector(psi, qubit: int) -> np.ndarray:
     """Bloch vector of one qubit of a two-qubit state; |n| = cos(chi)."""
     _require_qubit(qubit)
-    return np.array(_bloch(_values(psi, 4), qubit))
+    return np.array(_bloch(_unit(psi, 4), qubit))
 
 
 def spinor_bloch_vector(spinor) -> np.ndarray:
     """Unit Bloch vector of a single spinor."""
-    u, l = _values(spinor, 2)  # rho = s s^dagger
+    u, l = _unit(spinor, 2)  # rho = s s^dagger
     return np.array(_bloch_of(abs(u) ** 2, abs(l) ** 2, u * l.conjugate()))
 
 
 def spherical_angles(n) -> tuple[float, float]:
     """(theta, phi) of a 3-vector; phi is 0 on the z-axis poles and within rounding of them,
-    where hypot(x, y) <= 4u|z| (u = 2^-53), which is 4u|n| there."""
-    return _spherical(*np.asarray(n, dtype=float).reshape(3).tolist())
+    where hypot(x, y) <= 4u|z| (u = 2^-53), which is 4u|n| there.  n must be finite
+    (ValueError otherwise)."""
+    values = np.asarray(n, dtype=float).reshape(3).tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"n must be finite, got n = {values!r}")
+    return _spherical(*values)
 
 
 def spinor_from_angles(theta: float, phi: float = 0.0, alpha: float = 0.0) -> np.ndarray:
@@ -283,7 +320,11 @@ def spinor_from_angles(theta: float, phi: float = 0.0, alpha: float = 0.0) -> np
 
     alpha enters as a half angle, so it matters modulo 4*pi: shifting it by
     2*pi flips the spinor's sign, which is physical in the decomposition.
+    The three angles must be finite (ValueError otherwise).
     """
+    if not all(map(math.isfinite, (theta, phi, alpha))):
+        raise ValueError(f"angles must be finite: theta = {theta!r}, phi = {phi!r}, "
+                         f"alpha = {alpha!r}")
     return np.array(_half_angle(theta, phi, alpha))
 
 
@@ -292,7 +333,7 @@ def parity(spinor) -> np.ndarray:
 
     Orthogonal to its input, and parity(parity(s)) = -s.
     """
-    return np.array(_parity(*_values(spinor, 2)))
+    return np.array(_parity(*_unit(spinor, 2)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -310,8 +351,7 @@ class AngleSet:
     gamma: float | None = None
 
     def validate(self) -> "AngleSet":
-        if not 0.0 <= self.chi <= HALF_PI:
-            raise ValueError(f"chi out of [0, pi/2]: {self.chi!r}")
+        _check_chi(self.chi)
         for name in ("theta1", "theta2"):
             v = getattr(self, name)
             if not 0.0 <= v <= np.pi:
@@ -340,8 +380,7 @@ class SpinorDecomposition:
 
 
 def _angles(amps) -> tuple[float, float, float, float, float, float]:
-    # angles_from_state's six angles on Python complexes, with its norm check and refusals
-    _check_unit(amps, _STATE_NOT_UNIT)
+    # angles_from_state's six angles on the Python complexes of a unit state, with its refusals
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
     if chi > HALF_PI - EPS_DEGEN:
@@ -358,7 +397,7 @@ def _angles(amps) -> tuple[float, float, float, float, float, float]:
     return chi, theta1, phi1, theta2, phi2, wrap_angle(2.0 * cmath.phase(overlap))
 
 
-def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
+def angles_from_state(psi) -> AngleSet:
     """Extract the six natural angles from a normalized state.
 
     The recurrence gamma is recovered by projecting the phase-fixed state
@@ -371,20 +410,14 @@ def angles_from_state(psi, cross_check: bool = False) -> AngleSet:
     1e-16/cos(chi); the round trip through state_from_angles is good to
     that, not to 1e-16.
 
-    With cross_check=True the independent sine-quotient formula
-    (recurrence_sine) is evaluated as well and must agree to EPS_MATCH;
-    that path raises PoleSingularity within EPS_POLE of a Bloch pole.
+    recurrence_sine gives sin(gamma) by an independent formula, which fails
+    at the Bloch poles where this projection stays total.
 
     Raises SeparableGamma below chi = EPS_DEGEN (the partial angles ride on
     the exception) and MaximalEntanglement above pi/2 - EPS_DEGEN, where
     theta and phi lose meaning; decompose() handles that regime instead.
     """
-    amps = _values(psi, 4)
-    angles = AngleSet(*_angles(amps))
-    if cross_check and not abs(math.sin(angles.gamma)
-                               - recurrence_sine(_det_fixed(amps)[0])) <= EPS_MATCH:
-        raise ConsistencyError("projection and sine-quotient recurrences disagree")
-    return angles
+    return AngleSet(*_angles(_unit(psi, 4)))
 
 
 def recurrence_sine(psi) -> float:
@@ -394,7 +427,7 @@ def recurrence_sine(psi) -> float:
     pins gamma only up to its sine and fails at the Bloch poles, where the
     quotient loses meaning (PoleSingularity below EPS_POLE).
     """
-    amps = as_state(psi).tolist()
+    amps = _unit(psi, 4)
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
     if not _entangled(chi):
@@ -434,16 +467,16 @@ def _decomposed(amps) -> tuple[SpinorDecomposition, float]:
     # decompose on Python complexes, and the angle it turned amps by: exactly 0.0 if unturned
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
-    entangled = _entangled(chi)
-    amps, turn = _det_fixed(amps) if entangled else (amps, 0.0)
+    carries = _carries_det_phase(amps, chi)
+    amps, turn = _det_fixed(amps) if carries else (amps, 0.0)
     u1 = (1.0 + 0j, 0j) if chi > HALF_PI - EPS_DEGEN else _direction(*n1)
     x, y = _contract(u1, amps)
     r = math.hypot(x.real, x.imag, y.real, y.imag)
     u2 = (x / r, y / r)
-    # the parity pair must carry the rest of the state, with weight sin(chi/2); below the band
-    # the input keeps its phase, so the pair's phase is free
+    # the parity pair must carry the rest of the state, with weight sin(chi/2); where the
+    # input keeps its phase, the pair's phase is free
     rest = _vdot2(_parity(*u2), _contract(_parity(*u1), amps))
-    if abs((rest if entangled else abs(rest)) - math.sin(chi / 2)) > EPS_MATCH:
+    if abs((rest if carries else abs(rest)) - math.sin(chi / 2)) > EPS_MATCH:
         raise ValueError("decomposition consistency check failed; input is not a unit state")
     return SpinorDecomposition(chi, np.array(u1), np.array(u2)), turn
 
@@ -454,7 +487,9 @@ def decompose(psi) -> SpinorDecomposition:
     Entangled input is first turned to the canonical global phase ((ad - bc)
     real and non-negative; no turn when already canonical, else a global
     phase that dynamics.evolve_separable_state books into its ledger);
-    separable input keeps its phase.  spinor1 points along qubit 1's
+    separable input keeps its phase, and so does input within 16u of
+    EPS_DEGEN whose largest amplitude, not its ad - bc, is fixed (the form
+    fix_global_phase gives below the band).  spinor1 points along qubit 1's
     partial-trace Bloch vector, except at maximal entanglement, where every
     direction works and +z is the convention.  spinor2 then comes from
     contracting spinor1's direction with the 2x2 amplitude matrix, which
@@ -466,12 +501,12 @@ def decompose(psi) -> SpinorDecomposition:
     reconstruct() can miss the input, fix_global_phase's included, by up
     to 2 sin(chi/2), the representation's floor.
     """
-    return _decomposed(as_state(psi).tolist())[0]
+    return _decomposed(_unit(psi, 4))[0]
 
 
 def reconstruct(d: SpinorDecomposition) -> np.ndarray:
     """Rebuild the full state: cos(chi/2) s1 x s2 + sin(chi/2) P(s1) x P(s2)."""
-    return _schmidt_sum(d.chi, _values(d.spinor1, 2), _values(d.spinor2, 2))
+    return _schmidt_sum(*_read_decomposition(d))
 
 
 def reconstruct_from_products(d: SpinorDecomposition) -> np.ndarray:
@@ -483,11 +518,8 @@ def reconstruct_from_products(d: SpinorDecomposition) -> np.ndarray:
     c = BC cos - A*D* sin, d = BD cos + A*C* sin
     (cos and sin of chi/2 throughout).
     """
-    a1, b1 = np.asarray(d.spinor1, dtype=complex)
-    c2, d2 = np.asarray(d.spinor2, dtype=complex)
-    cc, sc = np.cos(d.chi / 2), np.sin(d.chi / 2)
-    return np.array([
-        a1 * c2 * cc + np.conj(b1) * np.conj(d2) * sc,
-        a1 * d2 * cc - np.conj(b1) * np.conj(c2) * sc,
-        b1 * c2 * cc - np.conj(a1) * np.conj(d2) * sc,
-        b1 * d2 * cc + np.conj(a1) * np.conj(c2) * sc])
+    chi, (a1, b1), (c2, d2) = _read_decomposition(d)
+    cc, sc = math.cos(chi / 2), math.sin(chi / 2)
+    a1c, b1c, c2c, d2c = a1.conjugate(), b1.conjugate(), c2.conjugate(), d2.conjugate()
+    return np.array([a1 * c2 * cc + b1c * d2c * sc, a1 * d2 * cc - b1c * c2c * sc,
+                     b1 * c2 * cc - a1c * d2c * sc, b1 * d2 * cc + a1c * c2c * sc])

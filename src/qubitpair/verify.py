@@ -28,16 +28,14 @@ def _result(name: str, worst: float, tolerance: float, note: str = "") -> Proper
     return PropertyResult(name, float(worst), tolerance, bool(worst <= tolerance), note)
 
 
-def band_angle_sets(count: int, seed: int, chi_lo: float = 0.05,
-                    chi_hi: float = states.HALF_PI - 0.05,
-                    sin_floor: float = 0.05) -> list[states.AngleSet]:
-    """Angle sets away from every degeneracy: chi inside [chi_lo, chi_hi]
-    and both thetas at least arcsin(sin_floor) from the poles."""
+def band_angle_sets(count: int, seed: int) -> list[states.AngleSet]:
+    """Angle sets away from every degeneracy: chi inside [0.05, pi/2 - 0.05]
+    and both thetas at least arcsin(0.05) from the poles."""
     # one row of six draws per set, in the order of six rng.uniform calls, each scaled as
     # rng.uniform scales it: chi, theta1, phi1, theta2, phi2, gamma
-    t_lo = float(np.arcsin(sin_floor))
-    low = np.array([chi_lo, t_lo, -np.pi, t_lo, -np.pi, -np.pi])
-    high = np.array([chi_hi, np.pi - t_lo, np.pi, np.pi - t_lo, np.pi, np.pi])
+    t_lo = float(np.arcsin(0.05))
+    low = np.array([0.05, t_lo, -np.pi, t_lo, -np.pi, -np.pi])
+    high = np.array([states.HALF_PI - 0.05, np.pi - t_lo, np.pi, np.pi - t_lo, np.pi, np.pi])
     draws = low + (high - low) * np.random.default_rng(seed).random((count, 6))
     wrap = states.wrap_angle
     return [states.AngleSet(chi, theta1, wrap(phi1), theta2, wrap(phi2), wrap(gamma))

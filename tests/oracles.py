@@ -39,6 +39,22 @@ def oracle_bloch_vector(psi, qubit: int) -> np.ndarray:
     return np.array([np.trace(rho @ sigma).real for sigma in PAULIS])
 
 
+def uniform_angle_sets(count: int, seed: int, chi_lo: float = 0.05,
+                       chi_hi: float = np.pi / 2 - 0.05, sin_floor: float = 0.05) -> list:
+    """Angle sets from six scalar rng.uniform calls each, in the order chi, theta1, phi1,
+    theta2, phi2, gamma: verify.band_angle_sets' draws the slow way at its default band, and
+    every angle's whole range with chi_lo=0, chi_hi=pi/2 and sin_floor=0."""
+    t_lo = float(np.arcsin(sin_floor))
+    rng = np.random.default_rng(seed)
+    return [qp.AngleSet(chi=float(rng.uniform(chi_lo, chi_hi)),
+                        theta1=float(rng.uniform(t_lo, np.pi - t_lo)),
+                        phi1=qp.wrap_angle(rng.uniform(-np.pi, np.pi)),
+                        theta2=float(rng.uniform(t_lo, np.pi - t_lo)),
+                        phi2=qp.wrap_angle(rng.uniform(-np.pi, np.pi)),
+                        gamma=qp.wrap_angle(rng.uniform(-np.pi, np.pi)))
+            for _ in range(count)]
+
+
 def hamiltonian_matrix(h: qp.LocalHamiltonian) -> np.ndarray:
     """The 2x2 matrix h_i*I + v.sigma."""
     vx, vy, vz = h.v

@@ -358,6 +358,22 @@ class TestSeparableState:
         for psi in qp.sample_fixed_concurrence(4, 41, chi):
             assert_runs_from_state_to_state(rng, 1j * psi)
 
+    @pytest.mark.parametrize("chi", [math.nextafter(qp.EPS_DEGEN, 0.0), qp.EPS_DEGEN,
+                                     math.nextafter(qp.EPS_DEGEN, 1.0)])
+    def test_band_edge_window_runs_from_state_to_state(self, chi):
+        # within 16u of EPS_DEGEN the input's own phase form picks decompose's rule, and the
+        # ledger takes the same pick: turned or phase-fixed, the empty run returns its input to
+        # rounding and both backends agree
+        rng = np.random.default_rng(75)
+        for k, x in enumerate(qp.sample_fixed_concurrence(300, 32, chi)):
+            turned = cmath.exp(1j * rng.uniform(-np.pi, np.pi)) * x
+            for y in (turned, qp.fix_global_phase(turned)):
+                assert np.max(np.abs(qp.evolve_separable_state(y, [], [])[2] - y)) < 1e-15
+                if k < 30:
+                    report = qp.compare_backends(y, random_schedule(rng, 10, True),
+                                                 random_schedule(rng, 10, True))
+                    assert qp.dynamics.backends_agree(report.max_component_deviation)
+
     def test_overflowing_schedule_is_a_typed_refusal(self):
         psi = entangled_state(42)
         angle = qp.Schedule([0.0], [[1e200, 0.0, 0.0]], [1e200])

@@ -12,7 +12,7 @@ import pytest
 
 import qubitpair as qp
 from qubitpair.states import EPS_DEGEN, HALF_PI
-from qubitpair.verify import band_angle_sets
+from oracles import uniform_angle_sets
 
 SQ2 = 1.0 / np.sqrt(2.0)
 TOL = 1e-13
@@ -196,7 +196,7 @@ def test_angles_from_state_and_back(corpus):
 
 
 def test_state_from_angles_over_the_whole_range():
-    for ang in band_angle_sets(1000, 103, chi_lo=0.0, chi_hi=HALF_PI, sin_floor=0.0):
+    for ang in uniform_angle_sets(1000, 103, chi_lo=0.0, chi_hi=HALF_PI, sin_floor=0.0):
         expected = ref_state_from_angles(ang.chi, ang.theta1, ang.phi1, ang.theta2, ang.phi2,
                                          ang.gamma)
         assert np.max(np.abs(qp.state_from_angles(ang) - expected)) < TOL

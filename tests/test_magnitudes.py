@@ -1,7 +1,9 @@
 """Finite numbers of every magnitude, from subnormals up to 1e308, into each public entry point
 that takes them: each result is finite, or the call refuses with a typed ValueError subclass whose
 message names the input.  Never a bare "math domain error", a NaN, a numpy warning, or a
-ConsistencyError, which is the package's own cross-check failing on valid input."""
+ConsistencyError, which is the package's own cross-check failing on valid input.  Non-unit and
+non-finite states, spinors and decompositions, and non-finite scalars, go into every public call
+that takes them: each refuses with a ValueError naming the offending value."""
 
 import cmath
 import dataclasses
@@ -140,3 +142,105 @@ def test_compound_rotation_check(psi, energy1, energy2, t, same_handed):
 @example((5e-324, 0.0, 0.0))
 def test_vector_angles(n):
     assert_finite_or_refused(lambda: qp.spherical_angles(n))
+
+
+# a unit state and spinor whose squared norms sum exactly, so each doubled reads |v|^2 = 4.0
+UNIT_STATE = np.array([0.5, 0.5j, -0.5, 0.5])
+UNIT_SPINOR = np.array([0.5 + 0.5j, 0.5 - 0.5j])
+BAD_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                               complex(0.0, -math.inf)])
+BAD_SCALARS = st.sampled_from([math.nan, math.inf, -math.inf])
+H = qp.LocalHamiltonian(0.5, [0.1, -0.2, 0.3])
+STATE_CALLS = [
+    qp.as_state, qp.concurrence, qp.concurrence_angle, qp.fix_global_phase,
+    lambda psi: qp.state_bloch_vector(psi, 1), qp.angles_from_state, qp.recurrence_sine,
+    qp.decompose, lambda psi: qp.born_full(psi, 1, UNIT_SPINOR),
+    lambda psi: qp.evolve_full(psi, H, H, 0.1), lambda psi: qp.evolve_full_schedule(psi, [], []),
+    lambda psi: qp.evolve_separable_state(psi, [], []),
+    lambda psi: qp.compare_backends(psi, [], []), qp.aligned_mode_coefficients,
+    lambda psi: qp.recurrence_drift(psi, 1, 1.0, [0.0, 1.0]),
+    lambda psi: qp.compound_rotation_check(psi, 1.0, 1.0, 0.1, True),
+]
+SPINOR_CALLS = [
+    qp.as_spinor, qp.spinor_bloch_vector, qp.parity,
+    lambda s: qp.born_full(UNIT_STATE, 2, s), lambda s: qp.born_local(0.3, s, UNIT_SPINOR),
+    lambda s: qp.born_local(0.3, UNIT_SPINOR, s),
+]
+DECOMPOSITION_CALLS = [
+    qp.reconstruct, qp.reconstruct_from_products,
+    lambda d: qp.evolve_separable_schedule(d, qp.PhaseLedger(), [], []),
+    lambda d: qp.evolve_separable(d, qp.PhaseLedger(), H, H, 0.1),
+    lambda d: qp.born_local(d.chi, d.spinor1, d.spinor2),
+]
+
+
+def bad_vectors(unit):
+    """unit with one entry NaN or infinite, or doubled, beside the value its refusal must name:
+    the squared norm, nan, inf or 4.0."""
+    def spoiled(index, bad):
+        v = np.array(unit, dtype=complex)
+        v[index] = bad
+        return v, "nan" if cmath.isnan(bad) else "inf"
+
+    return st.one_of(st.builds(spoiled, st.integers(0, len(unit) - 1), BAD_ENTRIES),
+                     st.just((2.0 * unit, "4.0")))
+
+
+BAD_DECOMPOSITIONS = st.one_of(
+    bad_vectors(UNIT_SPINOR).map(lambda b: (qp.SpinorDecomposition(0.3, b[0], UNIT_SPINOR), b[1])),
+    bad_vectors(UNIT_SPINOR).map(lambda b: (qp.SpinorDecomposition(0.3, UNIT_SPINOR, b[0]), b[1])),
+    st.sampled_from([math.nan, math.inf, -0.1, 2.0]).map(
+        lambda chi: (qp.SpinorDecomposition(chi, UNIT_SPINOR, UNIT_SPINOR), repr(chi))))
+
+
+def assert_refused_naming(call, name):
+    """call() raises a ValueError, not the package's own ConsistencyError, whose message names
+    the offending value; never a result, NaN or not, and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call()
+        except ValueError as exc:
+            assert not isinstance(exc, qp.ConsistencyError), str(exc)
+            assert name in str(exc), (name, str(exc))
+            return
+    raise AssertionError(f"accepted, returned {result!r}")
+
+
+@SWEEP
+@given(bad_vectors(UNIT_STATE))
+def test_every_state_reader_refuses_a_bad_state(bad):
+    psi, name = bad
+    for call in STATE_CALLS:
+        assert_refused_naming(lambda: call(psi), name)
+
+
+@SWEEP
+@given(bad_vectors(UNIT_SPINOR))
+def test_every_spinor_reader_refuses_a_bad_spinor(bad):
+    spinor, name = bad
+    for call in SPINOR_CALLS:
+        assert_refused_naming(lambda: call(spinor), name)
+
+
+@SWEEP
+@given(BAD_DECOMPOSITIONS)
+def test_every_decomposition_reader_refuses_a_bad_decomposition(bad):
+    d, name = bad
+    for call in DECOMPOSITION_CALLS:
+        assert_refused_naming(lambda: call(d), name)
+
+
+@SWEEP
+@given(BAD_SCALARS, st.integers(0, 2))
+def test_non_finite_scalars_are_refused(bad, index):
+    # a ledger entry, a step's duration, a Bloch vector's entry and a spinor's angle
+    ledger = qp.PhaseLedger(*[bad if k == index else 0.0 for k in range(3)])
+    d = qp.SpinorDecomposition(0.3, UNIT_SPINOR, UNIT_SPINOR)
+    n = [bad if k == index else 0.0 for k in range(3)]
+    angles = [bad if k == index else 0.5 for k in range(3)]
+    for call in (lambda: qp.evolve_separable_schedule(d, ledger, [], []),
+                 lambda: qp.evolve_separable(d, ledger, H, H, 0.1),
+                 lambda: qp.su2_operator(H, bad), lambda: qp.local_unitary(H, bad),
+                 lambda: qp.spherical_angles(n), lambda: qp.spinor_from_angles(*angles)):
+        assert_refused_naming(call, repr(bad))

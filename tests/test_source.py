@@ -230,3 +230,42 @@ def test_every_public_name_has_a_caller():
                       if isinstance(node, (ast.Name, ast.Attribute))}
     unused = sorted(exported - named)
     assert not unused, f"public names that nothing outside the tests references: {unused}"
+
+
+def test_one_vector_reader():
+    # a state, spinor or decomposition is read by states._unit alone, which holds it to the
+    # unit-norm rule: no other complex coercion, no array round trip through as_state or
+    # as_spinor, and no unchecked reader beside it
+    tree = ast.parse((SOURCE / "states.py").read_text(encoding="utf-8"))
+    reader = next((node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_unit"), None)
+    inside = range(reader.lineno, reader.end_lineno + 1) if reader else range(0)
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def complex_coercion(node):
+        if not (isinstance(node, ast.Call) and callee(node) == "asarray"):
+            return False
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+        return any(getattr(t, "id", None) == "complex" or getattr(t, "attr", "").startswith(
+            "complex") for t in dtypes)
+
+    def round_trip(node):
+        return (isinstance(node, ast.Call) and callee(node) == "tolist"
+                and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Call)
+                and callee(node.func.value) in ("as_state", "as_spinor"))
+
+    def unchecked(node):
+        return "_values" in (getattr(node, "name", None), getattr(node, "id", None),
+                             getattr(node, "attr", None))
+
+    for module in ("states.py", "dynamics.py", "measurement.py"):
+        coercions = [where for where in _nodes(complex_coercion, module)
+                     if not (module == "states.py" and int(where.split(":")[1]) in inside)]
+        assert not coercions, f"complex coercion outside states._unit: {coercions}"
+        found = _nodes(round_trip, module)
+        assert not found, f"as_state or as_spinor read back through .tolist(): {found}"
+        found = _nodes(unchecked, module)
+        assert not found, f"_values named: {found}"
+    assert reader, "states._unit is gone"

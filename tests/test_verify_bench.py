@@ -6,6 +6,7 @@ import pytest
 import qubitpair as qp
 from qubitpair.bench import _make_schedule, run_benchmark
 from qubitpair.verify import SUITES, band_angle_sets, random_schedule, run_suite
+from oracles import uniform_angle_sets
 
 
 def assert_same_schedule(got, expected):
@@ -28,24 +29,12 @@ def test_verify_schedule_keeps_its_draw_order(steps, scalar):
     assert_same_schedule(got, qp.as_schedule(expected))
 
 
-@pytest.mark.parametrize("count, seed, band", [
-    (30, 7, {}), (40, 61, {}), (5000, 1, {}), (500, 23, {"chi_lo": 0.0, "chi_hi": np.pi / 2}),
-    (1000, 103, {"chi_lo": 0.0, "chi_hi": np.pi / 2, "sin_floor": 0.0}),
-])
-def test_band_angle_sets_keep_six_scalar_draws_per_set(count, seed, band):
+@pytest.mark.parametrize("count, seed", [(30, 7), (40, 61), (5000, 1)])
+def test_band_angle_sets_keep_six_scalar_draws_per_set(count, seed):
     # per set, six rng.uniform calls: chi, theta1, phi1, theta2, phi2, gamma
-    chi_lo, chi_hi = band.get("chi_lo", 0.05), band.get("chi_hi", np.pi / 2 - 0.05)
-    t_lo = float(np.arcsin(band.get("sin_floor", 0.05)))
-    rng = np.random.default_rng(seed)
-    expected = [qp.AngleSet(chi=float(rng.uniform(chi_lo, chi_hi)),
-                            theta1=float(rng.uniform(t_lo, np.pi - t_lo)),
-                            phi1=qp.wrap_angle(rng.uniform(-np.pi, np.pi)),
-                            theta2=float(rng.uniform(t_lo, np.pi - t_lo)),
-                            phi2=qp.wrap_angle(rng.uniform(-np.pi, np.pi)),
-                            gamma=qp.wrap_angle(rng.uniform(-np.pi, np.pi)))
-                for _ in range(count)]
-    got = band_angle_sets(count, seed, **band)
-    assert got == expected and all(type(x) is float for a in got for x in astuple(a))
+    got = band_angle_sets(count, seed)
+    assert got == uniform_angle_sets(count, seed)
+    assert all(type(x) is float for a in got for x in astuple(a))
 
 
 @pytest.mark.parametrize("steps", [0, 1, 10])
