@@ -44,7 +44,8 @@ def main():
     print("=" * 72)
     print("2. The parity map sends each spinor to its Bloch antipode")
     print("=" * 72)
-    s = qp.as_spinor(rng.standard_normal(2) + 1j * rng.standard_normal(2), normalize=True)
+    s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    s = qp.as_spinor(s / np.linalg.norm(s))
     print(f"  s        = {np.round(s, 6)}   n = {np.round(qp.spinor_bloch_vector(s), 6)}")
     print(f"  P(s)     = {np.round(qp.parity(s), 6)}   n = {np.round(qp.spinor_bloch_vector(qp.parity(s)), 6)}")
     print(f"  <s|P s>  = {abs(np.vdot(s, qp.parity(s))):.2e}   P(P(s)) + s = "

@@ -49,7 +49,7 @@ def main():
 
     print("the aligned field's degenerate eigenmodes")
     print("-" * 56)
-    coeffs, _ = qp.aligned_mode_coefficients(psi, 1)
+    coeffs, _ = qp.aligned_mode_coefficients(psi)
     print("  |<mode_k|psi>|: ", np.round(np.abs(coeffs), 9))
     half = qp.concurrence_angle(psi) / 2
     print(f"  first two modes (eigenvalue +E) carry cos(chi/2) = {np.cos(half):.9f}:"

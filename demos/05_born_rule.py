@@ -19,7 +19,8 @@ import qubitpair as qp
 
 def random_direction(rng):
     z = rng.standard_normal(4)
-    return qp.as_spinor(z[0::2] + 1j * z[1::2], normalize=True)
+    s = z[0::2] + 1j * z[1::2]
+    return qp.as_spinor(s / np.linalg.norm(s))
 
 
 def main():

@@ -5,7 +5,7 @@ are a stable contract: 0 success, 1 verification failure, 2 input or usage
 error.  Machine-readable results go to stdout or --out; diagnostics and
 per-property progress go to stderr.  On input errors a machine-readable
 object {"error": {"code", "message"}} is emitted with exit code 2, code one
-of SEPARABLE_GAMMA, MAX_ENTANGLED, POLE_SINGULARITY, PARSE.
+of SEPARABLE_GAMMA, MAX_ENTANGLED, PARSE.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .dynamics import (DEVIATION_BOUND, backends_agree, compare_backends, evolve
 from .measurement import sample_fixed_concurrence, sample_haar
 from .states import (
     MaximalEntanglement,
-    PoleSingularity,
     SeparableGamma,
     _check_chi,
     angles_from_state,
@@ -36,7 +35,6 @@ FORMATS = ("amplitudes", "angles", "spinors")
 _ERROR_CODES = (
     (SeparableGamma, "SEPARABLE_GAMMA"),
     (MaximalEntanglement, "MAX_ENTANGLED"),
-    (PoleSingularity, "POLE_SINGULARITY"),
     (fileio.ParseError, "PARSE"),
 )
 

@@ -37,9 +37,9 @@ from .states import (
     _parity,
     _read_decomposition,
     _require_qubit,
+    _schmidt_sum,
     _spherical,
     _unit,
-    reconstruct,
     wrap_angle,
 )
 
@@ -257,10 +257,11 @@ def evolve_separable_state(psi, schedule1,
     """(decomposition, ledger, amplitudes) after evolve_separable_schedule from decompose(psi),
     beta1 starting at decompose's turn of psi (exactly 0.0 if none; below chi = EPS_DEGEN, at a
     turn to ad - bc >= 0 taken first); the amplitudes, ledger.phase * reconstruct(decomposition),
-    carry psi's global phase."""
+    carry psi's global phase.  Only psi is read as a unit state: the rotated spinors' rounding
+    grows with the step count, past the unit-norm rule reconstruct holds its callers to."""
     d, turn = _ledger_decomposed(_unit(psi, 4))
     d, ledger = evolve_separable_schedule(d, PhaseLedger(turn), schedule1, schedule2)
-    return d, ledger, ledger.phase * reconstruct(d)
+    return d, ledger, ledger.phase * _schmidt_sum(d.chi, d.spinor1.tolist(), d.spinor2.tolist())
 
 
 def evolve_full(psi, h1: LocalHamiltonian, h2: LocalHamiltonian, t: float) -> np.ndarray:
@@ -332,23 +333,20 @@ def _own_axis(amps, qubit: int, floor: float) -> tuple[float, float, float]:
     return x / r, y / r, z / r
 
 
-def aligned_mode_coefficients(psi, qubit: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def aligned_mode_coefficients(psi) -> tuple[np.ndarray, np.ndarray]:
     """Expand a state over the degenerate eigenpairs of its aligned Hamiltonian.
 
     Returns (coefficients, basis) where the basis stacks psi_plus x e0,
-    psi_plus x e1, psi_minus x e0, psi_minus x e1 built on the chosen
-    qubit's partial-trace axis (tensor order swapped for qubit 2).  The
-    first two modes share eigenvalue +E, the last two -E, so an aligned
-    evolution only counter-rotates the two halves.  Completeness of the
-    four coefficients is checked to 1e-12 (ConsistencyError).
+    psi_plus x e1, psi_minus x e0, psi_minus x e1 built on qubit 1's
+    partial-trace axis.  The first two modes share eigenvalue +E, the last
+    two -E, so an aligned evolution only counter-rotates the two halves.
+    Completeness of the four coefficients is checked to 1e-12
+    (ConsistencyError).
     """
-    a, b, c, d = amps = _unit(psi, 4)
-    plus, minus = _eigenspinors(*_own_axis(amps, qubit, EPS_DEGEN))
-    ordered = amps if qubit == 1 else (a, c, b, d)
-    coeffs = np.array([*_contract(plus, ordered), *_contract(minus, ordered)])
+    amps = _unit(psi, 4)
+    plus, minus = _eigenspinors(*_own_axis(amps, 1, EPS_DEGEN))
+    coeffs = np.array([*_contract(plus, amps), *_contract(minus, amps)])
     basis = np.array([row for u, l in (plus, minus) for row in ((u, 0, l, 0), (0, u, 0, l))])
-    if qubit == 2:
-        basis = basis[:, [0, 2, 1, 3]]
     if not np.linalg.norm(coeffs @ basis - np.array(amps)) < 1e-12:
         raise ConsistencyError("the four aligned modes do not rebuild the state")
     return coeffs, basis

@@ -87,8 +87,9 @@ def sample_fixed_concurrence(count: int, seed: int, chi: float) -> np.ndarray:
     Draws cos(theta_i) uniform on [-1, 1] and phi_i, gamma uniform on the
     circle, then builds amplitudes from the six angles.  A coverage sampler
     over the fixed-chi manifold, not the Haar distribution conditioned on
-    chi.
+    chi.  A chi outside [0, pi/2], NaN included, is refused before any draw (ValueError).
     """
+    _check_chi(chi)
     # one row of five draws per state, in the order of five rng.uniform calls, each
     # scaled as rng.uniform scales it: cos(theta1), cos(theta2), phi1, phi2, gamma
     low = np.array([-1.0, -1.0, -np.pi, -np.pi, -np.pi])

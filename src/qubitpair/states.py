@@ -80,16 +80,10 @@ def _norm_sq(values) -> float:
     return nsq
 
 
-def _unit(vector, size: int, normalize: bool = False) -> list[complex]:
+def _unit(vector, size: int) -> list[complex]:
     # the one reader of a state (size 4) or spinor (size 2): its components as Python complexes,
-    # held to the unit-norm rule, which NaN and inf fail; normalize (as_spinor's) scales first
+    # held to the unit-norm rule, which NaN and inf fail
     v = np.asarray(vector, dtype=complex).reshape(size).tolist()
-    if normalize:
-        nsq = _norm_sq(v)
-        if not 0.0 < nsq < math.inf:
-            raise ValueError(f"cannot normalize a vector of squared norm {nsq!r}")
-        scale = 1.0 / math.sqrt(nsq)  # numpy's division by a real, bit for bit
-        v = [z * scale for z in v]
     nsq = _norm_sq(v)
     if not abs(nsq - 1.0) <= EPS_NORM:
         what = ("amplitudes are not normalized: |psi|^2" if size == 4
@@ -103,9 +97,9 @@ def as_state(amplitudes) -> np.ndarray:
     return np.array(_unit(amplitudes, 4))
 
 
-def as_spinor(components, normalize: bool = False) -> np.ndarray:
-    """A complex 2-vector of unit norm, scaled to it first with normalize (else ValueError)."""
-    return np.array(_unit(components, 2, normalize))
+def as_spinor(components) -> np.ndarray:
+    """A complex 2-vector of unit norm (ValueError otherwise, NaN and inf included)."""
+    return np.array(_unit(components, 2))
 
 
 def _check_chi(chi, name: str = "chi", error: type[ValueError] = ValueError):

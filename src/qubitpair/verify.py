@@ -250,7 +250,7 @@ def appendix_suite(trials: int, seed: int) -> list[PropertyResult]:
     worst = 0.0
     for ang in sets:
         psi = states.state_from_angles(ang)
-        coeffs, basis = dynamics.aligned_mode_coefficients(psi, 1)
+        coeffs, basis = dynamics.aligned_mode_coefficients(psi)
         rebuilt = basis.T @ coeffs
         worst = max(worst, float(np.max(np.abs(rebuilt - psi))))
         # closed-form coefficients of the four aligned modes

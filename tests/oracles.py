@@ -5,6 +5,8 @@ eigendecomposition), so that a test comparing it with the package checks the
 package's arithmetic by an independent path.
 """
 
+import math
+
 import numpy as np
 
 import qubitpair as qp
@@ -37,6 +39,17 @@ def oracle_bloch_vector(psi, qubit: int) -> np.ndarray:
     oracle's partial trace rho."""
     rho = oracle_partial_trace(psi, qubit)
     return np.array([np.trace(rho @ sigma).real for sigma in PAULIS])
+
+
+def unit_spinor(components) -> np.ndarray:
+    """A 2-vector scaled to unit norm for a test's input: each component times 1/sqrt of the
+    squared norm, summed in component order, and read through as_spinor."""
+    v = np.asarray(components, dtype=complex).reshape(2).tolist()
+    nsq = 0.0
+    for z in v:
+        nsq += z.real * z.real + z.imag * z.imag
+    scale = 1.0 / math.sqrt(nsq)
+    return qp.as_spinor([z * scale for z in v])
 
 
 def uniform_angle_sets(count: int, seed: int, chi_lo: float = 0.05,

@@ -16,6 +16,7 @@ import pytest
 import qubitpair as qp
 from qubitpair.cli import main as cli_main
 from qubitpair.verify import band_angle_sets, random_schedule
+from oracles import unit_spinor
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -138,17 +139,15 @@ def test_acceptance_6_born_rule_variant():
     for psi in qp.sample_haar(10_000, 2031):
         qubit = int(rng.integers(1, 3))
         z = rng.standard_normal(4)
-        direction = qp.as_spinor(z[0::2] + 1j * z[1::2], normalize=True)
+        direction = unit_spinor(z[0::2] + 1j * z[1::2])
         d = qp.decompose(psi)
         spinor = d.spinor1 if qubit == 1 else d.spinor2
         worst = max(worst, abs(qp.born_full(psi, qubit, direction)
                                - qp.born_local(d.chi, spinor, direction)))
     # chi = 0 reduces to the ordinary rule; chi = pi/2 is exactly 1/2
     for _ in range(200):
-        s = qp.as_spinor(rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                         normalize=True)
-        direction = qp.as_spinor(rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                                 normalize=True)
+        s = unit_spinor(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        direction = unit_spinor(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         worst = max(worst,
                     abs(qp.born_local(0.0, s, direction) - abs(np.vdot(direction, s)) ** 2),
                     abs(qp.born_local(np.pi / 2, s, direction) - 0.5))

@@ -9,7 +9,7 @@ import pytest
 
 import qubitpair as qp
 from qubitpair import fileio
-from qubitpair.cli import COUNT_CEILING, FORMATS, main
+from qubitpair.cli import _ERROR_CODES, COUNT_CEILING, FORMATS, main
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -259,11 +259,42 @@ class TestEvolve:
         if backend == "both":
             assert obj["backends_agree"] is True
 
+    def test_long_run_of_one_hamiltonian_exits_zero(self, tmp_path):
+        # 20,000 equal steps take a rotated spinor past the 1e-12 unit-norm rule; the separable
+        # run builds its amplitudes from them anyway, and both backends still agree
+        rng = np.random.default_rng(0)
+        step = (qp.LocalHamiltonian(0.0, rng.normal(size=3)), float(rng.uniform(0.01, 0.1)))
+        argv = ["evolve", "--in", write_state(tmp_path / "state.json", qp.sample_haar(1, 0)[0]),
+                "--schedule1", write_schedule(tmp_path / "s1.json", 1, [step] * 20_000),
+                "--schedule2", write_schedule(tmp_path / "s2.json", 2, [step] * 20_000)]
+        for backend in ("separable", "both"):
+            out = tmp_path / f"{backend}.json"
+            assert main([*argv, "--backend", backend, "--out", str(out)]) == 0
+        assert read_json(tmp_path / "both.json")["backends_agree"] is True
+
     def test_swapped_schedule_tag_rejected(self, tmp_path, capsys):
         state, s1, s2 = self._files(tmp_path, seed=55)
         code = main(["evolve", "--in", state, "--schedule1", s2, "--schedule2", s1])
         assert code == 2
         assert stdout_json(capsys)["error"]["code"] == "PARSE"
+
+
+def test_every_error_code_is_emitted(tmp_path, capsys):
+    # each code of the exit-2 contract is one some input reaches; a code no command can raise
+    # is dead contract and goes
+    src = tmp_path / "angles.json"
+    fileio.save_angles(src, qp.AngleSet(0.5, 1.0, 0.0, 1.0, 0.0, None))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    runs = {"SEPARABLE_GAMMA": (str(src), "angles", "amplitudes"),
+            "MAX_ENTANGLED": (write_state(tmp_path / "singlet.json", SINGLET), "amplitudes",
+                              "angles"),
+            "PARSE": (str(bad), "amplitudes", "angles")}
+    assert set(runs) == {code for _, code in _ERROR_CODES}
+    for code, (path, from_fmt, to_fmt) in runs.items():
+        assert main(["convert", "--in", path, "--from", from_fmt, "--to", to_fmt,
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert stdout_json(capsys)["error"]["code"] == code
 
 
 class TestVerifyCommand:

@@ -12,7 +12,7 @@ import pytest
 
 import qubitpair as qp
 from qubitpair.states import EPS_DEGEN, HALF_PI
-from oracles import uniform_angle_sets
+from oracles import uniform_angle_sets, unit_spinor
 
 SQ2 = 1.0 / np.sqrt(2.0)
 TOL = 1e-13
@@ -215,7 +215,7 @@ def test_born_rules(corpus):
     for psi in corpus:
         d = qp.decompose(psi)
         z = rng.standard_normal(4)
-        direction = qp.as_spinor(z[0::2] + 1j * z[1::2], normalize=True)
+        direction = unit_spinor(z[0::2] + 1j * z[1::2])
         for qubit, spinor in ((1, d.spinor1), (2, d.spinor2)):
             assert abs(qp.born_full(psi, qubit, direction)
                        - ref_born_full(psi, qubit, direction)) < TOL

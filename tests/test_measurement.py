@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitpair as qp
-from oracles import oracle_bloch_vector, oracle_matrix_exp, oracle_partial_trace
+from oracles import (oracle_bloch_vector, oracle_matrix_exp, oracle_partial_trace,
+                     unit_spinor)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -12,7 +13,7 @@ SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
 
 def random_direction(rng):
     z = rng.standard_normal(4)
-    return qp.as_spinor(z[0::2] + 1j * z[1::2], normalize=True)
+    return unit_spinor(z[0::2] + 1j * z[1::2])
 
 
 class TestBornRules:
@@ -142,6 +143,13 @@ class TestSamplers:
                 got = qp.sample_haar(count, seed)
                 assert got.shape == (count, 4)
                 assert np.array_equal(got, per_state(count, seed))
+
+    @pytest.mark.parametrize("chi", [np.nan, -0.1, 2.0])
+    def test_fixed_concurrence_refuses_a_bad_chi_at_any_count(self, chi):
+        # chi's range rule runs once before the draws, so an empty corpus refuses it too
+        for count in (0, 1):
+            with pytest.raises(ValueError, match=r"chi out of \[0, pi/2\]"):
+                qp.sample_fixed_concurrence(count, 1, chi)
 
     def test_empty_corpora_have_the_corpus_shape(self):
         for corpus in (qp.sample_haar(0, 1), qp.sample_fixed_concurrence(0, 1, 0.3)):

@@ -269,3 +269,21 @@ def test_one_vector_reader():
         found = _nodes(unchecked, module)
         assert not found, f"_values named: {found}"
     assert reader, "states._unit is gone"
+
+
+def test_reader_takes_no_option():
+    # states._unit reads what callers pass by one rule, and as_spinor is a plain view of it:
+    # nothing scales a vector on its way in
+    for name, params in (("_unit", ["vector", "size"]), ("as_spinor", ["components"])):
+        args = _function("states.py", name).args
+        found = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        assert found == params and not (args.vararg or args.kwarg), f"{name} takes {found}"
+
+
+def test_separable_run_does_not_reread_its_own_spinors():
+    # evolve_separable_state builds its amplitudes from the spinors it just rotated, whose
+    # rounding outgrows the unit-norm rule on a long run, not through the public reconstruct
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(_function("dynamics.py", "evolve_separable_state"))
+              if isinstance(node, ast.Call)}
+    assert "reconstruct" not in called, "evolve_separable_state calls reconstruct"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitpair as qp
-from oracles import oracle_bloch_vector, uniform_angle_sets
+from oracles import oracle_bloch_vector, uniform_angle_sets, unit_spinor
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -26,7 +26,7 @@ def haar(n, seed):
 spinor_strategy = st.tuples(
     *(st.floats(-1.0, 1.0) for _ in range(4))
 ).filter(lambda t: sum(x * x for x in t) > 1e-2).map(
-    lambda t: qp.as_spinor([complex(t[0], t[1]), complex(t[2], t[3])], normalize=True))
+    lambda t: unit_spinor([complex(t[0], t[1]), complex(t[2], t[3])]))
 
 
 class TestGlobalPhase:
@@ -125,7 +125,7 @@ class TestBlochVector:
             spinor = z[8:10] + 1j * z[10:]
             assert np.array_equal(bloch_of(rho), numpy_bloch_vector(rho))
             assert np.array_equal(spinor_bloch_of(spinor), numpy_spinor_bloch_vector(spinor))
-            unit = qp.as_spinor(spinor, normalize=True)
+            unit = unit_spinor(spinor)
             assert np.array_equal(qp.spinor_bloch_vector(unit), numpy_spinor_bloch_vector(unit))
 
     @pytest.mark.parametrize("rho,n", [
@@ -409,8 +409,8 @@ class TestDecomposition:
         rng = np.random.default_rng(67)
         for _ in range(100):
             z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            s1 = qp.as_spinor(z[:2], normalize=True)
-            s2 = qp.as_spinor(z[2:], normalize=True)
+            s1 = unit_spinor(z[:2])
+            s2 = unit_spinor(z[2:])
             d = qp.SpinorDecomposition(0.0, s1, s2)
             assert np.max(np.abs(qp.reconstruct(d) - np.kron(s1, s2))) < 1e-12
 
@@ -449,9 +449,6 @@ class TestUnitCoercion:
         values[0] = bad
         with pytest.raises(ValueError, match="not normalized"):
             coerce(values)
-        if coerce is qp.as_spinor:
-            with pytest.raises(ValueError, match="cannot normalize"):
-                coerce(values, normalize=True)
 
     @pytest.mark.parametrize("coerce,size", [(qp.as_state, 4), (qp.as_spinor, 2)])
     def test_rejects_nan_imaginary_part_and_zero_vector(self, coerce, size):
@@ -459,9 +456,8 @@ class TestUnitCoercion:
         values[-1] = complex(1.0, np.nan)
         with pytest.raises(ValueError):
             coerce(values)
-        if coerce is qp.as_spinor:
-            with pytest.raises(ValueError, match="cannot normalize"):
-                coerce(np.zeros(size), normalize=True)
+        with pytest.raises(ValueError, match="not normalized"):
+            coerce(np.zeros(size))
 
     @pytest.mark.parametrize("coerce,size", [(qp.as_state, 4), (qp.as_spinor, 2)])
     def test_unit_norm_slack(self, coerce, size):
