@@ -89,7 +89,7 @@ ZERO_HAMILTONIAN = LocalHamiltonian(0.0, np.zeros(3))
 @dataclasses.dataclass(frozen=True, eq=False)
 class Schedule:
     """One qubit's steps as finite float arrays h (S,), v (S, 3) and dt (S,), copied and
-    read-only; iterating yields (LocalHamiltonian, dt) per step, the form the full backend runs."""
+    read-only; both backends read these arrays."""
 
     h: np.ndarray
     v: np.ndarray
@@ -113,10 +113,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.dt)
-
-    def __iter__(self):
-        for h_i, v, dt in zip(self.h.tolist(), self.v, self.dt.tolist()):
-            yield LocalHamiltonian._unchecked(h_i, v), dt
 
 
 def as_schedule(schedule) -> Schedule:
@@ -194,8 +190,9 @@ def local_unitary(h: LocalHamiltonian, t: float) -> np.ndarray:
 
 def _left_steps(a, b, c, d, schedule) -> tuple[complex, complex, complex, complex]:
     # M = [[a, b], [c, d]] taken to U M by each step's local_unitary U, in step order
-    for step in as_schedule(schedule):
-        (p, q), (r, s) = local_unitary(*step).tolist()
+    schedule = as_schedule(schedule)
+    for h_i, v, dt in zip(schedule.h.tolist(), schedule.v, schedule.dt.tolist()):
+        (p, q), (r, s) = local_unitary(LocalHamiltonian._unchecked(h_i, v), dt).tolist()
         a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
     return a, b, c, d
 

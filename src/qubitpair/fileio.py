@@ -170,8 +170,8 @@ def _schedule(entries: list) -> tuple[int, Schedule]:
     # messages quote the last entry
     if not all(map(isinstance, entries, repeat(dict))):
         raise ParseError("expected an object")
-    tags = list(map(dict.get, entries, repeat("qubit")))
-    if not all(map((1, 2).__contains__, tags)):
+    tags = list(map(dict.get, entries, repeat("qubit")))  # JSON integers: true and 1.0 equal 1
+    if not (set(map(type, tags)) <= {int} and all(map((1, 2).__contains__, tags))):
         raise ParseError(f"qubit must be 1 or 2, got {tags[-1]!r}")
     if len(set(tags)) > 1:
         raise ParseError("mixed qubit tags in one schedule file")

@@ -15,16 +15,16 @@ import math
 import numpy as np
 
 from .states import (
-    AngleSet,
     ConsistencyError,
     _canonical_phase,
     _check_chi,
     _contract,
+    _half_angle,
     _parity,
     _require_qubit,
+    _schmidt_sum,
     _unit,
     _vdot2,
-    state_from_angles,
     wrap_angle,
 )
 
@@ -84,10 +84,10 @@ def sample_haar(count: int, seed: int) -> np.ndarray:
 def sample_fixed_concurrence(count: int, seed: int, chi: float) -> np.ndarray:
     """States of one exact concurrence angle, one per row.
 
-    Draws cos(theta_i) uniform on [-1, 1] and phi_i, gamma uniform on the
-    circle, then builds amplitudes from the six angles.  A coverage sampler
-    over the fixed-chi manifold, not the Haar distribution conditioned on
-    chi.  A chi outside [0, pi/2], NaN included, is refused before any draw (ValueError).
+    Draws cos(theta_i) uniform on [-1, 1] and phi_i, gamma uniform on the circle, then builds
+    amplitudes from the six angles, in range by construction, as state_from_angles does.  A
+    coverage sampler over the fixed-chi manifold, not the Haar distribution conditioned on chi.
+    A chi outside [0, pi/2], NaN included, is refused before any draw (ValueError).
     """
     _check_chi(chi)
     # one row of five draws per state, in the order of five rng.uniform calls, each
@@ -96,8 +96,7 @@ def sample_fixed_concurrence(count: int, seed: int, chi: float) -> np.ndarray:
     high = -low
     draws = low + (high - low) * np.random.default_rng(seed).random((count, 5))
     thetas = np.arccos(draws[:, :2]).tolist()
-    out = np.empty((count, 4), dtype=complex)
-    for k, ((theta1, theta2), (phi1, phi2, gamma)) in enumerate(zip(thetas, draws[:, 2:].tolist())):
-        out[k] = state_from_angles(AngleSet(chi, theta1, wrap_angle(phi1), theta2,
-                                            wrap_angle(phi2), wrap_angle(gamma)))
-    return out
+    return np.array([_schmidt_sum(chi, _half_angle(t1, wrap_angle(p1), wrap_angle(g)),
+                                  _half_angle(t2, wrap_angle(p2)))
+                     for (t1, t2), (p1, p2, g) in zip(thetas, draws[:, 2:].tolist())],
+                    dtype=complex).reshape(count, 4)

@@ -68,6 +68,13 @@ def uniform_angle_sets(count: int, seed: int, chi_lo: float = 0.05,
             for _ in range(count)]
 
 
+def steps(schedule: qp.Schedule) -> list:
+    """A Schedule's steps as a list of (LocalHamiltonian, dt), each Hamiltonian checked and
+    built from the h and v columns, each dt read from the dt column."""
+    return [(qp.LocalHamiltonian(h_i, v), dt)
+            for h_i, v, dt in zip(schedule.h.tolist(), schedule.v.tolist(), schedule.dt.tolist())]
+
+
 def hamiltonian_matrix(h: qp.LocalHamiltonian) -> np.ndarray:
     """The 2x2 matrix h_i*I + v.sigma."""
     vx, vy, vz = h.v

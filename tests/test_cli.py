@@ -219,6 +219,20 @@ class TestEvolve:
         assert stdout_json(capsys)["error"]["code"] == "PARSE"
 
     @pytest.mark.parametrize("backend", ["full", "separable", "both"])
+    @pytest.mark.parametrize("tag", ["true", "1.0"])
+    def test_non_integer_qubit_tag_is_parse_error(self, tmp_path, capsys, backend, tag):
+        # JSON's true and 1.0 compare equal to 1, but a tag is the integer 1 or 2
+        state, _, s2 = self._files(tmp_path, seed=68)
+        s1 = tmp_path / "tagged.json"
+        s1.write_text('[{"qubit": %s, "h_i": 0.5, "v": [0, 0, 1], "duration": 0.1}]' % tag)
+        code = main(["evolve", "--in", state, "--schedule1", str(s1), "--schedule2", s2,
+                     "--backend", backend])
+        assert code == 2
+        error = stdout_json(capsys)["error"]
+        assert error["code"] == "PARSE"
+        assert "entry 0: qubit must be 1 or 2, got " in error["message"]
+
+    @pytest.mark.parametrize("backend", ["full", "separable", "both"])
     @pytest.mark.parametrize("entries", [
         '{"qubit": 1, "h_i": 0, "v": [1e200, 0, 0], "duration": 1e200}',
         '{"qubit": 1, "h_i": 1e200, "v": [0, 0, 1], "duration": 1e200}',

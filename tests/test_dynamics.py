@@ -7,7 +7,7 @@ import pytest
 
 import qubitpair as qp
 from qubitpair.verify import band_angle_sets, random_schedule
-from oracles import hamiltonian_matrix, oracle_matrix_exp, unit_spinor
+from oracles import hamiltonian_matrix, oracle_matrix_exp, steps, unit_spinor
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -147,7 +147,7 @@ class TestFullBackend:
     @pytest.mark.parametrize("lengths", [(0, 0), (1, 0), (0, 3), (7, 3), (3, 7)])
     def test_matches_per_step_kron_reference(self, lengths):
         rng = np.random.default_rng(40 + 10 * lengths[0] + lengths[1])
-        lists = [list(random_schedule(rng, n, True)) for n in lengths]
+        lists = [steps(random_schedule(rng, n, True)) for n in lengths]
         psi = entangled_state(41)
         expected = kron_steps(psi, *lists)
         final = expected[-1] if expected else psi
@@ -167,10 +167,10 @@ class TestFullBackend:
         schedules = [random_schedule(rng, n, True) for n in lengths]
         psi = entangled_state(46)
         m = psi.reshape(2, 2).tolist()
-        for h, dt in schedules[0]:
+        for h, dt in steps(schedules[0]):
             u = qp.local_unitary(h, dt).tolist()
             m = [[u[i][0] * m[0][j] + u[i][1] * m[1][j] for j in (0, 1)] for i in (0, 1)]
-        for h, dt in schedules[1]:
+        for h, dt in steps(schedules[1]):
             u = qp.local_unitary(h, dt).tolist()
             m = [[m[i][0] * u[j][0] + m[i][1] * u[j][1] for j in (0, 1)] for i in (0, 1)]
         assert qp.evolve_full_schedule(psi, *schedules).tolist() == [*m[0], *m[1]]
@@ -181,7 +181,7 @@ class TestFullBackend:
         monkeypatch.setattr(qp.dynamics, "local_unitary",
                             lambda h, t: calls.append(t) or unitary(h, t))
         rng = np.random.default_rng(43)
-        schedule1, schedule2 = (list(random_schedule(rng, n, True)) for n in (3, 2))
+        schedule1, schedule2 = (steps(random_schedule(rng, n, True)) for n in (3, 2))
         psi = entangled_state(44)
         qp.evolve_full_schedule(psi, schedule1, schedule2)
         assert sorted(calls) == sorted(dt for _, dt in schedule1 + schedule2)
@@ -279,7 +279,7 @@ class TestSeparableBackend:
         separable = ledger.phase * qp.reconstruct(d)
         assert np.max(np.abs(separable - report.final_state_full)) < 1e-9
         # compare_backends is the two public runs side by side, bit for bit
-        for schedules in ((long, short), (list(long), list(short))):
+        for schedules in ((long, short), (steps(long), steps(short))):
             report = qp.compare_backends(psi, *schedules)
             assert np.array_equal(report.final_state_full, qp.evolve_full_schedule(psi, *schedules))
             assert np.array_equal(report.final_state_separable,
@@ -416,14 +416,14 @@ def stepwise(spinor, schedule):
 
 
 class TestComposedSchedules:
-    @pytest.mark.parametrize("steps", [0, 1, 10, 2000])
-    def test_composition_matches_per_step_product(self, steps):
-        rng = np.random.default_rng(100 + steps)
-        schedules = [list(random_schedule(rng, steps, True)) for _ in range(2)]
-        if steps:
-            schedules[0][steps // 2] = (qp.ZERO_HAMILTONIAN, 0.4)
+    @pytest.mark.parametrize("length", [0, 1, 10, 2000])
+    def test_composition_matches_per_step_product(self, length):
+        rng = np.random.default_rng(100 + length)
+        schedules = [steps(random_schedule(rng, length, True)) for _ in range(2)]
+        if length:
+            schedules[0][length // 2] = (qp.ZERO_HAMILTONIAN, 0.4)
             schedules[1][-1] = (qp.LocalHamiltonian(0.0, [1e200, 1e200, 0.0]), 1e-200)
-        d = qp.decompose(entangled_state(steps))
+        d = qp.decompose(entangled_state(length))
         got, ledger = qp.evolve_separable_schedule(d, qp.PhaseLedger(), *schedules)
         assert got.chi == d.chi
         assert np.max(np.abs(got.spinor1 - stepwise(d.spinor1, schedules[0]))) < 1e-13
@@ -448,7 +448,7 @@ class TestComposedSchedules:
 
     def test_list_and_schedule_inputs_agree_bit_for_bit(self):
         rng = np.random.default_rng(23)
-        lists = [list(random_schedule(rng, 50, True)), list(random_schedule(rng, 7, True))]
+        lists = [steps(random_schedule(rng, 50, True)), steps(random_schedule(rng, 7, True))]
         stacked = [qp.as_schedule(s) for s in lists]
         assert [len(s) for s in stacked] == [50, 7]
         assert qp.as_schedule(stacked[0]) is stacked[0]
@@ -493,12 +493,6 @@ class TestComposedSchedules:
         assert (ledger.beta1, ledger.beta2) == (beta(schedules[0], start.beta1),
                                                 beta(schedules[1], start.beta2))
 
-    def test_schedule_iterates_as_its_steps(self):
-        rng = np.random.default_rng(26)
-        steps = list(random_schedule(rng, 5, True))
-        for (h, dt), (h2, dt2) in zip(steps, qp.as_schedule(steps), strict=True):
-            assert h2.h_i == h.h_i and np.array_equal(h2.v, h.v) and dt2 == dt
-
     def test_schedule_arrays_are_read_only_copies(self):
         h = np.array([0.5, -0.2])
         v = np.array([[0.0, 0.3, 1.0], [0.1, 0.0, -0.4]])
@@ -510,13 +504,6 @@ class TestComposedSchedules:
         # the caller's own arrays stay writable, and the schedule keeps its checked copy
         h[0] = math.nan
         assert s.h[0] == 0.5
-        for (step, t), h_i, row, d in zip(s, [0.5, -0.2], v, dt.tolist(), strict=True):
-            ref = qp.LocalHamiltonian(h_i, row)
-            assert type(step) is qp.LocalHamiltonian
-            assert step.h_i == ref.h_i and type(step.h_i) is float
-            assert np.array_equal(step.v, ref.v) and step.v.shape == (3,)
-            assert not step.v.flags.writeable and np.shares_memory(step.v, s.v)
-            assert t == d and type(t) is float
 
     def test_schedule_checks_its_arrays(self):
         s = qp.Schedule([0.5], [[0.0, 0.0, 1.0]], [0.25])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import qubitpair as qp
 from qubitpair import fileio
+from oracles import steps
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
@@ -273,7 +274,7 @@ class TestScheduleFiles:
         fileio.save_schedule(path, 1, schedule)
         qubit, loaded = fileio.load_schedule(path)
         assert qubit == 1
-        for (h, dt), (h2, dt2) in zip(schedule, loaded):
+        for (h, dt), (h2, dt2) in zip(schedule, steps(loaded), strict=True):
             assert h2.h_i == h.h_i and dt2 == dt
             assert np.array_equal(h2.v, h.v)
 
@@ -310,6 +311,14 @@ class TestScheduleLoader:
     @pytest.mark.parametrize("bad, message", [
         ('"step"', "expected an object"),
         ('{"qubit": 3, "h_i": 0, "v": [0, 0, 1], "duration": 1}', "qubit must be 1 or 2"),
+        # JSON's true, 1.0 and 2.0 compare equal to 1 or 2, but a tag is an integer; after
+        # entries tagged 1, true was also let through by the one-tag rule
+        ('{"qubit": true, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
+         "qubit must be 1 or 2, got True"),
+        ('{"qubit": 1.0, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
+         "qubit must be 1 or 2, got 1.0"),
+        ('{"qubit": 2.0, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
+         "qubit must be 1 or 2, got 2.0"),
         ('{"qubit": 2, "h_i": 0, "v": [0, 0, 1], "duration": 1}', "mixed qubit tags"),
         ('{"qubit": 1, "h_i": true, "v": [0, 0, 1], "duration": 1}',
          "h_i: expected a finite real number, got True"),
@@ -423,7 +432,7 @@ def reference_load_schedule(path):
             if not isinstance(entry, dict):
                 raise fileio.ParseError("expected an object")
             q = entry.get("qubit")
-            if q not in (1, 2):
+            if type(q) is not int or q not in (1, 2):
                 raise fileio.ParseError(f"qubit must be 1 or 2, got {q!r}")
             if qubit is None:
                 qubit = q

@@ -110,7 +110,12 @@ class TestSamplers:
         b = qp.sample_fixed_concurrence(50, 13, 0.4)
         assert np.array_equal(a, b)
 
-    def test_fixed_concurrence_matches_five_scalar_draws_per_state(self):
+    @pytest.mark.parametrize("count", [0, 1, 300])
+    @pytest.mark.parametrize("chi", [0.0, 5e-10, 1e-9, 0.3, np.pi / 4, np.pi / 2,
+                                     float(np.random.default_rng(23).uniform(0.0, np.pi / 2))])
+    def test_fixed_concurrence_matches_five_scalar_draws_per_state(self, chi, count):
+        # the sampler builds each row from the cores; the public route, a validated AngleSet
+        # through state_from_angles on five scalar draws, gives every row bit for bit
         def scalar_draws(count, seed, chi):
             rng = np.random.default_rng(seed)
             out = np.empty((count, 4), dtype=complex)
@@ -123,11 +128,10 @@ class TestSamplers:
                 out[k] = qp.state_from_angles(qp.AngleSet(chi, theta1, phi1, theta2, phi2, gamma))
             return out
 
-        random_chi = float(np.random.default_rng(23).uniform(0.0, np.pi / 2))
         for seed in (0, 13, 2024):
-            for chi in (0.0, 0.3, np.pi / 4, np.pi / 2, random_chi):
-                assert np.array_equal(qp.sample_fixed_concurrence(200, seed, chi),
-                                      scalar_draws(200, seed, chi))
+            got = qp.sample_fixed_concurrence(count, seed, chi)
+            assert got.shape == (count, 4) and got.dtype == np.complex128
+            assert got.tobytes() == scalar_draws(count, seed, chi).tobytes()
 
     def test_haar_matches_one_public_phase_fix_per_state(self):
         def per_state(count, seed):

@@ -114,14 +114,11 @@ def test_backends_read_one_schedule_form():
 
 def test_compare_backends_is_the_two_runs():
     # the backends are compared as they run for every caller: one call to each whole run, no
-    # step loop of compare_backends' own, and no per-step output for an option to collect
-    # (Schedule.__iter__, the step reader, is the one generator left)
-    tree = ast.parse((SOURCE / "dynamics.py").read_text(encoding="utf-8"))
-    found = [node.lineno for function in tree.body if isinstance(function, ast.FunctionDef)
-             for node in ast.walk(function) if isinstance(node, (ast.Yield, ast.YieldFrom))]
-    found += [node.lineno for node in ast.walk(tree)
-              if isinstance(node, ast.arg) and node.arg == "trace"]
-    assert not found, f"a yielding function or a trace parameter in dynamics.py at lines {found}"
+    # step loop of compare_backends' own, and no per-step output for an option to collect:
+    # no function or method in dynamics.py yields
+    found = _nodes(lambda node: isinstance(node, (ast.Yield, ast.YieldFrom))
+                   or (isinstance(node, ast.arg) and node.arg == "trace"), "dynamics.py")
+    assert not found, f"a yielding function or a trace parameter in dynamics.py at {found}"
     compare = _function("dynamics.py", "compare_backends")
     loops = [node.lineno for node in ast.walk(compare)
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
@@ -130,6 +127,17 @@ def test_compare_backends_is_the_two_runs():
               if isinstance(node, ast.Call)]
     for name in ("evolve_full_schedule", "evolve_separable_state"):
         assert called.count(name) == 1, f"compare_backends calls {name} {called.count(name)} times"
+
+
+def test_fixed_concurrence_sampler_builds_from_the_cores():
+    # every angle it draws is in range by construction, so no state goes through AngleSet and
+    # its validate(): the rows are state_from_angles' cores on the draws
+    def names_angle_api(node):
+        names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+        return not names.isdisjoint({"AngleSet", "state_from_angles"})
+
+    found = _nodes(names_angle_api, "measurement.py")
+    assert not found, f"AngleSet or state_from_angles named in measurement.py: {found}"
 
 
 def test_samplers_draw_schedules_without_hamiltonians():
