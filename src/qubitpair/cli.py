@@ -101,7 +101,7 @@ def _load_tagged_schedule(path: str, expect_qubit: int):
     qubit, schedule = fileio.load_schedule(path)
     if qubit != expect_qubit:
         raise fileio.ParseError(
-            f"{path}: entries are tagged qubit {qubit}, expected qubit {expect_qubit}")
+            f"{path}: steps are tagged qubit {qubit}, expected qubit {expect_qubit}")
     return schedule
 
 

@@ -211,13 +211,52 @@ def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
     return np.array((a, b, c, d))
 
 
+# schedules at least this long are composed as a pairwise tree of numpy rounds, shorter ones
+# step by step on Python floats: the tree's fixed cost of about 40 us per qubit outweighs
+# its per-step saving below 48-64 steps (measured on a 2-vCPU host, numpy 2.4.6)
+COMPOSE_TREE_MIN = 64
+
+
+def _cayley_klein_columns(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """_cayley_klein over columns v (S, 3) and t (S,): every step's (a, b) in one numpy pass,
+    or None where some |v| * t overflows."""
+    with np.errstate(over="ignore"):  # an overflow is the failure tested for
+        speed = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+        angle = speed * t
+    if not np.isfinite(angle).all():
+        return None
+    s = np.divide(np.sin(angle), speed, out=t.copy(), where=speed != 0.0)  # sin(|v|t)/|v| -> t
+    return np.cos(angle) - 1j * (s * v[:, 2]), -s * (v[:, 1] + 1j * v[:, 0])
+
+
+def _composed_tree(schedule: Schedule) -> tuple[complex, complex] | None:
+    # (A, B) of the steps' product, adjacent pairs multiplied, the later step on the left, in
+    # ceil(log2 S) rounds; None where some |v| * t overflows, which the step loop then refuses
+    # in its own words
+    pairs = _cayley_klein_columns(schedule.v, schedule.dt)
+    if pairs is None:
+        return None
+    a, b = pairs
+    while len(a) > 1:
+        a0, a1, b0, b1 = a[:-1:2], a[1::2], b[:-1:2], b[1::2]
+        pair_a, pair_b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
+        if len(a) % 2:  # the last of an odd count waits a round
+            pair_a, pair_b = np.append(pair_a, a[-1]), np.append(pair_b, b[-1])
+        a, b = pair_a, pair_b
+    return complex(a[0]), complex(b[0])
+
+
 def _rotated(spinor: list[complex], schedule: Schedule) -> np.ndarray:
     # the spinor, two complexes, under the product [[A, B], [-B*, A*]] of the schedule's steps
-    v = iter(schedule.v.ravel().tolist())  # one flat list read three at a time, not S lists
-    big_a, big_b = 1 + 0j, 0j
-    for x, y, z, t in zip(v, v, v, schedule.dt.tolist()):
-        a, b = _cayley_klein(x, y, z, t)
-        big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
+    composed = _composed_tree(schedule) if len(schedule) >= COMPOSE_TREE_MIN else None
+    if composed is None:
+        v = iter(schedule.v.ravel().tolist())  # one flat list read three at a time, not S lists
+        big_a, big_b = 1 + 0j, 0j
+        for x, y, z, t in zip(v, v, v, schedule.dt.tolist()):
+            a, b = _cayley_klein(x, y, z, t)
+            big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
+    else:
+        big_a, big_b = composed
     u, l = spinor
     return np.array([big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u])
 

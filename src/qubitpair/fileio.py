@@ -9,10 +9,12 @@ loading a saved file reproduces every value bit for bit.
 * angle file:    {"chi", "theta1", "phi1", "theta2", "phi2", "gamma"},
                  gamma may be null
 * spinor file:   {"chi", "spinor1": [[re, im] * 2], "spinor2": ...}
-* schedule file: [{"qubit": 1|2, "h_i": x, "v": [vx, vy, vz],
-                   "duration": dt}, ...], one qubit per file,
-                 entries applied in order (piecewise constant); it loads
-                 as one dynamics.Schedule of arrays (see load_schedule)
+* schedule file: one qubit's steps, applied in order (piecewise constant),
+                 written as columns, {"qubit": 1|2, "h_i": [S reals],
+                 "v": [3S reals, x y z per step], "duration": [S reals]};
+                 the entry list [{"qubit": 1|2, "h_i": x, "v": [vx, vy, vz],
+                 "duration": dt}, ...] still loads; either loads as one
+                 dynamics.Schedule of arrays (see load_schedule)
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ def load_spinor_state(path) -> np.ndarray:
 
 def save_schedule(path, qubit: int, schedule) -> None:
     s = as_schedule(schedule)
-    write_json(path, [{"qubit": qubit, "h_i": h_i, "v": v, "duration": dt}
-                      for h_i, v, dt in zip(s.h.tolist(), s.v.tolist(), s.dt.tolist())])
+    write_json(path, {"qubit": qubit, "h_i": s.h.tolist(), "v": s.v.ravel().tolist(),
+                      "duration": s.dt.tolist()})
 
 
 def _reals(values: list, name: str) -> np.ndarray:
@@ -164,41 +166,67 @@ def _reals(values: list, name: str) -> np.ndarray:
     return np.array([_real(x, name) for x in values])
 
 
-def _schedule(entries: list) -> tuple[int, Schedule]:
-    # each rule runs once over a whole column, in the order the rules apply to one entry; once
-    # every shorter prefix passes, a failing rule fails at the last entry alone, so the
-    # messages quote the last entry
-    if not all(map(isinstance, entries, repeat(dict))):
-        raise ParseError("expected an object")
-    tags = list(map(dict.get, entries, repeat("qubit")))  # JSON integers: true and 1.0 equal 1
+def _tag(tags: list) -> int:
+    # the one qubit tag of a file's steps, each a JSON integer: true and 1.0 equal 1
     if not (set(map(type, tags)) <= {int} and all(map((1, 2).__contains__, tags))):
         raise ParseError(f"qubit must be 1 or 2, got {tags[-1]!r}")
     if len(set(tags)) > 1:
         raise ParseError("mixed qubit tags in one schedule file")
-    h = _reals(list(map(dict.get, entries, repeat("h_i"), repeat(0.0))), "h_i")
+    return tags[0]
+
+
+def _entry_columns(entries: list) -> tuple[int, list, list, list]:
+    # (qubit, h_i, flat v, duration) of an entry list, each structural rule checked over all
+    # entries; once every shorter prefix passes, a failing rule fails at the last entry alone,
+    # so the messages quote the last entry
+    if not all(map(isinstance, entries, repeat(dict))):
+        raise ParseError("expected an object")
+    qubit = _tag(list(map(dict.get, entries, repeat("qubit"))))
+    h = list(map(dict.get, entries, repeat("h_i"), repeat(0.0)))
     vs = list(map(dict.get, entries, repeat("v")))
     if not (all(map(isinstance, vs, repeat(list))) and set(map(len, vs)) == {3}):
+        _reals(h, "h_i")  # an entry's h_i is checked before its v's shape
         raise ParseError("v must be a real 3-vector")
-    v = _reals(list(chain.from_iterable(vs)), "v").reshape(-1, 3)
-    dt = _reals(list(map(dict.get, entries, repeat("duration"))), "duration")
+    return qubit, h, list(chain.from_iterable(vs)), list(map(dict.get, entries, repeat("duration")))
+
+
+def _file_columns(obj: dict) -> tuple[int, list, list, list]:
+    # the column layout's own rules, each about the whole file: every column present, one tag,
+    # and S >= 1 h_i and duration values beside 3S v components
+    missing = [name for name in ("qubit", "h_i", "v", "duration") if name not in obj]
+    if missing:
+        raise ParseError(f"missing column {missing[0]!r}")
+    qubit, columns = _tag([obj["qubit"]]), (obj["h_i"], obj["v"], obj["duration"])
+    lengths = [len(c) if isinstance(c, list) else None for c in columns]  # None: not a list
+    if not (lengths[0] and lengths == [lengths[0], 3 * lengths[0], lengths[0]]):
+        raise ParseError(f"h_i, v and duration must list S >= 1, 3S and S values, "
+                         f"got lengths {lengths}")
+    return (qubit, *columns)
+
+
+def _checked(qubit: int, h: list, v: list, dt: list) -> tuple[int, Schedule]:
+    # the value rules, each once over a whole column, in the order they apply to one step
+    h, v, dt = _reals(h, "h_i"), _reals(v, "v").reshape(-1, 3), _reals(dt, "duration")
     if not (dt > 0.0).all():
         raise ParseError(f"duration must be positive, got {dt[-1].item()!r}")
     with np.errstate(over="ignore"):  # an overflow is the failure tested for
         span = np.cumsum((np.abs(h) + np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])) * dt)
     if not math.isfinite(span[-1]):
         raise ParseError("the schedule's phases and rotation angles overflow")
-    return tags[0], Schedule(h, v, dt)
+    return qubit, Schedule(h, v, dt)
 
 
 def load_schedule(path) -> tuple[int, Schedule]:
-    """Read one qubit's schedule file as (qubit, Schedule), each rule checked over whole columns.
+    """Read one qubit's schedule file, in either layout, as (qubit, Schedule), each rule
+    checked over whole columns.
 
     A rejection names the first offending entry and the first rule it breaks: every rule that
-    fails on a prefix of the entries fails on each longer one, so bisection finds the shortest.
+    fails on a prefix of the steps fails on each longer one, so bisection finds the shortest.
     The cyclic garbage collector is paused for the read and restored as the caller had it: a
-    parsed file holds a dict and a v list per entry, all alive at once, but JSON forms no
+    parsed entry file holds a dict and a v list per entry, all alive at once, but JSON forms no
     reference cycles and every container built here dies before the return, so a collection
-    could only promote dying objects and bring on full collections later.
+    could only promote dying objects and bring on full collections later.  The layout is known
+    only once the text is parsed, so a column file, 3 lists, reads under the same pause.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -211,19 +239,34 @@ def load_schedule(path) -> tuple[int, Schedule]:
 
 def _load_schedule(path) -> tuple[int, Schedule]:
     obj = read_json(path)
-    if not isinstance(obj, list) or not obj:
-        raise ParseError(f"{path}: expected a non-empty list of schedule entries")
+    if isinstance(obj, list) and obj:
+        steps = len(obj)
+
+        def prefix(count):  # the first count entries, checked
+            return _checked(*_entry_columns(obj[:count]))
+    elif isinstance(obj, dict):
+        try:
+            qubit, h, v, dt = _file_columns(obj)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        steps = len(h)
+
+        def prefix(count):
+            return _checked(qubit, h[:count], v[:3 * count], dt[:count])
+    else:
+        raise ParseError(f"{path}: expected a non-empty list of schedule entries "
+                         f"or an object of schedule columns")
     try:
-        return _schedule(obj)
+        return prefix(steps)
     except ParseError as whole:
-        passing, failing, error = 0, len(obj), whole
+        passing, failing, error = 0, steps, whole
         while failing - passing > 1:
             mid = (passing + failing) // 2
             try:
-                _schedule(obj[:mid])
+                prefix(mid)
                 passing = mid
-            except ParseError as prefix:
-                failing, error = mid, prefix
+            except ParseError as shorter:
+                failing, error = mid, shorter
         raise ParseError(f"{path}: entry {failing - 1}: {error}") from None
 
 

@@ -233,6 +233,25 @@ class TestEvolve:
         assert "entry 0: qubit must be 1 or 2, got " in error["message"]
 
     @pytest.mark.parametrize("backend", ["full", "separable", "both"])
+    @pytest.mark.parametrize("columns, message", [
+        ('"h_i": [0.5, 0.5], "v": [0, 0, 1, 0, 0, 1], "duration": [0.1]',
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [2, 6, 1]"),
+        ('"h_i": [0.5, 0.5], "v": [0, 0, 1, 0, 0], "duration": [0.1, 0.1]',
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [2, 5, 2]"),
+        ('"h_i": [0.5], "duration": [0.1]', "missing column 'v'"),
+    ], ids=["unequal-lengths", "v-not-3S", "missing-column"])
+    def test_column_layout_fault_is_parse_error(self, tmp_path, capsys, backend, columns,
+                                                message):
+        state, _, s2 = self._files(tmp_path, seed=69)
+        s1 = tmp_path / "columns.json"
+        s1.write_text('{"qubit": 1, %s}' % columns)
+        code = main(["evolve", "--in", state, "--schedule1", str(s1), "--schedule2", s2,
+                     "--backend", backend])
+        assert code == 2
+        error = stdout_json(capsys)["error"]
+        assert error["code"] == "PARSE" and error["message"] == f"{s1}: {message}"
+
+    @pytest.mark.parametrize("backend", ["full", "separable", "both"])
     @pytest.mark.parametrize("entries", [
         '{"qubit": 1, "h_i": 0, "v": [1e200, 0, 0], "duration": 1e200}',
         '{"qubit": 1, "h_i": 1e200, "v": [0, 0, 1], "duration": 1e200}',

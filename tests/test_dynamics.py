@@ -4,12 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qubitpair as qp
 from qubitpair.verify import band_angle_sets, random_schedule
 from oracles import hamiltonian_matrix, oracle_matrix_exp, steps, unit_spinor
 
 SQ2 = 1.0 / np.sqrt(2.0)
+TREE_MIN = qp.dynamics.COMPOSE_TREE_MIN
+ULP = np.finfo(float).eps  # the spacing of floats at 1
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
 
 
@@ -466,7 +470,8 @@ class TestComposedSchedules:
 
     def test_long_schedule_composes_without_a_collection(self, collections_during):
         # one v list per step kept 2,000 containers alive at once and set off gen-0
-        # collections; the flat read must leave the composition's arithmetic unchanged
+        # collections; the step loop's flat read must leave its arithmetic unchanged, bit for
+        # bit, and the tree, which multiplies in another order, stays within 1e-13 of it
         rng = np.random.default_rng(27)
         schedules = [qp.as_schedule(random_schedule(rng, 2000, True)) for _ in range(2)]
         d = qp.decompose(entangled_state(28))
@@ -488,10 +493,85 @@ class TestComposedSchedules:
                                                              schedule.dt.tolist()))])
 
         got, ledger = out
-        assert got.spinor1.tolist() == per_row(d.spinor1, schedules[0])
-        assert got.spinor2.tolist() == per_row(d.spinor2, schedules[1])
+        assert np.max(np.abs(got.spinor1 - per_row(d.spinor1, schedules[0]))) < 1e-13
+        assert np.max(np.abs(got.spinor2 - per_row(d.spinor2, schedules[1]))) < 1e-13
         assert (ledger.beta1, ledger.beta2) == (beta(schedules[0], start.beta1),
                                                 beta(schedules[1], start.beta2))
+        short = [qp.Schedule(s.h[:TREE_MIN - 1], s.v[:TREE_MIN - 1], s.dt[:TREE_MIN - 1])
+                 for s in schedules]
+        looped, _ = qp.evolve_separable_schedule(d, start, *short)
+        assert looped.spinor1.tolist() == per_row(d.spinor1, short[0])
+        assert looped.spinor2.tolist() == per_row(d.spinor2, short[1])
+
+    @pytest.mark.parametrize("length", [TREE_MIN - 1, TREE_MIN, TREE_MIN + 1, 2000, 100_000])
+    def test_tree_and_loop_agree(self, monkeypatch, length):
+        # the pairwise tree against the step loop on the same schedule, each path forced; a
+        # zero field, a huge field for a tiny time and a subnormal field ride along; the
+        # distances were 7.3e-16, 5.7e-16, 4.7e-16, 3.4e-15 and 2.8e-14
+        rng = np.random.default_rng(300 + length)
+        v = rng.normal(size=(length, 3))
+        v[[length // 3, length // 2, -1]] = [0.0, 0.0, 0.0], [1e200, 1e200, 0.0], [5e-324] * 3
+        dt = rng.uniform(0.01, 0.3, length)
+        dt[length // 2] = 1e-200
+        schedule = qp.Schedule(rng.normal(size=length), v, dt)
+        spinor = unit_spinor(rng.normal(size=2) + 1j * rng.normal(size=2)).tolist()
+        rotated = {}
+        for path, threshold in (("tree", 1), ("loop", length + 1), ("default", TREE_MIN)):
+            monkeypatch.setattr(qp.dynamics, "COMPOSE_TREE_MIN", threshold)
+            rotated[path] = qp.dynamics._rotated(spinor, schedule)
+        assert np.max(np.abs(rotated["tree"] - rotated["loop"])) < 1e-13
+        taken = "tree" if length >= TREE_MIN else "loop"
+        assert np.array_equal(rotated["default"], rotated[taken])
+
+    @pytest.mark.parametrize("length", [10, TREE_MIN + 10])
+    def test_overflow_is_refused_alike_on_both_paths(self, monkeypatch, length):
+        # a list schedule whose |v| * t overflows at step 7 first, at step 9 again: both paths
+        # name step 7's values in _cayley_klein's words, and numpy warns of nothing
+        h = qp.LocalHamiltonian(0.3, [0.1, -0.2, 0.5])
+        steps_ = [(h, 0.1)] * length
+        steps_[7] = (qp.LocalHamiltonian(0.0, [1e200, 0.0, 0.0]), 1e200)
+        steps_[9] = (qp.LocalHamiltonian(0.0, [0.0, 3e300, 0.0]), 1e100)
+        psi = entangled_state(46)
+        messages = set()
+        for threshold in (1, length + 1):
+            monkeypatch.setattr(qp.dynamics, "COMPOSE_TREE_MIN", threshold)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(qp.StepOverflow) as refusal:
+                    qp.evolve_separable_state(psi, steps_, [])
+            messages.add(str(refusal.value))
+        assert messages == {"|v| * t overflows: |v| = 1e+200, t = 1e+200"}
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 5000), st.integers(0, 5000), st.integers(0, 2 ** 32 - 1))
+    @example(TREE_MIN - 1, TREE_MIN, 0)
+    @example(TREE_MIN, 5000, 1)
+    @example(0, TREE_MIN + 1, 2)
+    def test_backends_agree_across_the_tree_threshold(self, length1, length2, seed):
+        rng = np.random.default_rng(seed)
+        schedules = [qp.Schedule(rng.normal(size=n), rng.normal(size=(n, 3)),
+                                 rng.uniform(0.01, 0.3, n)) for n in (length1, length2)]
+        report = qp.compare_backends(qp.sample_haar(1, seed)[0], *schedules)
+        assert qp.dynamics.backends_agree(report.max_component_deviation)
+
+    def test_column_form_is_the_closed_form(self):
+        # the tree's steps against _cayley_klein: the column |v| is two nested np.hypot calls
+        # where math.hypot takes three arguments, an ulp apart at most, which moves |v|t by an
+        # ulp of |v||t|; each real part is within 4 ulps of max(1, |v||t|), 1.6 here at worst
+        rng = np.random.default_rng(31)
+        v = np.concatenate([rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-3, 3, (20000, 1)),
+                            np.zeros((100, 3)),
+                            rng.integers(-50, 50, (100, 3)) * 5e-324,
+                            rng.normal(size=(100, 3)) * 1e-310])
+        t = rng.uniform(-5, 5, len(v))
+        a, b = qp.dynamics._cayley_klein_columns(v, t)
+        expected = np.array([qp.dynamics._cayley_klein(*row, dt)
+                             for row, dt in zip(v.tolist(), t.tolist())])
+        got = np.stack([a, b], axis=1)
+        scale = np.maximum(1.0, np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2]) * np.abs(t))
+        for part in (np.real, np.imag):
+            assert np.all(np.abs(part(got) - part(expected)) <= 4 * ULP * scale[:, None])
+        assert np.array_equal(got[20000:20100], expected[20000:20100])  # zero field: exact
 
     def test_schedule_arrays_are_read_only_copies(self):
         h = np.array([0.5, -0.2])

@@ -278,12 +278,12 @@ class TestScheduleFiles:
             assert h2.h_i == h.h_i and dt2 == dt
             assert np.array_equal(h2.v, h.v)
 
-    def test_saved_text_is_the_entry_list(self, tmp_path):
+    def test_saved_text_is_the_column_object(self, tmp_path):
         steps = [(qp.LocalHamiltonian(0.3, [1.0, -0.5, 0.25]), 0.5),
                  (qp.LocalHamiltonian(-2.0, [0.0, 0.0, 2.0]), 1)]
-        expected = fileio.dumps([
-            {"qubit": 2, "h_i": 0.3, "v": [1.0, -0.5, 0.25], "duration": 0.5},
-            {"qubit": 2, "h_i": -2.0, "v": [0.0, 0.0, 2.0], "duration": 1.0}]) + "\n"
+        expected = fileio.dumps({"qubit": 2, "h_i": [0.3, -2.0],
+                                 "v": [1.0, -0.5, 0.25, 0.0, 0.0, 2.0],
+                                 "duration": [0.5, 1.0]}) + "\n"
         path = tmp_path / "sched.json"
         for schedule in (steps, qp.as_schedule(steps)):
             fileio.save_schedule(path, 2, schedule)
@@ -307,6 +307,53 @@ class TestScheduleFiles:
 GOOD_ENTRY = '{"qubit": 1, "h_i": 0.5, "v": [0.1, -0.2, 0.3], "duration": 0.25}'
 
 
+def entry_list(qubit, schedule):
+    """A Schedule as the entry layout, one object per step."""
+    return [{"qubit": qubit, "h_i": h_i, "v": v, "duration": dt}
+            for h_i, v, dt in zip(schedule.h.tolist(), schedule.v.tolist(), schedule.dt.tolist())]
+
+
+def as_columns(entries):
+    """An entry list's steps written as the column layout, value for value (a missing h_i as
+    the loader's 0.0, a missing duration as null), or None where columns cannot hold them: an
+    entry that is not an object, a tag that is not one integer 1 or 2, a v not a list of 3."""
+    if not all(isinstance(e, dict) for e in entries):
+        return None
+    tags = [e.get("qubit") for e in entries]
+    if not (all(type(q) is int and q in (1, 2) for q in tags) and len(set(tags)) == 1):
+        return None
+    if not all(isinstance(e.get("v"), list) and len(e["v"]) == 3 for e in entries):
+        return None
+    return {"qubit": entries[0]["qubit"], "h_i": [e.get("h_i", 0.0) for e in entries],
+            "v": [x for e in entries for x in e["v"]],
+            "duration": [e.get("duration") for e in entries]}
+
+
+LAYOUTS = {"entries": lambda entries: entries, "columns": as_columns}
+
+
+def write_layout(path, entries, layout):
+    path.write_text(json.dumps(LAYOUTS[layout](entries)))
+
+
+VALUE_FAULTS = [  # rules on one step's values: a column file can break each at any step
+    ('{"qubit": 1, "h_i": true, "v": [0, 0, 1], "duration": 1}',
+     "h_i: expected a finite real number, got True"),
+    ('{"qubit": 1, "h_i": 0, "v": [0, "1", 1], "duration": 1}',
+     "v: expected a finite real number, got '1'"),
+    ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": Infinity}',
+     "duration: expected a finite real number, got inf"),
+    ('{"qubit": 1, "h_i": NaN, "v": [0, 0, 1], "duration": 1}',
+     "h_i: expected a finite real number, got nan"),
+    ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1' + "0" * 400 + '], "duration": 1}',
+     "v: expected a finite real number, got 1" + "0" * 400),
+    ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1]}',
+     "duration: expected a finite real number, got None"),
+    ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": 0}',
+     "duration must be positive, got 0.0"),
+]
+
+
 class TestScheduleLoader:
     @pytest.mark.parametrize("bad, message", [
         ('"step"', "expected an object"),
@@ -320,29 +367,57 @@ class TestScheduleLoader:
         ('{"qubit": 2.0, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
          "qubit must be 1 or 2, got 2.0"),
         ('{"qubit": 2, "h_i": 0, "v": [0, 0, 1], "duration": 1}', "mixed qubit tags"),
-        ('{"qubit": 1, "h_i": true, "v": [0, 0, 1], "duration": 1}',
-         "h_i: expected a finite real number, got True"),
-        ('{"qubit": 1, "h_i": 0, "v": [0, "1", 1], "duration": 1}',
-         "v: expected a finite real number, got '1'"),
-        ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": Infinity}',
-         "duration: expected a finite real number, got inf"),
-        ('{"qubit": 1, "h_i": NaN, "v": [0, 0, 1], "duration": 1}',
-         "h_i: expected a finite real number, got nan"),
-        ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1' + "0" * 400 + '], "duration": 1}',
-         "v: expected a finite real number, got 1" + "0" * 400),
-        ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1]}',
-         "duration: expected a finite real number, got None"),
-        ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": 0}',
-         "duration must be positive, got 0.0"),
         ('{"qubit": 1, "h_i": 0, "v": [0, 0], "duration": 1}', "v must be a real 3-vector"),
         ('{"qubit": 1, "h_i": 0, "v": {"x": 1, "y": 0, "z": 0}, "duration": 1}',
          "v must be a real 3-vector"),
-    ])
+        # an entry's h_i is checked before its v's shape
+        ('{"qubit": 1, "h_i": NaN, "v": [0, 0], "duration": 1}',
+         "h_i: expected a finite real number, got nan"),
+    ] + VALUE_FAULTS)
     def test_rejection_names_the_entry(self, tmp_path, bad, message):
         path = tmp_path / "sched.json"
         path.write_text(f"[{GOOD_ENTRY}, {GOOD_ENTRY}, {bad}, {GOOD_ENTRY}]")
         with pytest.raises(fileio.ParseError, match=re.escape(f"{path}: entry 2: {message}")):
             fileio.load_schedule(path)
+
+    @pytest.mark.parametrize("bad, message", VALUE_FAULTS)
+    def test_column_rejection_names_the_entry(self, tmp_path, bad, message):
+        # the same four steps written as columns: the same entry and the same words
+        path = tmp_path / "sched.json"
+        write_layout(path, json.loads(f"[{GOOD_ENTRY}, {GOOD_ENTRY}, {bad}, {GOOD_ENTRY}]"),
+                     "columns")
+        with pytest.raises(fileio.ParseError, match=re.escape(f"{path}: entry 2: {message}")):
+            fileio.load_schedule(path)
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"h_i": [0.5], "v": [0, 0, 1], "duration": [1]}, "missing column 'qubit'"),
+        ({"qubit": 1, "v": [0, 0, 1], "duration": [1]}, "missing column 'h_i'"),
+        ({"qubit": 1, "h_i": [0.5], "duration": [1]}, "missing column 'v'"),
+        ({"qubit": 1, "h_i": [0.5], "v": [0, 0, 1]}, "missing column 'duration'"),
+        ({"qubit": 1, "h_i": [0.5, 0.5], "v": [0, 0, 1, 0, 0, 1], "duration": [1]},
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [2, 6, 1]"),
+        ({"qubit": 1, "h_i": [0.5, 0.5], "v": [0, 0, 1, 0, 0], "duration": [1, 1]},
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [2, 5, 2]"),
+        ({"qubit": 1, "h_i": [0.5], "v": [[0, 0, 1]], "duration": [1]},
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [1, 1, 1]"),
+        ({"qubit": 1, "h_i": 0.5, "v": [0, 0, 1], "duration": [1]},
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [None, 3, 1]"),
+        ({"qubit": 1, "h_i": [], "v": [], "duration": []},
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [0, 0, 0]"),
+        ({"qubit": 3, "h_i": [0.5], "v": [0, 0, 1], "duration": [1]},
+         "qubit must be 1 or 2, got 3"),
+        ({"qubit": True, "h_i": [0.5], "v": [0, 0, 1], "duration": [1]},
+         "qubit must be 1 or 2, got True"),
+        ({"qubit": [1], "h_i": [0.5], "v": [0, 0, 1], "duration": [1]},
+         "qubit must be 1 or 2, got [1]"),
+    ])
+    def test_column_layout_faults_name_the_file(self, tmp_path, columns, message):
+        # a column file's own rules are about the whole file, so no entry is named
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(columns))
+        with pytest.raises(fileio.ParseError) as caught:
+            fileio.load_schedule(path)
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_bad_first_entry_is_named(self, tmp_path):
         path = tmp_path / "sched.json"
@@ -366,13 +441,17 @@ class TestScheduleLoader:
         with pytest.raises(fileio.ParseError, match="entry 1: h_i: expected a finite real number"):
             fileio.load_schedule(path)
 
-    def test_schedule_reloads_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["columns", "entries"])
+    def test_schedule_reloads_bit_exact(self, tmp_path, layout):
         rng = np.random.default_rng(12)
         scale = 10.0 ** rng.integers(-300, 290, size=(200, 3))
         schedule = qp.Schedule(rng.normal(size=200), rng.normal(size=(200, 3)) * scale,
                                rng.uniform(1e-3, 1.0, size=200))
         path = tmp_path / "sched.json"
-        fileio.save_schedule(path, 2, schedule)
+        if layout == "columns":
+            fileio.save_schedule(path, 2, schedule)
+        else:
+            write_layout(path, entry_list(2, schedule), layout)
         qubit, loaded = fileio.load_schedule(path)
         assert qubit == 2 and isinstance(loaded, qp.Schedule) and len(loaded) == 200
         assert np.array_equal(loaded.h, schedule.h)
@@ -399,14 +478,16 @@ class TestScheduleLoader:
         finally:
             gc.enable()
 
-    def test_long_file_loads_without_a_collection(self, tmp_path, collections_during):
-        # the parse keeps one dict and one v list per entry alive at once: 4,000 containers
-        # for 2,000 entries, which set off gen-0 collections that only promote dying objects
+    @pytest.mark.parametrize("layout", ["columns", "entries"])
+    def test_long_file_loads_without_a_collection(self, tmp_path, collections_during, layout):
+        # an entry file's parse keeps one dict and one v list per entry alive at once: 4,000
+        # containers for 2,000 entries, which set off gen-0 collections that only promote
+        # dying objects; a column file holds 3 lists
         rng = np.random.default_rng(29)
         schedule = qp.Schedule(rng.normal(size=2000), rng.normal(size=(2000, 3)),
                                rng.uniform(0.01, 1.0, 2000))
         path = tmp_path / "sched.json"
-        fileio.save_schedule(path, 1, schedule)
+        write_layout(path, entry_list(1, schedule), layout)
         loaded = []
         assert collections_during(lambda: loaded.append(fileio.load_schedule(path))) == []
         assert loaded[0][0] == 1 and np.array_equal(loaded[0][1].v, schedule.v)
@@ -525,18 +606,27 @@ class TestColumnLoaderAgainstEntryLoop:
     def test_seeded_random_files(self, tmp_path):
         rng = np.random.default_rng(2024)
         path = tmp_path / "sched.json"
-        kinds = {"valid": 0, "error": 0}
+        kinds = {(layout, kind): 0 for layout in LAYOUTS for kind in ("valid", "error")}
         for _ in range(2500):
-            path.write_text(json.dumps(random_schedule_file(rng)))
+            entries = random_schedule_file(rng)
+            path.write_text(json.dumps(entries))
             expected = outcome(reference_load_schedule, path)
-            assert outcome(column_load, path) == expected, path.read_text()
-            kinds["error" if expected[0] == "error" else "valid"] += 1
-        assert min(kinds.values()) >= 500, kinds  # both outcomes well represented
+            # the same steps as columns, where columns can hold them, load or fail the same
+            for layout in LAYOUTS:
+                if LAYOUTS[layout](entries) is not None:
+                    write_layout(path, entries, layout)
+                    assert outcome(column_load, path) == expected, path.read_text()
+                    kinds[layout, "error" if expected[0] == "error" else "valid"] += 1
+        # both outcomes well represented; most faults the generator draws are structural, which
+        # columns cannot hold, so fewer failing files have a column form
+        assert min(kinds["entries", "valid"], kinds["entries", "error"]) >= 500, kinds
+        assert min(kinds["columns", "valid"], kinds["columns", "error"]) >= 200, kinds
 
     @pytest.mark.parametrize("index", [0, 1000, 1999])
     @pytest.mark.parametrize("fault", [{"h_i": math.nan}, {"v": [0.5, 1.0]}, {"duration": 0},
                                        {"h_i": 1.7e308, "v": [0.0, 1.7e308, 0.0]}])
-    def test_long_file_names_its_one_bad_entry(self, tmp_path, index, fault):
+    @pytest.mark.parametrize("layout", ["entries", "columns"])
+    def test_long_file_names_its_one_bad_entry(self, tmp_path, index, fault, layout):
         rng = np.random.default_rng(index)
         entries = [{"qubit": 1, "h_i": float(h), "v": v.tolist(), "duration": float(dt)}
                    for h, v, dt in zip(rng.normal(size=2000), rng.normal(size=(2000, 3)),
@@ -546,4 +636,13 @@ class TestColumnLoaderAgainstEntryLoop:
         path.write_text(json.dumps(entries))
         expected = outcome(reference_load_schedule, path)
         assert expected[0] == "error" and f"entry {index}: " in expected[1]
+        if layout == "columns":
+            columns = as_columns(entries)
+            if columns is None:  # the 2-vector leaves the v column one short: a whole-file fault
+                columns = {"qubit": 1, "h_i": [e["h_i"] for e in entries],
+                           "v": [x for e in entries for x in e["v"]],
+                           "duration": [e["duration"] for e in entries]}
+                expected = ("error", f"{path}: h_i, v and duration must list S >= 1, 3S and S "
+                                     f"values, got lengths [2000, 5999, 2000]")
+            path.write_text(json.dumps(columns))
         assert outcome(column_load, path) == expected

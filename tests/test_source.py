@@ -57,15 +57,18 @@ def _function(module, name):
 
 
 def test_one_su2_closed_form():
-    # the SU(2) closed form is written once: su2_operator and the separable
-    # backend's composition both take their entries from _cayley_klein
-    helper = _function("dynamics.py", "_cayley_klein")
-    inside = range(helper.lineno, helper.end_lineno + 1)
+    # the SU(2) closed form is written in two forms only: on Python floats in _cayley_klein,
+    # which su2_operator and the step loop take their entries from, and over columns in
+    # _cayley_klein_columns, the tree's; test_dynamics holds the second to the first in ulps
+    inside = set()
+    for name in ("_cayley_klein", "_cayley_klein_columns"):
+        helper = _function("dynamics.py", name)
+        inside |= set(range(helper.lineno, helper.end_lineno + 1))
     found = _nodes(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                    and node.func.attr in ("cos", "sin")
-                   and getattr(node.func.value, "id", None) == "math"
+                   and getattr(node.func.value, "id", None) in ("math", "np", "cmath")
                    and node.lineno not in inside, "dynamics.py")
-    assert not found, f"math.cos/math.sin outside _cayley_klein in dynamics.py: {found}"
+    assert not found, f"cos/sin outside the two closed forms in dynamics.py: {found}"
 
 
 def test_full_backend_composes_nothing():
