@@ -60,7 +60,9 @@ class DegenerateState(ValueError):
 
 
 class StepOverflow(ValueError):
-    """A step's rotation angle |v|*t or phase h_i*t, or a schedule's summed phase, overflows."""
+    """A schedule's running span of phases and rotation angles, (|h_i| + |v|) * |dt| summed
+    over its steps, overflows (Schedule names the step), a bare one-step operator's |v|*t or
+    h_i*t does, or a ledger's start and a schedule's phases overflow their sum."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,8 +90,11 @@ ZERO_HAMILTONIAN = LocalHamiltonian(0.0, np.zeros(3))
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Schedule:
-    """One qubit's steps as finite float arrays h (S,), v (S, 3) and dt (S,), copied and
-    read-only; both backends read these arrays."""
+    """One qubit's steps as float arrays h (S,), v (S, 3) and dt (S,), copied and read-only;
+    both backends read these arrays.  The one magnitude rule: the running span
+    sum (|h_i| + |v|) * |dt| stays finite, so every phase h_i*dt, every angle |v|*dt and each
+    backend's sum of them does.  The first step past it names the refusal: ValueError where
+    its own h_i, |v| or dt is not finite, StepOverflow where the span alone overflows."""
 
     h: np.ndarray
     v: np.ndarray
@@ -100,13 +105,17 @@ class Schedule:
         if not (h.ndim == 1 and v.shape == (len(h), 3) and dt.shape == h.shape):
             raise ValueError(f"a schedule needs h (S,), v (S, 3) and dt (S,), "
                              f"got shapes {h.shape}, {v.shape}, {dt.shape}")
-        with np.errstate(over="ignore"):  # a |v| past the float range fails the check below
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite span is tested for
             speed = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
-        bad = ~(np.isfinite(h) & np.isfinite(speed) & np.isfinite(dt))
-        if bad.any():
-            k = int(bad.argmax())
-            raise ValueError(f"schedule entries and each |v| must be finite: step {k} has "
-                             f"h = {float(h[k])!r}, v = {v[k].tolist()!r}, dt = {float(dt[k])!r}")
+            span = ((np.abs(h) + speed) * np.abs(dt)).cumsum()
+        if len(span) and not math.isfinite(span[-1]):
+            k = int(np.isfinite(span).argmin())  # a non-finite span stays so: the first step
+            values = f"h = {float(h[k])!r}, v = {v[k].tolist()!r}, dt = {float(dt[k])!r}"
+            # each value on its own, since a sum of finite values can overflow
+            if all(map(math.isfinite, (h[k], speed[k], dt[k]))):
+                raise StepOverflow(f"the schedule's phases and rotation angles overflow at "
+                                   f"step {k}: {values}")
+            raise ValueError(f"schedule entries and each |v| must be finite: step {k} has {values}")
         for name, a in zip(("h", "v", "dt"), arrays):
             a.flags.writeable = False  # so the checks above hold for the object's whole life
             object.__setattr__(self, name, a)
@@ -202,7 +211,8 @@ def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
 
     psi must be a unit 4-vector, as evolve_separable_state requires (ValueError otherwise,
     NaN and inf included).  Schedules are Schedules or sequences of (LocalHamiltonian,
-    duration), each read through as_schedule, so a non-finite duration is refused (ValueError).
+    duration), each read through as_schedule, so a non-finite duration is refused (ValueError)
+    and so is an overflowing span (StepOverflow), on both backends alike.
     The two qubits' unitaries commute, so each schedule runs on its own: qubit 1's steps take
     the amplitude matrix M to U1 M, then qubit 2's take it to M U2^T = (U2 M^T)^T.
     """
@@ -217,26 +227,19 @@ def evolve_full_schedule(psi, schedule1, schedule2) -> np.ndarray:
 COMPOSE_TREE_MIN = 64
 
 
-def _cayley_klein_columns(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """_cayley_klein over columns v (S, 3) and t (S,): every step's (a, b) in one numpy pass,
-    or None where some |v| * t overflows."""
-    with np.errstate(over="ignore"):  # an overflow is the failure tested for
-        speed = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
-        angle = speed * t
-    if not np.isfinite(angle).all():
-        return None
+def _cayley_klein_columns(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_cayley_klein over a Schedule's columns v (S, 3) and t (S,): every step's (a, b) in one
+    numpy pass; the Schedule's span rule keeps every |v| * t finite."""
+    speed = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+    angle = speed * t
     s = np.divide(np.sin(angle), speed, out=t.copy(), where=speed != 0.0)  # sin(|v|t)/|v| -> t
     return np.cos(angle) - 1j * (s * v[:, 2]), -s * (v[:, 1] + 1j * v[:, 0])
 
 
-def _composed_tree(schedule: Schedule) -> tuple[complex, complex] | None:
+def _composed_tree(schedule: Schedule) -> tuple[complex, complex]:
     # (A, B) of the steps' product, adjacent pairs multiplied, the later step on the left, in
-    # ceil(log2 S) rounds; None where some |v| * t overflows, which the step loop then refuses
-    # in its own words
-    pairs = _cayley_klein_columns(schedule.v, schedule.dt)
-    if pairs is None:
-        return None
-    a, b = pairs
+    # ceil(log2 S) rounds
+    a, b = _cayley_klein_columns(schedule.v, schedule.dt)
     while len(a) > 1:
         a0, a1, b0, b1 = a[:-1:2], a[1::2], b[:-1:2], b[1::2]
         pair_a, pair_b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
@@ -248,15 +251,14 @@ def _composed_tree(schedule: Schedule) -> tuple[complex, complex] | None:
 
 def _rotated(spinor: list[complex], schedule: Schedule) -> np.ndarray:
     # the spinor, two complexes, under the product [[A, B], [-B*, A*]] of the schedule's steps
-    composed = _composed_tree(schedule) if len(schedule) >= COMPOSE_TREE_MIN else None
-    if composed is None:
+    if len(schedule) >= COMPOSE_TREE_MIN:
+        big_a, big_b = _composed_tree(schedule)
+    else:
         v = iter(schedule.v.ravel().tolist())  # one flat list read three at a time, not S lists
         big_a, big_b = 1 + 0j, 0j
         for x, y, z, t in zip(v, v, v, schedule.dt.tolist()):
             a, b = _cayley_klein(x, y, z, t)
             big_a, big_b = a * big_a - b * big_b.conjugate(), a * big_b + b * big_a.conjugate()
-    else:
-        big_a, big_b = composed
     u, l = spinor
     return np.array([big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u])
 

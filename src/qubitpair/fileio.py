@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import gc
 import json
 import math
 import sys
@@ -106,7 +105,8 @@ def load_state(path) -> np.ndarray:
 
 
 def save_angles(path, angles: AngleSet) -> None:
-    write_json(path, dataclasses.asdict(angles))
+    """Write an angle file, once angles pass load_angles' rule, AngleSet.validate."""
+    write_json(path, dataclasses.asdict(angles.validate()))
 
 
 def load_angles(path) -> AngleSet:
@@ -150,9 +150,13 @@ def load_spinor_state(path) -> np.ndarray:
 
 
 def save_schedule(path, qubit: int, schedule) -> None:
+    """Write a column schedule file, once the column object passes load_schedule's rules
+    (ParseError in the reader's words otherwise, and nothing is written)."""
     s = as_schedule(schedule)
-    write_json(path, {"qubit": qubit, "h_i": s.h.tolist(), "v": s.v.ravel().tolist(),
-                      "duration": s.dt.tolist()})
+    obj = {"qubit": qubit, "h_i": s.h.tolist(), "v": s.v.ravel().tolist(),
+           "duration": s.dt.tolist()}
+    _column_schedule(obj, path)
+    write_json(path, obj)
 
 
 def _reals(values: list, name: str) -> np.ndarray:
@@ -209,53 +213,16 @@ def _checked(qubit: int, h: list, v: list, dt: list) -> tuple[int, Schedule]:
     h, v, dt = _reals(h, "h_i"), _reals(v, "v").reshape(-1, 3), _reals(dt, "duration")
     if not (dt > 0.0).all():
         raise ParseError(f"duration must be positive, got {dt[-1].item()!r}")
-    with np.errstate(over="ignore"):  # an overflow is the failure tested for
-        span = np.cumsum((np.abs(h) + np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])) * dt)
-    if not math.isfinite(span[-1]):
-        raise ParseError("the schedule's phases and rotation angles overflow")
-    return qubit, Schedule(h, v, dt)
+    try:  # Schedule's magnitude rule; on finite reals only the running span can fail it
+        return qubit, Schedule(h, v, dt)
+    except ValueError:
+        raise ParseError("the schedule's phases and rotation angles overflow") from None
 
 
-def load_schedule(path) -> tuple[int, Schedule]:
-    """Read one qubit's schedule file, in either layout, as (qubit, Schedule), each rule
-    checked over whole columns.
-
-    A rejection names the first offending entry and the first rule it breaks: every rule that
-    fails on a prefix of the steps fails on each longer one, so bisection finds the shortest.
-    The cyclic garbage collector is paused for the read and restored as the caller had it: a
-    parsed entry file holds a dict and a v list per entry, all alive at once, but JSON forms no
-    reference cycles and every container built here dies before the return, so a collection
-    could only promote dying objects and bring on full collections later.  The layout is known
-    only once the text is parsed, so a column file, 3 lists, reads under the same pause.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _load_schedule(path)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _load_schedule(path) -> tuple[int, Schedule]:
-    obj = read_json(path)
-    if isinstance(obj, list) and obj:
-        steps = len(obj)
-
-        def prefix(count):  # the first count entries, checked
-            return _checked(*_entry_columns(obj[:count]))
-    elif isinstance(obj, dict):
-        try:
-            qubit, h, v, dt = _file_columns(obj)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        steps = len(h)
-
-        def prefix(count):
-            return _checked(qubit, h[:count], v[:3 * count], dt[:count])
-    else:
-        raise ParseError(f"{path}: expected a non-empty list of schedule entries "
-                         f"or an object of schedule columns")
+def _bisected(prefix, steps: int, path) -> tuple[int, Schedule]:
+    # prefix(steps), the first steps entries checked; where that fails, the shortest failing
+    # prefix's error, naming its last entry: every rule that fails on a prefix of the steps
+    # fails on each longer one, so bisection finds the shortest
     try:
         return prefix(steps)
     except ParseError as whole:
@@ -268,6 +235,29 @@ def _load_schedule(path) -> tuple[int, Schedule]:
             except ParseError as shorter:
                 failing, error = mid, shorter
         raise ParseError(f"{path}: entry {failing - 1}: {error}") from None
+
+
+def _column_schedule(obj: dict, path) -> tuple[int, Schedule]:
+    # a column object checked as load_schedule reads it, by the writer and the reader alike
+    try:
+        qubit, h, v, dt = _file_columns(obj)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return _bisected(lambda count: _checked(qubit, h[:count], v[:3 * count], dt[:count]),
+                     len(h), path)
+
+
+def load_schedule(path) -> tuple[int, Schedule]:
+    """Read one qubit's schedule file, in either layout, as (qubit, Schedule), each rule
+    checked over whole columns; the last, the magnitude rule, is the Schedule's own.
+    A rejection names the first offending entry and the first rule it breaks."""
+    obj = read_json(path)
+    if isinstance(obj, dict):
+        return _column_schedule(obj, path)
+    if not (isinstance(obj, list) and obj):
+        raise ParseError(f"{path}: expected a non-empty list of schedule entries "
+                         f"or an object of schedule columns")
+    return _bisected(lambda count: _checked(*_entry_columns(obj[:count])), len(obj), path)
 
 
 # states per dumps call: a state's lists, dict and text cost ~1.6 kB while it is written, so

@@ -5,6 +5,7 @@ eigendecomposition), so that a test comparing it with the package checks the
 package's arithmetic by an independent path.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,20 @@ def uniform_angle_sets(count: int, seed: int, chi_lo: float = 0.05,
                         phi2=qp.wrap_angle(rng.uniform(-np.pi, np.pi)),
                         gamma=qp.wrap_angle(rng.uniform(-np.pi, np.pi)))
             for _ in range(count)]
+
+
+def numbers(obj):
+    """Every number in a result: arrays, tuples, lists and dataclasses of them, walked."""
+    if isinstance(obj, np.ndarray):
+        yield from obj.ravel().tolist()
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from numbers(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from numbers(getattr(obj, field.name))
+    else:
+        yield obj
 
 
 def steps(schedule: qp.Schedule) -> list:

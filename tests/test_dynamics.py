@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import qubitpair as qp
 from qubitpair.verify import band_angle_sets, random_schedule
-from oracles import hamiltonian_matrix, oracle_matrix_exp, steps, unit_spinor
+from oracles import hamiltonian_matrix, numbers, oracle_matrix_exp, steps, unit_spinor
 
 SQ2 = 1.0 / np.sqrt(2.0)
 TREE_MIN = qp.dynamics.COMPOSE_TREE_MIN
@@ -378,14 +379,22 @@ class TestSeparableState:
                     assert qp.dynamics.backends_agree(report.max_component_deviation)
 
     def test_overflowing_schedule_is_a_typed_refusal(self):
+        # an angle |v| * dt and a summed phase past the float range are refused where the
+        # Schedule is built, naming the step, and a list step meets that refusal in either run;
+        # a ledger that starts near the float limit is refused by the separable run's sum
         psi = entangled_state(42)
-        angle = qp.Schedule([0.0], [[1e200, 0.0, 0.0]], [1e200])
-        phases = qp.Schedule([1e308, 1e308], [[0.0, 0.0, 0.0]] * 2, [1.0, 1.0])  # each finite
+        with pytest.raises(qp.StepOverflow, match=r"at step 0: h = 0\.0, v = \[1e\+200, 0\.0, "
+                                                   r"0\.0\], dt = 1e\+200"):
+            qp.Schedule([0.0], [[1e200, 0.0, 0.0]], [1e200])
+        with pytest.raises(qp.StepOverflow, match=r"at step 1: h = 1e\+308"):  # each phase finite
+            qp.Schedule([1e308, 1e308], [[0.0, 0.0, 0.0]] * 2, [1.0, 1.0])
+        angle = [(qp.LocalHamiltonian(0.0, [1e200, 0.0, 0.0]), 1e200)]
         for run in (qp.evolve_separable_state, qp.evolve_full_schedule):
-            with pytest.raises(qp.StepOverflow, match=r"\|v\| = 1e\+200, t = 1e\+200"):
+            with pytest.raises(qp.StepOverflow, match=r"at step 0: .* dt = 1e\+200"):
                 run(psi, angle, [])
+        phase = [(qp.LocalHamiltonian(1e308, [0.0, 0.0, 0.0]), 1.0)]
         with pytest.raises(qp.StepOverflow, match="summed phase"):
-            qp.evolve_separable_state(psi, [], phases)
+            qp.evolve_separable_schedule(qp.decompose(psi), qp.PhaseLedger(1e308), phase, [])
 
     def test_long_run_of_one_hamiltonian_returns(self):
         # 20,000 equal steps: the composed SU(2)'s rounding grows with the step count and takes
@@ -525,8 +534,8 @@ class TestComposedSchedules:
 
     @pytest.mark.parametrize("length", [10, TREE_MIN + 10])
     def test_overflow_is_refused_alike_on_both_paths(self, monkeypatch, length):
-        # a list schedule whose |v| * t overflows at step 7 first, at step 9 again: both paths
-        # name step 7's values in _cayley_klein's words, and numpy warns of nothing
+        # a list schedule whose |v| * t overflows at step 7 first, at step 9 again: as_schedule
+        # refuses it before either path runs, naming step 7's values, and numpy warns of nothing
         h = qp.LocalHamiltonian(0.3, [0.1, -0.2, 0.5])
         steps_ = [(h, 0.1)] * length
         steps_[7] = (qp.LocalHamiltonian(0.0, [1e200, 0.0, 0.0]), 1e200)
@@ -540,7 +549,8 @@ class TestComposedSchedules:
                 with pytest.raises(qp.StepOverflow) as refusal:
                     qp.evolve_separable_state(psi, steps_, [])
             messages.add(str(refusal.value))
-        assert messages == {"|v| * t overflows: |v| = 1e+200, t = 1e+200"}
+        assert messages == {"the schedule's phases and rotation angles overflow at step 7: "
+                            "h = 0.0, v = [1e+200, 0.0, 0.0], dt = 1e+200"}
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 5000), st.integers(0, 5000), st.integers(0, 2 ** 32 - 1))
@@ -647,6 +657,78 @@ class TestComposedSchedules:
                 expected = np.array([[complex(c, -s * z), complex(-s * y, -s * x)],
                                      [complex(s * y, -s * x), complex(c, s * z)]])
             assert np.array_equal(qp.su2_operator(qp.LocalHamiltonian(0.0, v), t), expected)
+
+
+MODERATE = qp.LocalHamiltonian(0.3, [0.1, -0.2, 0.5])
+HUGE_FOR_TINY = (qp.LocalHamiltonian(1e300, [1e300, 0.0, 0.0]), 1e-300)
+
+
+def steps_with(length, replaced, dt=0.1):
+    """length steps of MODERATE for time dt, with the steps {k: (h, dt_k)} put in."""
+    return [replaced.get(k, (MODERATE, dt)) for k in range(length)]
+
+
+EDGE_SCHEDULES = {  # name: (steps, the step every refusal names, or None where every run returns)
+    "summed phase": ([(qp.LocalHamiltonian(1e308, [0.0, 0.0, 0.0]), 1.0)] * 2, 1),
+    "phase and angle, one step": ([(qp.LocalHamiltonian(1e308, [1e308, 0.0, 0.0]), 1.0)], 0),
+    "angle, one step": ([(qp.LocalHamiltonian(0.0, [1e200, 0.0, 0.0]), 1e200)], 0),
+    **{f"angle at 7 and 9, {n} steps": (
+        steps_with(n, {7: (qp.LocalHamiltonian(0.0, [1e200, 0.0, 0.0]), 1e200),
+                       9: (qp.LocalHamiltonian(0.0, [0.0, 3e300, 0.0]), 1e100)}), 7)
+       for n in (10, TREE_MIN + 10)},
+    "span of finite steps": (  # each step adds 1e308 to the span, each phase and angle finite
+        steps_with(6, {2: (qp.LocalHamiltonian(0.0, [1e300, 0.0, 0.0]), 1e8),
+                       4: (qp.LocalHamiltonian(1e300, [0.0, 0.0, 0.0]), 1e8)}), 4),
+    "huge field for tiny time, one step": ([HUGE_FOR_TINY], None),
+    "huge field for tiny time, 74 steps": (
+        steps_with(TREE_MIN + 10, {k: HUGE_FOR_TINY for k in range(0, TREE_MIN + 10, 5)}), None),
+    "empty": ([], None),
+    "negative duration, one step": ([(MODERATE, -0.25)], None),
+    **{f"negative durations, {n} steps": (steps_with(n, {}, -0.1), None)
+       for n in (10, TREE_MIN + 10)},
+}
+
+
+def outcome(call):
+    """("refused", k) where call() raises StepOverflow naming step k, ("finite", None) where it
+    returns only finite numbers; a numpy warning fails the call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call()
+        except qp.StepOverflow as exc:
+            named = re.search(r"at step (\d+): ", str(exc))
+            return "refused", named and int(named[1])
+    return ("finite" if all(map(cmath.isfinite, numbers(result))) else "not finite"), None
+
+
+class TestOneMagnitudeRule:
+    @pytest.mark.parametrize("name", list(EDGE_SCHEDULES))
+    def test_backends_refuse_the_same_schedules(self, name):
+        # each schedule, as a list and as a Schedule, on either qubit, through both backends and
+        # their comparison; a one-step schedule also through both one-step calls, the other
+        # qubit under ZERO_HAMILTONIAN: every call refuses naming the same step, or every call
+        # returns finite numbers
+        steps_, expected = EDGE_SCHEDULES[name]
+        psi = entangled_state(47)
+        d = qp.decompose(psi)
+        outcomes = {}
+        for form in ("list", "Schedule"):
+            for qubit in (1, 2):
+                pair = [steps_, []] if qubit == 1 else [[], steps_]
+                for run in (qp.evolve_full_schedule, qp.evolve_separable_state,
+                            qp.compare_backends):
+                    outcomes[form, qubit, run.__name__] = outcome(lambda: run(
+                        psi, *(map(qp.as_schedule, pair) if form == "Schedule" else pair)))
+        if len(steps_) == 1:
+            (h, t), = steps_
+            for qubit, pair in ((1, (h, qp.ZERO_HAMILTONIAN)), (2, (qp.ZERO_HAMILTONIAN, h))):
+                outcomes["step", qubit, "evolve_full"] = outcome(
+                    lambda: qp.evolve_full(psi, *pair, t))
+                outcomes["step", qubit, "evolve_separable"] = outcome(
+                    lambda: qp.evolve_separable(d, qp.PhaseLedger(), *pair, t))
+        assert set(outcomes.values()) == {("finite", None) if expected is None
+                                          else ("refused", expected)}, outcomes
 
 
 class TestPhaseStructure:
