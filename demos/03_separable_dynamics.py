@@ -39,8 +39,9 @@ def main():
     for k in range(1, steps + 1):
         h1, h2 = random_hamiltonian(rng), random_hamiltonian(rng)
         dt = float(rng.uniform(0.01, 0.1))
-        full = qp.evolve_full(full, h1, h2, dt)           # full backend, M <- U1 M U2^T
-        d, ledger = qp.evolve_separable(d, ledger, h1, h2, dt)  # two 2x2 backends
+        steps1, steps2 = [(h1, dt)], [(h2, dt)]  # one step of each qubit's schedule
+        full = qp.evolve_full_schedule(full, steps1, steps2)  # full backend, M <- U1 M U2^T
+        d, ledger = qp.evolve_separable_schedule(d, ledger, steps1, steps2)  # two 2x2 backends
         deviation = np.max(np.abs(ledger.phase * qp.reconstruct(d) - full))
         worst = max(worst, deviation)
         if k in checkpoints:
@@ -77,7 +78,8 @@ def main():
     out = qp.evolve_full_schedule(psi, traceless, [])
     det = out[0] * out[3] - out[1] * out[2]
     print(f"  after 20 traceless steps on qubit 1: Im(ad - bc) = {det.imag:+.3e}")
-    out = qp.evolve_full(psi, qp.LocalHamiltonian(0.3, np.zeros(3)), qp.ZERO_HAMILTONIAN, 1.0)
+    out = qp.evolve_full_schedule(psi, [(qp.LocalHamiltonian(0.3, np.zeros(3)), 1.0)],
+                                  [(qp.ZERO_HAMILTONIAN, 1.0)])
     det = out[0] * out[3] - out[1] * out[2]
     print(f"  after one h_i = 0.3 step:            Im(ad - bc) = {det.imag:+.3e}"
           "  (hence the ledger)")

@@ -24,7 +24,8 @@ def main():
     h1 = qp.aligned_hamiltonian(n1 / np.linalg.norm(n1), energy)
     print(f"{'t':>6} {'gamma':>12} {'theta1':>12} {'phi2':>12}")
     for t in np.linspace(0, 1.0, 11):
-        ang = qp.angles_from_state(qp.evolve_full(psi, h1, qp.ZERO_HAMILTONIAN, t))
+        out = qp.evolve_full_schedule(psi, [(h1, t)], [(qp.ZERO_HAMILTONIAN, t)])
+        ang = qp.angles_from_state(out)
         print(f"{t:6.2f} {ang.gamma:12.6f} {ang.theta1:12.9f} {ang.phi2:12.9f}")
     print("(gamma moves, the other five angles sit still)")
     print()

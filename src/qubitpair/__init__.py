@@ -46,9 +46,7 @@ from .dynamics import (
     as_schedule,
     compare_backends,
     compound_rotation_check,
-    evolve_full,
     evolve_full_schedule,
-    evolve_separable,
     evolve_separable_schedule,
     evolve_separable_state,
     local_unitary,

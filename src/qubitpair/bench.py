@@ -33,9 +33,6 @@ class BenchReport:
     status: str             # VALID iff backends_agree(max_deviation): below 1e-9
     timing_confidence: str  # LOW_CONFIDENCE below 1000 steps
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _make_schedule(rng: np.random.Generator, steps: int) -> tuple[Schedule, Schedule]:
     """Two Schedules drawn per step as h1, v1, h2, v2 and the one dt step k of both shares."""

@@ -11,6 +11,7 @@ of SEPARABLE_GAMMA, MAX_ENTANGLED, PARSE.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from .states import (
     decompose,
     state_from_angles,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 FORMATS = ("amplitudes", "angles", "spinors")
 
@@ -170,7 +171,7 @@ def cmd_bench(args) -> int:
     _check_count("--trials", args.trials)
     _check_seed(args.seed)
     report = run_benchmark(args.steps, args.trials, args.seed)
-    _emit(report.to_dict(), args.out_path)
+    _emit(dataclasses.asdict(report), args.out_path)
     print(f"bench: {report.ns_per_step_full:.0f} ns/step full, "
           f"{report.ns_per_step_separable:.0f} ns/step separable, "
           f"speedup {report.speedup:.2f}x, max deviation {report.max_deviation:.3e} "
@@ -217,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_evolve)
 
     v = sub.add_parser("verify", help="run seeded property suites")
-    v.add_argument("--suite", choices=("roundtrip", "dynamics", "born", "appendix", "all"),
-                   default="all")
+    v.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     v.add_argument("--trials", type=int, default=500,
                    help=f"trials per suite, 1 to {COUNT_CEILING} (default %(default)s)")
     v.add_argument("--seed", type=int, default=7)

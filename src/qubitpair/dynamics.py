@@ -140,12 +140,17 @@ class PhaseLedger:
     of its start and its steps' h_i*t, rounded once, and ``remainder`` holds what those
     roundings leave, so ``phase``, the factor restoring the full global phase, comes from
     exact sums at any magnitude.  evolve_separable_state starts beta1 at the turn it gives its
-    input before decomposing (0.0 if none).
+    input before decomposing (0.0 if none).  Each phase must be finite (ValueError otherwise).
     """
 
     beta1: float = 0.0
     beta2: float = 0.0
     remainder: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.beta1, self.beta2, self.remainder))):
+            raise ValueError(f"ledger phases must be finite, got beta1 = {self.beta1!r}, "
+                             f"beta2 = {self.beta2!r}, remainder = {self.remainder!r}")
 
     @property
     def phase(self) -> complex:
@@ -267,8 +272,6 @@ def _summed_phase(schedule: Schedule, *start: float) -> tuple[float, float]:
     # (beta, remainder): the exact sum of start, a ledger's finite phases, and the steps'
     # h_i * dt, as Python floats (a numpy product would warn on overflow), rounded once, and
     # what that rounding leaves
-    if not all(map(math.isfinite, start)):
-        raise ValueError(f"ledger phases must be finite, got {start!r}")
     terms = [*start, *map(operator.mul, schedule.h.tolist(), schedule.dt.tolist())]
     try:
         beta = math.fsum(terms)
@@ -300,21 +303,6 @@ def evolve_separable_state(psi, schedule1,
     d, turn = _ledger_decomposed(_unit(psi, 4))
     d, ledger = evolve_separable_schedule(d, PhaseLedger(turn), schedule1, schedule2)
     return d, ledger, ledger.phase * _schmidt_sum(d.chi, d.spinor1.tolist(), d.spinor2.tolist())
-
-
-def evolve_full(psi, h1: LocalHamiltonian, h2: LocalHamiltonian, t: float) -> np.ndarray:
-    """Evolve the full 4-vector under h1 x I + I x h2 for time t.
-
-    Scalar parts included, so this is the ground-truth backend.
-    """
-    return evolve_full_schedule(psi, [(h1, t)], [(h2, t)])
-
-
-def evolve_separable(d: SpinorDecomposition, ledger: PhaseLedger,
-                     h1: LocalHamiltonian, h2: LocalHamiltonian,
-                     t: float) -> tuple[SpinorDecomposition, PhaseLedger]:
-    """Evolve both spinors locally for time t; chi never changes."""
-    return evolve_separable_schedule(d, ledger, [(h1, t)], [(h2, t)])
 
 
 def compare_backends(psi, schedule1, schedule2) -> EvolutionReport:
@@ -454,9 +442,9 @@ def recurrence_drift(psi, qubit: int, energy: float, t_grid) -> tuple[float, flo
     line, fitted on Python floats with the times centred and scaled by their
     span, and the largest absolute deviation from it.  Each grid state is
     the closed-form turn compound_rotation_check also takes: the aligned
-    SU(2), traceless, on the rotated qubit alone, which is one evolve_full
-    step with the other qubit under ZERO_HAMILTONIAN, bit for bit but for
-    the sign of a zero.
+    SU(2), traceless, on the rotated qubit alone, which is one step of
+    evolve_full_schedule with the other qubit under ZERO_HAMILTONIAN for the
+    same time, bit for bit but for the sign of a zero.
     psi and every grid state must lie where angles_from_state defines gamma
     (DegenerateState otherwise); the five other angles must stay constant to
     1e-8 (ConsistencyError otherwise).  The slope comes out at -2*energy.

@@ -15,6 +15,9 @@ loading a saved file reproduces every value bit for bit.
                  the entry list [{"qubit": 1|2, "h_i": x, "v": [vx, vy, vz],
                  "duration": dt}, ...] still loads; either loads as one
                  dynamics.Schedule of arrays (see load_schedule)
+
+Every writer first holds its value to its loader's rules and writes nothing where one fails:
+ParseError in the loader's words (save_angles: AngleSet.validate's ValueError).
 """
 
 from __future__ import annotations
@@ -74,19 +77,25 @@ def pairs(z) -> list:
     return np.stack((z.real, z.imag), -1).tolist()
 
 
-def _unit_pairs(raw, size: int, where: str) -> np.ndarray:
-    # ``size`` [re, im] pairs read as a unit vector by the core's sum: as-is where states' reader
-    # accepts it (bit-exact round trips), renormalized silently up to |v| - 1 = 1e-9 and with a
-    # warning up to 1e-6, rejected beyond; the warning points at the loaders' caller
+def _checked_pairs(raw, size: int, where: str) -> tuple[list[complex], float]:
+    # ``size`` [re, im] pairs of finite reals as complexes, and their |v| by the core's sum, 1.0
+    # where states' reader takes them as-is, refused beyond 1e-6 of 1: loaders' and writers' rule
     if not isinstance(raw, list) or len(raw) != size:
         raise ParseError(f"{where} must list {size} [re, im] pairs")
     vec = [_complex_pair(p, f"{where}[{i}]") for i, p in enumerate(raw)]
     nsq = _norm_sq(vec)
-    if abs(nsq - 1.0) <= EPS_NORM:
-        return np.array(vec)
-    norm = math.sqrt(nsq)
+    norm = 1.0 if abs(nsq - 1.0) <= EPS_NORM else math.sqrt(nsq)
     if not abs(norm - 1.0) <= 1e-6:
         raise ParseError(f"{where}: not normalized (|v| = {norm!r})")
+    return vec, norm
+
+
+def _unit_pairs(raw, size: int, where: str) -> np.ndarray:
+    # a unit vector by _checked_pairs: as-is (bit-exact round trips), renormalized silently up to
+    # |v| - 1 = 1e-9 and with a warning, which points at the loaders' caller, up to 1e-6
+    vec, norm = _checked_pairs(raw, size, where)
+    if norm == 1.0:  # as-is, with no division, which can turn a -0.0 into 0.0
+        return np.array(vec)
     if abs(norm - 1.0) > 1e-9:
         warnings.warn(f"{where}: norm off by {norm - 1.0:.3e}; renormalizing",
                       RuntimeWarning, stacklevel=3)
@@ -94,7 +103,9 @@ def _unit_pairs(raw, size: int, where: str) -> np.ndarray:
 
 
 def save_state(path, psi) -> None:
-    write_json(path, {"amplitudes": pairs(np.asarray(psi, dtype=complex).reshape(4))})
+    amplitudes = pairs(np.asarray(psi, dtype=complex).reshape(4))
+    _checked_pairs(amplitudes, 4, f"{path}: amplitudes")
+    write_json(path, {"amplitudes": amplitudes})
 
 
 def load_state(path) -> np.ndarray:
@@ -127,11 +138,11 @@ def load_angles(path) -> AngleSet:
 
 
 def save_decomposition(path, d: SpinorDecomposition) -> None:
-    write_json(path, {
-        "chi": d.chi,
-        "spinor1": pairs(d.spinor1),
-        "spinor2": pairs(d.spinor2),
-    })
+    obj = {"chi": d.chi, "spinor1": pairs(d.spinor1), "spinor2": pairs(d.spinor2)}
+    _check_chi(_real(obj["chi"], f"{path}: chi"), f"{path}: chi", ParseError)
+    for name in ("spinor1", "spinor2"):
+        _checked_pairs(obj[name], 2, f"{path}: {name}")
+    write_json(path, obj)
 
 
 def load_decomposition(path) -> SpinorDecomposition:
@@ -150,8 +161,7 @@ def load_spinor_state(path) -> np.ndarray:
 
 
 def save_schedule(path, qubit: int, schedule) -> None:
-    """Write a column schedule file, once the column object passes load_schedule's rules
-    (ParseError in the reader's words otherwise, and nothing is written)."""
+    """Write a column schedule file, once the column object passes load_schedule's rules."""
     s = as_schedule(schedule)
     obj = {"qubit": qubit, "h_i": s.h.tolist(), "v": s.v.ravel().tolist(),
            "duration": s.dt.tolist()}
@@ -261,15 +271,21 @@ def load_schedule(path) -> tuple[int, Schedule]:
 
 
 # states per dumps call: a state's lists, dict and text cost ~1.6 kB while it is written, so
-# the writer's peak stays near 7 MB whatever the count
+# writing holds near 7 MB whatever the count, beside the norm check's 8 B per state
 STATE_LIST_CHUNK = 4096
 
 
 def save_state_list(path, states) -> None:
     """Write a state-list file, [{"amplitudes": [[re, im] * 4]}, ...], to path, or to stdout
     where path is None, as one dumps per STATE_LIST_CHUNK states with the brackets peeled off:
-    the bytes of one dumps of the whole list."""
-    states = np.reshape(states, (len(states), 4))
+    the bytes of one dumps of the whole list; a refusal names the first failing state."""
+    states = np.asarray(states, dtype=complex).reshape(len(states), 4)
+    with np.errstate(over="ignore"):  # an overflowing square is inf, which fails the rule
+        nsq = sum(z.real * z.real + z.imag * z.imag for z in states.T)  # _norm_sq's order
+    failing = np.flatnonzero(~(np.abs(np.sqrt(nsq) - 1.0) <= 1e-6))
+    if len(failing):
+        k = int(failing[0])
+        _checked_pairs(pairs(states[k]), 4, f"{path or '<stdout>'}: state {k}: amplitudes")
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as out:
         out.write("[")
         for start in range(0, len(states), STATE_LIST_CHUNK):

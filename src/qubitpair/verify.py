@@ -166,8 +166,8 @@ def dynamics_suite(trials: int, seed: int) -> list[PropertyResult]:
     # scalar parts rotate (ad - bc) into the complex plane; expect a signal,
     # not a bound, so "worst" here is the largest imaginary part seen
     psi = states.fix_global_phase(measurement.sample_haar(1, seed + 99)[0])
-    out = dynamics.evolve_full(psi, dynamics.LocalHamiltonian(0.3, np.zeros(3)),
-                               dynamics.ZERO_HAMILTONIAN, 1.0)
+    out = dynamics.evolve_full_schedule(psi, [(dynamics.LocalHamiltonian(0.3, np.zeros(3)), 1.0)],
+                                        [(dynamics.ZERO_HAMILTONIAN, 1.0)])
     det = out[0] * out[3] - out[1] * out[2]
     signal = float(abs(det.imag))
     results.append(PropertyResult("scalar_part_moves_det_phase", signal, 1e-6,

@@ -112,7 +112,8 @@ def test_acceptance_5_appendix_linear_drift():
             qp.state_bloch_vector(psi, qubit)
             / np.linalg.norm(qp.state_bloch_vector(psi, qubit)), energy)
         h1, h2 = (h, qp.ZERO_HAMILTONIAN) if qubit == 1 else (qp.ZERO_HAMILTONIAN, h)
-        records = [qp.angles_from_state(qp.evolve_full(psi, h1, h2, t)) for t in grid[::10]]
+        records = [qp.angles_from_state(qp.evolve_full_schedule(psi, [(h1, t)], [(h2, t)]))
+                   for t in grid[::10]]
         for field in ("chi", "theta1", "theta2"):
             vals = [getattr(r, field) for r in records]
             worst_spread = max(worst_spread, max(vals) - min(vals))

@@ -499,9 +499,12 @@ class TestReaderEdgeSweep:
                  qp.sample_fixed_concurrence(1, 73, 1e-10)[0],
                  [complex(*z) for z in EDGE_STATE]]
         for k, base in enumerate(bases):
-            path = write_state(tmp_path / f"state{k}.json",
-                               np.asarray(base, dtype=complex) * (1 + delta))
-            self._run_all(capsys, self._state_commands(tmp_path, path), tmp_path / "out.json", tier)
+            # the file save_state writes for an accepted tier; it refuses the refused tier
+            path = tmp_path / f"state{k}.json"
+            fileio.write_json(path, {"amplitudes": fileio.pairs(
+                np.asarray(base, dtype=complex) * (1 + delta))})
+            self._run_all(capsys, self._state_commands(tmp_path, str(path)),
+                          tmp_path / "out.json", tier)
 
     @pytest.mark.parametrize("delta, tier", NORM_TIERS)
     def test_spinor_files(self, tmp_path, capsys, delta, tier):
@@ -511,9 +514,10 @@ class TestReaderEdgeSweep:
         for k, d in enumerate(ds):
             # the tier's error on one spinor, and on both, each with the other as-is
             for f1, f2 in ((1 + delta, 1.0), (1.0, 1 + delta), (1 + delta, 1 + delta)):
+                # the file save_decomposition writes for an accepted tier, as for state files
                 path = tmp_path / f"spinors{k}.json"
-                fileio.save_decomposition(path, qp.SpinorDecomposition(d.chi, d.spinor1 * f1,
-                                                                       d.spinor2 * f2))
+                fileio.write_json(path, {"chi": d.chi, "spinor1": fileio.pairs(d.spinor1 * f1),
+                                         "spinor2": fileio.pairs(d.spinor2 * f2)})
                 commands = [["convert", "--in", str(path), "--from", "spinors", "--to", to]
                             for to in FORMATS]
                 self._run_all(capsys, commands, tmp_path / "out.json", tier)

@@ -128,7 +128,7 @@ class TestSpinorEvolution:
         # the resulting global sign
         energy, t = 2.0, np.pi / 4
         h1 = qp.LocalHamiltonian(0.0, [0, 0, energy])
-        expected = qp.evolve_full(SINGLET, h1, qp.ZERO_HAMILTONIAN, t)
+        expected = qp.evolve_full_schedule(SINGLET, [(h1, t)], [(qp.ZERO_HAMILTONIAN, t)])
         d = qp.decompose(SINGLET)
         d, ledger = qp.evolve_separable_schedule(d, qp.PhaseLedger(), [(h1, t)], [])
         got = ledger.phase * qp.reconstruct(d)
@@ -198,7 +198,7 @@ class TestFullBackend:
     def test_refuses_states_the_separable_side_refuses(self, psi):
         h = qp.LocalHamiltonian(0.4, [0.1, -0.2, 0.3])
         for run in (lambda: qp.evolve_full_schedule(psi, [(h, 0.5)], []),
-                    lambda: qp.evolve_full(psi, h, h, 0.5),
+                    lambda: qp.evolve_full_schedule(psi, [(h, 0.5)], [(h, 0.5)]),
                     lambda: qp.compare_backends(psi, [(h, 0.5)], []),
                     lambda: qp.evolve_separable_state(psi, [(h, 0.5)], [])):
             with pytest.raises(ValueError, match="not normalized"):
@@ -206,13 +206,13 @@ class TestFullBackend:
 
     def test_zero_hamiltonians_do_nothing(self):
         psi = entangled_state(7)
-        assert np.allclose(qp.evolve_full(psi, qp.ZERO_HAMILTONIAN, qp.ZERO_HAMILTONIAN, 1.3),
-                           psi, atol=1e-15)
+        zero = [(qp.ZERO_HAMILTONIAN, 1.3)]
+        assert np.allclose(qp.evolve_full_schedule(psi, zero, zero), psi, atol=1e-15)
 
     def test_pure_scalar_is_global_phase(self):
         psi = entangled_state(8)
         h1 = qp.LocalHamiltonian(0.8, np.zeros(3))
-        out = qp.evolve_full(psi, h1, qp.ZERO_HAMILTONIAN, 2.0)
+        out = qp.evolve_full_schedule(psi, [(h1, 2.0)], [(qp.ZERO_HAMILTONIAN, 2.0)])
         assert np.max(np.abs(out - np.exp(-1.6j) * psi)) < 1e-12
 
     def test_unitarity(self):
@@ -220,7 +220,8 @@ class TestFullBackend:
         for psi in qp.sample_haar(200, 10):
             h1 = qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3))
             h2 = qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3))
-            out = qp.evolve_full(psi, h1, h2, float(rng.uniform(0, 2)))
+            t = float(rng.uniform(0, 2))
+            out = qp.evolve_full_schedule(psi, [(h1, t)], [(h2, t)])
             assert abs(np.vdot(out, out).real - 1) < 1e-12
 
 
@@ -228,8 +229,8 @@ class TestSeparableBackend:
     def test_zero_step_changes_nothing(self):
         d = qp.decompose(entangled_state(11))
         ledger = qp.PhaseLedger()
-        d2, ledger2 = qp.evolve_separable(d, ledger, qp.ZERO_HAMILTONIAN,
-                                          qp.ZERO_HAMILTONIAN, 0.7)
+        zero = [(qp.ZERO_HAMILTONIAN, 0.7)]
+        d2, ledger2 = qp.evolve_separable_schedule(d, ledger, zero, zero)
         assert np.array_equal(d2.spinor1, d.spinor1)
         assert np.array_equal(d2.spinor2, d.spinor2)
         assert ledger2 == ledger
@@ -239,9 +240,11 @@ class TestSeparableBackend:
         for psi in qp.sample_haar(300, 14):
             h1 = qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3))
             h2 = qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3))
-            d, ledger = qp.evolve_separable(qp.decompose(psi), qp.PhaseLedger(), h1, h2, 1.0)
+            steps1, steps2 = [(h1, 1.0)], [(h2, 1.0)]
+            d, ledger = qp.evolve_separable_schedule(qp.decompose(psi), qp.PhaseLedger(),
+                                                     steps1, steps2)
             got = ledger.phase * qp.reconstruct(d)
-            expected = qp.evolve_full(psi, h1, h2, 1.0)
+            expected = qp.evolve_full_schedule(psi, steps1, steps2)
             assert np.max(np.abs(got - expected)) < 1e-9
 
     def test_thousand_small_steps_stay_tight(self):
@@ -252,8 +255,9 @@ class TestSeparableBackend:
         for _ in range(1000):
             h1 = qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3))
             h2 = qp.LocalHamiltonian(float(rng.normal()), rng.normal(size=3))
-            full = qp.evolve_full(full, h1, h2, 0.01)
-            d, ledger = qp.evolve_separable(d, ledger, h1, h2, 0.01)
+            steps1, steps2 = [(h1, 0.01)], [(h2, 0.01)]
+            full = qp.evolve_full_schedule(full, steps1, steps2)
+            d, ledger = qp.evolve_separable_schedule(d, ledger, steps1, steps2)
         assert np.max(np.abs(ledger.phase * qp.reconstruct(d) - full)) < 1e-7
 
     def test_chi_never_changes(self):
@@ -641,7 +645,7 @@ class TestComposedSchedules:
                 with pytest.raises(ValueError, match=f"step 2 has .* dt = {dt!r}"):
                     run(psi, *schedules)
         with pytest.raises(ValueError, match=f"step 0 has .* dt = {dt!r}"):
-            qp.evolve_full(psi, h, h, dt)
+            qp.evolve_full_schedule(psi, [(h, dt)], [(h, dt)])
 
     def test_su2_operator_is_the_closed_form(self):
         rng = np.random.default_rng(27)
@@ -706,9 +710,9 @@ class TestOneMagnitudeRule:
     @pytest.mark.parametrize("name", list(EDGE_SCHEDULES))
     def test_backends_refuse_the_same_schedules(self, name):
         # each schedule, as a list and as a Schedule, on either qubit, through both backends and
-        # their comparison; a one-step schedule also through both one-step calls, the other
-        # qubit under ZERO_HAMILTONIAN: every call refuses naming the same step, or every call
-        # returns finite numbers
+        # their comparison; a one-step schedule also through both schedule runs from the
+        # decomposition and the full state, the other qubit under ZERO_HAMILTONIAN for the same
+        # time: every call refuses naming the same step, or every call returns finite numbers
         steps_, expected = EDGE_SCHEDULES[name]
         psi = entangled_state(47)
         d = qp.decompose(psi)
@@ -722,11 +726,12 @@ class TestOneMagnitudeRule:
                         psi, *(map(qp.as_schedule, pair) if form == "Schedule" else pair)))
         if len(steps_) == 1:
             (h, t), = steps_
-            for qubit, pair in ((1, (h, qp.ZERO_HAMILTONIAN)), (2, (qp.ZERO_HAMILTONIAN, h))):
-                outcomes["step", qubit, "evolve_full"] = outcome(
-                    lambda: qp.evolve_full(psi, *pair, t))
-                outcomes["step", qubit, "evolve_separable"] = outcome(
-                    lambda: qp.evolve_separable(d, qp.PhaseLedger(), *pair, t))
+            zero = (qp.ZERO_HAMILTONIAN, t)
+            for qubit, pair in ((1, ([(h, t)], [zero])), (2, ([zero], [(h, t)]))):
+                outcomes["step", qubit, "evolve_full_schedule"] = outcome(
+                    lambda: qp.evolve_full_schedule(psi, *pair))
+                outcomes["step", qubit, "evolve_separable_schedule"] = outcome(
+                    lambda: qp.evolve_separable_schedule(d, qp.PhaseLedger(), *pair))
         assert set(outcomes.values()) == {("finite", None) if expected is None
                                           else ("refused", expected)}, outcomes
 
@@ -750,8 +755,8 @@ class TestPhaseStructure:
 
     def test_scalar_part_rotates_det(self):
         psi = entangled_state(27)
-        out = qp.evolve_full(psi, qp.LocalHamiltonian(0.3, np.zeros(3)),
-                             qp.ZERO_HAMILTONIAN, 1.0)
+        out = qp.evolve_full_schedule(psi, [(qp.LocalHamiltonian(0.3, np.zeros(3)), 1.0)],
+                                      [(qp.ZERO_HAMILTONIAN, 1.0)])
         det = out[0] * out[3] - out[1] * out[2]
         assert abs(det.imag) > 1e-3  # the canonical phase condition breaks
 
@@ -828,13 +833,14 @@ class TestAlignedHamiltonian:
 
 
 def ref_drift_gammas(psi, qubit, energy, t_grid):
-    """recurrence_drift's unwrapped gammas in the two-qubit form: evolve_full steps both
-    qubits, the other one under ZERO_HAMILTONIAN, at numpy-scalar grid times."""
+    """recurrence_drift's unwrapped gammas in the two-qubit form: one evolve_full_schedule step
+    of both qubits, the other one under ZERO_HAMILTONIAN, at numpy-scalar grid times."""
     n = qp.state_bloch_vector(psi, qubit)
     h = qp.aligned_hamiltonian(n / np.linalg.norm(n), energy)
     h1, h2 = (h, qp.ZERO_HAMILTONIAN) if qubit == 1 else (qp.ZERO_HAMILTONIAN, h)
-    gammas = np.array([qp.angles_from_state(qp.evolve_full(psi, h1, h2, t)).gamma
-                       for t in np.asarray(t_grid, dtype=float)])
+    gammas = np.array([
+        qp.angles_from_state(qp.evolve_full_schedule(psi, [(h1, t)], [(h2, t)])).gamma
+        for t in np.asarray(t_grid, dtype=float)])
     for k in range(1, len(gammas)):
         gammas[k] += 2.0 * np.pi * round((gammas[k - 1] - gammas[k]) / (2.0 * np.pi))
     return gammas
@@ -848,12 +854,12 @@ def ref_recurrence_drift(psi, qubit, energy, t_grid):
 
 
 def ref_compound_rotation(psi, energy1, energy2, t, same_handed):
-    """compound_rotation_check through the public evolve_full."""
+    """compound_rotation_check through one step of the public evolve_full_schedule."""
     n1, n2 = (qp.state_bloch_vector(psi, q) for q in (1, 2))
     h1 = qp.aligned_hamiltonian(n1 / np.linalg.norm(n1), energy1)
     axis2 = n2 / np.linalg.norm(n2)
     h2 = qp.aligned_hamiltonian(axis2 if same_handed else -axis2, energy2)
-    end = qp.angles_from_state(qp.evolve_full(psi, h1, h2, t)).gamma
+    end = qp.angles_from_state(qp.evolve_full_schedule(psi, [(h1, t)], [(h2, t)])).gamma
     return qp.wrap_angle(end - qp.angles_from_state(psi).gamma)
 
 
@@ -879,7 +885,7 @@ class TestRecurrenceDrift:
             grid = grids[k % 2]
             for qubit in (1, 2):
                 expected = ref_recurrence_drift(psi, qubit, energy, grid)
-                # the reference reaches evolve_full_schedule through evolve_full
+                # the reference calls evolve_full_schedule
                 del cores[:], closed_forms[:], views[:], unitaries[:], schedules[:]
                 got = qp.recurrence_drift(psi, qubit, energy, grid)
                 assert got == expected and all(type(x) is float for x in got)

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,41 @@ from oracles import steps
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SINGLET = np.array([0.0, SQ2, -SQ2, 0.0], dtype=complex)
+
+
+def read_refusal(path, obj, load):
+    """The words load refuses obj in, written as the file at path, or None where it loads (at
+    any tier); the file is removed either way."""
+    fileio.write_json(path, obj)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load(path)
+        return None
+    except fileio.ParseError as exc:
+        return str(exc)
+    finally:
+        path.unlink()
+
+
+def written(path, write):
+    """(text, None) for the file write(path) leaves, which is then removed, or (None, words) for
+    its refusal, which leaves no file; a warning fails the write."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            write(path)
+        except fileio.ParseError as exc:
+            assert not path.exists()
+            return None, str(exc)
+    text = path.read_text()
+    path.unlink()
+    return text, None
+
+
+def expected_write(text, refusal):
+    """written's result for a value whose file holds text and the reader refuses in refusal."""
+    return (None, refusal) if refusal else (text, None)
 
 
 class TestFloatFormat:
@@ -32,7 +68,8 @@ class TestFloatFormat:
 class TestStateFiles:
     def test_roundtrip_bitexact(self, tmp_path):
         path = tmp_path / "state.json"
-        for psi in qp.sample_haar(50, 3):
+        signed_zeros = np.array([-0.0, complex(-0.0, SQ2), complex(-SQ2, 0.0), complex(0.0, -0.0)])
+        for psi in [*qp.sample_haar(50, 3), signed_zeros]:
             fileio.save_state(path, psi)
             assert np.array_equal(fileio.load_state(path), psi)
             # saving the loaded state reproduces the file byte for byte
@@ -84,7 +121,7 @@ class TestStateFiles:
 
     def test_bad_norm_rejected(self, tmp_path):
         path = tmp_path / "state.json"
-        fileio.save_state(path, SINGLET * 1.01)
+        fileio.write_json(path, {"amplitudes": fileio.pairs(SINGLET * 1.01)})
         with pytest.raises(fileio.ParseError):
             fileio.load_state(path)
 
@@ -122,6 +159,20 @@ class TestStateFiles:
             fileio.load_state(path)
         assert str(caught.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("psi", [
+        [math.nan, 0, 0, 0], [0, 0, complex(0, -math.inf), 0], [1, 1, 0, 0],
+        SINGLET * (1 + 1.1e-6), SINGLET * (1 - 1.1e-6), SINGLET, SINGLET * (1 + 6e-13),
+        SINGLET * (1 - 9e-10), SINGLET * (1 + 9e-7)],
+        ids=["nan", "-inf", "norm sqrt(2)", "refused +", "refused -", "as-is", "silent +",
+             "silent -", "warned"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, psi):
+        # the writer holds the amplitudes to load_state's rule first: a refusal in the reader's
+        # words and no file, or, at every tier the reader accepts, its file and no warning
+        path = tmp_path / "state.json"
+        obj = {"amplitudes": fileio.pairs(np.asarray(psi, dtype=complex))}
+        assert written(path, lambda p: fileio.save_state(p, psi)) == expected_write(
+            fileio.dumps(obj) + "\n", read_refusal(path, obj, fileio.load_state))
+
     def test_warning_names_the_field_and_the_caller(self, tmp_path):
         path = tmp_path / "state.json"
         fileio.save_state(path, SINGLET * (1 + 5e-8))
@@ -138,15 +189,45 @@ def per_element_pairs(z):
 
 class TestStateListFiles:
     def test_written_text_is_the_per_element_form(self, tmp_path):
-        edge = np.array([[-0.0, complex(5e-324, -0.0), complex(1e308, -1e308),
-                          complex(-5e-324, 1e308)]])
+        # a unit state of signed zeros and subnormals is written; the float range's far edge,
+        # which no state holds, goes through pairs alone
+        edge = np.array([[-0.0, complex(5e-324, -0.0), complex(-0.0, 1.0),
+                          complex(-5e-324, -0.0)]])
+        far = np.array([-0.0, complex(5e-324, -0.0), complex(1e308, -1e308),
+                        complex(-5e-324, 1e308)])
         states = np.concatenate([qp.sample_haar(200, 31), edge])
         path = tmp_path / "corpus.json"
         fileio.save_state_list(path, states)
         reference = [{"amplitudes": per_element_pairs(s)} for s in states]
         assert path.read_text() == json.dumps(reference) + "\n"
-        for psi in states[-3:]:
+        for psi in [*states[-3:], far]:
             assert json.dumps(fileio.pairs(psi)) == json.dumps(per_element_pairs(psi))
+
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, capsys):
+        # the writer holds every state to load_state's rule, the whole array at once, before it
+        # opens the file: state by state it refuses what the reader refuses, in the reader's
+        # words naming the state, and writes nothing; the states sit a few ulps either side of
+        # |psi| - 1 = +-1e-6, and some are not finite or overflow
+        rng = np.random.default_rng(38)
+        offsets = np.where(np.arange(300) % 2, 1e-6, -1e-6) + rng.integers(-40, 41, 300) * 2e-16
+        states = [*(qp.sample_haar(300, 38) * (1 + offsets)[:, None]), [math.nan, 0, 0, 0],
+                  [0, complex(0, math.inf), 0, 0], [1, 1, 0, 0],
+                  [-0.0, complex(5e-324, -0.0), complex(1e308, -1e308), complex(-5e-324, 1e308)]]
+        path = tmp_path / "corpus.json"
+        refused = 0
+        for psi in states:
+            refusal = read_refusal(path, {"amplitudes": fileio.pairs(psi)}, fileio.load_state)
+            rows = [SINGLET, np.asarray(psi, dtype=complex)]
+            assert written(path, lambda p: fileio.save_state_list(p, rows)) == expected_write(
+                fileio.dumps([{"amplitudes": fileio.pairs(s)} for s in rows]) + "\n",
+                refusal and refusal.replace(f"{path}: ", f"{path}: state 1: ", 1))
+            refused += bool(refusal)
+        assert 150 < refused < len(states) - 100, refused
+        with pytest.raises(fileio.ParseError) as caught:
+            fileio.save_state_list(None, [SINGLET, [math.nan, 0, 0, 0]])
+        assert str(caught.value) == ("<stdout>: state 1: amplitudes[0]: "
+                                     "expected a finite real number, got nan")
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("count", [0, fileio.STATE_LIST_CHUNK - 1, fileio.STATE_LIST_CHUNK,
                                        fileio.STATE_LIST_CHUNK + 1])
@@ -257,6 +338,21 @@ class TestDecompositionFiles:
         with pytest.raises(fileio.ParseError) as caught:
             fileio.load_decomposition(path)
         assert str(caught.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("chi, f1, f2", [
+        (3.0, 1, 1), (-0.1, 1, 1), (math.nan, 1, 1), (0.4, math.nan, 1), (0.4, 1, math.inf),
+        (0.4, 1, 1.01), (0.4, 1 + 1.1e-6, 1), (0.0, 1, 1), (qp.states.HALF_PI, 1, 1),
+        (0.4, 1 + 9e-7, 1 - 6e-13), (0.4, 1 - 9e-10, 1 + 9e-7)])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, chi, f1, f2):
+        # the writer holds chi and both spinors to load_decomposition's rules first: a refusal in
+        # the reader's words and no file, or, at every tier the reader accepts, its file and no
+        # warning
+        d = qp.decompose(qp.sample_haar(1, 5)[0])
+        d = qp.SpinorDecomposition(chi, d.spinor1 * f1, d.spinor2 * f2)
+        path = tmp_path / "spinors.json"
+        obj = {"chi": chi, "spinor1": fileio.pairs(d.spinor1), "spinor2": fileio.pairs(d.spinor2)}
+        assert written(path, lambda p: fileio.save_decomposition(p, d)) == expected_write(
+            fileio.dumps(obj) + "\n", read_refusal(path, obj, fileio.load_decomposition))
 
     @pytest.mark.parametrize("name", ["spinor1", "spinor2"])
     def test_warning_names_the_spinor_and_the_caller(self, tmp_path, name):

@@ -69,8 +69,20 @@ def test_one_step_operators(h, t):
 @given(STATES, HAMILTONIANS, HAMILTONIANS, REALS)
 def test_one_step_evolution(psi, h1, h2, t):
     d, ledger = qp.decompose(psi), qp.PhaseLedger()
-    assert_finite_or_refused(lambda: qp.evolve_full(psi, h1, h2, t), qp.StepOverflow)
-    assert_finite_or_refused(lambda: qp.evolve_separable(d, ledger, h1, h2, t), qp.StepOverflow)
+    assert_finite_or_refused(lambda: qp.evolve_full_schedule(psi, [(h1, t)], [(h2, t)]),
+                             qp.StepOverflow)
+    assert_finite_or_refused(
+        lambda: qp.evolve_separable_schedule(d, ledger, [(h1, t)], [(h2, t)]), qp.StepOverflow)
+
+
+@SWEEP
+@given(st.floats(), st.floats(), st.floats())  # NaN and the infinities included
+@example(math.nan, 0.0, 0.0)
+@example(0.0, math.inf, 0.0)
+@example(0.0, 0.0, -math.inf)
+@example(1e308, -1e308, 1e308)
+def test_every_constructible_ledger_has_a_finite_phase(beta1, beta2, remainder):
+    assert_finite_or_refused(lambda: qp.PhaseLedger(beta1, beta2, remainder).phase, ValueError)
 
 
 @SWEEP
@@ -149,7 +161,8 @@ STATE_CALLS = [
     qp.as_state, qp.concurrence, qp.concurrence_angle, qp.fix_global_phase,
     lambda psi: qp.state_bloch_vector(psi, 1), qp.angles_from_state, qp.recurrence_sine,
     qp.decompose, lambda psi: qp.born_full(psi, 1, UNIT_SPINOR),
-    lambda psi: qp.evolve_full(psi, H, H, 0.1), lambda psi: qp.evolve_full_schedule(psi, [], []),
+    lambda psi: qp.evolve_full_schedule(psi, [(H, 0.1)], [(H, 0.1)]),
+    lambda psi: qp.evolve_full_schedule(psi, [], []),
     lambda psi: qp.evolve_separable_state(psi, [], []),
     lambda psi: qp.compare_backends(psi, [], []), qp.aligned_mode_coefficients,
     lambda psi: qp.recurrence_drift(psi, 1, 1.0, [0.0, 1.0]),
@@ -163,7 +176,7 @@ SPINOR_CALLS = [
 DECOMPOSITION_CALLS = [
     qp.reconstruct, qp.reconstruct_from_products,
     lambda d: qp.evolve_separable_schedule(d, qp.PhaseLedger(), [], []),
-    lambda d: qp.evolve_separable(d, qp.PhaseLedger(), H, H, 0.1),
+    lambda d: qp.evolve_separable_schedule(d, qp.PhaseLedger(), [(H, 0.1)], [(H, 0.1)]),
     lambda d: qp.born_local(d.chi, d.spinor1, d.spinor2),
 ]
 
@@ -228,13 +241,15 @@ def test_every_decomposition_reader_refuses_a_bad_decomposition(bad):
 @SWEEP
 @given(BAD_SCALARS, st.integers(0, 2))
 def test_non_finite_scalars_are_refused(bad, index):
-    # a ledger entry, a step's duration, a Bloch vector's entry and a spinor's angle
-    ledger = qp.PhaseLedger(*[bad if k == index else 0.0 for k in range(3)])
+    # a ledger entry, a step's duration, a Bloch vector's entry and a spinor's angle; the ledger
+    # is built inside each call, since it refuses a non-finite phase itself
+    phases = [bad if k == index else 0.0 for k in range(3)]
     d = qp.SpinorDecomposition(0.3, UNIT_SPINOR, UNIT_SPINOR)
     n = [bad if k == index else 0.0 for k in range(3)]
     angles = [bad if k == index else 0.5 for k in range(3)]
-    for call in (lambda: qp.evolve_separable_schedule(d, ledger, [], []),
-                 lambda: qp.evolve_separable(d, ledger, H, H, 0.1),
+    for call in (lambda: qp.evolve_separable_schedule(d, qp.PhaseLedger(*phases), [], []),
+                 lambda: qp.evolve_separable_schedule(d, qp.PhaseLedger(*phases),
+                                                      [(H, 0.1)], [(H, 0.1)]),
                  lambda: qp.su2_operator(H, bad), lambda: qp.local_unitary(H, bad),
                  lambda: qp.spherical_angles(n), lambda: qp.spinor_from_angles(*angles)):
         assert_refused_naming(call, repr(bad))

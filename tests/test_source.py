@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+from qubitpair.verify import SUITES
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "qubitpair"
 
@@ -237,6 +239,12 @@ def test_separable_run_is_assembled_in_dynamics_alone():
     for module in ("cli.py", "bench.py"):
         found = _nodes(names_a_part, module)
         assert not found, f"{module} names a part of the separable run: {found}"
+
+
+def test_cli_takes_suite_names_from_verify():
+    # verify.SUITES names the suites once; the CLI's --suite choices are read from it
+    found = _nodes(lambda node: isinstance(node, ast.Constant) and node.value in SUITES, "cli.py")
+    assert not found, f"suite names spelled in cli.py: {found}"
 
 
 def test_every_public_name_has_a_caller():

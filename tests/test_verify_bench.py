@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import astuple
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_benchmark_report_fields():
     assert report.ns_per_step_full > 0 and report.ns_per_step_separable > 0
     assert report.speedup == pytest.approx(
         report.ns_per_step_full / report.ns_per_step_separable)
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     assert set(d) == {"steps", "trials", "ns_per_step_full", "ns_per_step_separable",
                       "speedup", "max_deviation", "status", "timing_confidence"}
 
