@@ -124,6 +124,7 @@ def cmd_evolve(args) -> int:
             "spinor2": fileio.pairs(d.spinor2),
             "beta1": ledger.beta1,
             "beta2": ledger.beta2,
+            "remainder": ledger.remainder,
             "amplitudes": fileio.pairs(final),
         }, args.out_path)
         return 0

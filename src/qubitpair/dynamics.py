@@ -475,7 +475,10 @@ def compound_rotation_check(psi, energy1: float, energy2: float, t: float,
     2(E1+E2)t); opposite-handed rotations with equal energies cancel it
     exactly.  Each qubit takes recurrence_drift's closed-form turn, qubit 1
     first, under the same gate.  The difference is wrapped to (-pi, pi].
+    t must be finite (ValueError otherwise).
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got t = {t!r}")
     start, (end,) = _aligned_turns(psi, "the compound-rotation check",
                                    [(1, energy1, False), (2, energy2, not same_handed)], [t])
     return wrap_angle(end[5] - start[5])

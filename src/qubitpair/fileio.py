@@ -16,8 +16,7 @@ loading a saved file reproduces every value bit for bit.
                  "duration": dt}, ...] still loads; either loads as one
                  dynamics.Schedule of arrays (see load_schedule)
 
-Every writer first holds its value to its loader's rules and writes nothing where one fails:
-ParseError in the loader's words (save_angles: AngleSet.validate's ValueError).
+Every writer refuses what its loader refuses, in its words (ParseError), and writes nothing.
 """
 
 from __future__ import annotations
@@ -116,12 +115,18 @@ def load_state(path) -> np.ndarray:
 
 
 def save_angles(path, angles: AngleSet) -> None:
-    """Write an angle file, once angles pass load_angles' rule, AngleSet.validate."""
-    write_json(path, dataclasses.asdict(angles.validate()))
+    """Write an angle file, once its object passes load_angles' rules."""
+    obj = dataclasses.asdict(angles)
+    _angle_set(obj, path)
+    write_json(path, obj)
 
 
 def load_angles(path) -> AngleSet:
-    obj = read_json(path)
+    return _angle_set(read_json(path), path)
+
+
+def _angle_set(obj, path) -> AngleSet:
+    # an angle object checked as load_angles reads it, by the writer and the reader alike
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected an object of angles")
     fields = {}

@@ -119,22 +119,18 @@ def _require_qubit(qubit: int) -> None:
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
 
 
-def _reduced(amps, qubit: int) -> tuple[float, float, complex]:
-    # (rho00, rho11, rho01) of one qubit's reduced density matrix, by partial trace
-    a, b, c, d = amps
-    if qubit == 2:
-        b, c = c, b
-    return (abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2,
-            a * c.conjugate() + b * d.conjugate())
-
-
 def _bloch_of(p: float, q: float, w: complex) -> tuple[float, float, float]:
     # the Bloch vector of rho = [[p, w], [w*, q]] = (I + n.sigma)/2
     return 2.0 * w.real, -2.0 * w.imag, p - q
 
 
 def _bloch(amps, qubit: int) -> tuple[float, float, float]:
-    return _bloch_of(*_reduced(amps, qubit))
+    # one qubit's Bloch vector, from its reduced density matrix by partial trace
+    a, b, c, d = amps
+    if qubit == 2:
+        b, c = c, b
+    return _bloch_of(abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2,
+                     a * c.conjugate() + b * d.conjugate())
 
 
 def _chi(amps, n1) -> float:
@@ -418,18 +414,12 @@ def recurrence_sine(psi) -> float:
     """sin(gamma) via the quotient 2 Im(ad + bc) / (cos chi sin theta1 sin theta2).
 
     A deliberately independent cross-check on the projection method; it
-    pins gamma only up to its sine and fails at the Bloch poles, where the
-    quotient loses meaning (PoleSingularity below EPS_POLE).
+    pins gamma only up to its sine.  It refuses where angles_from_state does,
+    in its words, and at the Bloch poles (PoleSingularity below EPS_POLE).
     """
     amps = _unit(psi, 4)
-    n1 = _bloch(amps, 1)
-    chi = _chi(amps, n1)
-    if not _entangled(chi):
-        raise SeparableGamma("the recurrence of a separable state is undefined")
-    if chi > HALF_PI - EPS_DEGEN:
-        raise MaximalEntanglement("the sine quotient is undefined at maximal entanglement")
-    s1 = math.sin(_spherical(*n1)[0])
-    s2 = math.sin(_spherical(*_bloch(amps, 2))[0])
+    chi, theta1, _, theta2, _, _ = _angles(amps)
+    s1, s2 = math.sin(theta1), math.sin(theta2)
     if min(s1, s2) < EPS_POLE:
         raise PoleSingularity("a Bloch vector lies within EPS_POLE of a z-axis pole")
     a, b, c, d = _det_fixed(amps)[0]

@@ -189,6 +189,27 @@ class TestEvolve:
         assert np.max(np.abs(full - sep)) < 1e-9
         assert {"chi", "spinor1", "spinor2", "beta1", "beta2"} <= set(sep_obj)
 
+    def test_separable_output_rebuilds_its_own_amplitudes(self, tmp_path):
+        # at scalar energies near 1e6 the betas' roundings leave a remainder past the 1e-9
+        # agreement bound; the file carries it, so its own fields give its amplitudes
+        rng = np.random.default_rng(47)
+        sched = lambda: [(qp.LocalHamiltonian(1e6 + float(rng.normal()), rng.normal(size=3)),
+                          float(rng.uniform(0.05, 0.3))) for _ in range(2000)]
+        out = tmp_path / "out.json"
+        state = write_state(tmp_path / "state.json", qp.sample_haar(1, 47)[0])
+        assert main(["evolve", "--in", state,
+                     "--schedule1", write_schedule(tmp_path / "s1.json", 1, sched()),
+                     "--schedule2", write_schedule(tmp_path / "s2.json", 2, sched()),
+                     "--backend", "separable", "--out", str(out)]) == 0
+        obj = read_json(out)
+        as_complex = lambda pairs: np.array([complex(re, im) for re, im in pairs])
+        d = qp.SpinorDecomposition(obj["chi"], as_complex(obj["spinor1"]),
+                                   as_complex(obj["spinor2"]))
+        rebuilt = (qp.PhaseLedger(obj["beta1"], obj["beta2"], obj["remainder"]).phase
+                   * qp.reconstruct(d))
+        assert abs(obj["remainder"]) > 1e-9
+        assert np.max(np.abs(rebuilt - as_complex(obj["amplitudes"]))) <= 1e-15
+
     def test_off_phase_state_file_keeps_its_phase(self, tmp_path):
         # decompose turns i*psi back by a quarter turn; the separable output's beta1 carries
         # that turn, so both backends end on the same amplitudes, global phase included

@@ -277,11 +277,24 @@ class TestAngleFiles:
                     "theta2": ang.theta2, "phi2": ang.phi2, "gamma": ang.gamma}
         assert path.read_text() == json.dumps(expected) + "\n"
 
-    def test_writer_refuses_what_the_reader_refuses(self, tmp_path):
+    @pytest.mark.parametrize("fields", [
+        (3.0, 0.5, 0.1, 0.5, 0.2, 0.3), (math.nan, 0.5, 0.1, 0.5, 0.2, 0.3),
+        (True, 0.5, 0.1, 0.5, 0.2, 0.3), (np.float32(0.3), 0.5, 0.1, 0.5, 0.2, 0.3),
+        (0.3, 0.5, 0.1, 3.5, 0.2, 0.3), (0.0, 1.0, 0.0, 2.0, 0.0, None),
+    ], ids=["chi-3", "chi-nan", "chi-true", "chi-float32", "theta2-3.5", "null-gamma"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, fields):
+        # the writer holds the six fields to load_angles' rules first: a refusal in the reader's
+        # words and no file, or the file the reader accepts; a numpy float32, which no JSON file
+        # holds, is refused in the words the reader gives any value that is not a JSON real
+        angles = qp.AngleSet(*fields)
+        obj = dataclasses.asdict(angles)
         path = tmp_path / "angles.json"
-        with pytest.raises(ValueError, match="chi"):
-            fileio.save_angles(path, qp.AngleSet(3.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-        assert not path.exists()
+        if isinstance(angles.chi, np.float32):
+            expected = None, f"{path}: chi: expected a finite real number, got {angles.chi!r}"
+        else:
+            expected = expected_write(fileio.dumps(obj) + "\n",
+                                      read_refusal(path, obj, fileio.load_angles))
+        assert written(path, lambda p: fileio.save_angles(p, angles)) == expected
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "angles.json"
@@ -295,6 +308,13 @@ class TestAngleFiles:
         path.write_text('{"chi": 0.3}')
         with pytest.raises(fileio.ParseError):
             fileio.load_angles(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "angles.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(fileio.ParseError) as caught:
+            fileio.load_angles(path)
+        assert str(caught.value) == f"{path}: expected an object of angles"
 
 
 class TestDecompositionFiles:

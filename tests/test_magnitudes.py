@@ -241,8 +241,9 @@ def test_every_decomposition_reader_refuses_a_bad_decomposition(bad):
 @SWEEP
 @given(BAD_SCALARS, st.integers(0, 2))
 def test_non_finite_scalars_are_refused(bad, index):
-    # a ledger entry, a step's duration, a Bloch vector's entry and a spinor's angle; the ledger
-    # is built inside each call, since it refuses a non-finite phase itself
+    # a ledger entry, a step's duration, a Bloch vector's entry, a spinor's angle and the
+    # compound-rotation time; the ledger is built inside each call, since it refuses a
+    # non-finite phase itself
     phases = [bad if k == index else 0.0 for k in range(3)]
     d = qp.SpinorDecomposition(0.3, UNIT_SPINOR, UNIT_SPINOR)
     n = [bad if k == index else 0.0 for k in range(3)]
@@ -251,5 +252,6 @@ def test_non_finite_scalars_are_refused(bad, index):
                  lambda: qp.evolve_separable_schedule(d, qp.PhaseLedger(*phases),
                                                       [(H, 0.1)], [(H, 0.1)]),
                  lambda: qp.su2_operator(H, bad), lambda: qp.local_unitary(H, bad),
-                 lambda: qp.spherical_angles(n), lambda: qp.spinor_from_angles(*angles)):
+                 lambda: qp.spherical_angles(n), lambda: qp.spinor_from_angles(*angles),
+                 lambda: qp.compound_rotation_check(UNIT_STATE, 1.0, 1.0, bad, True)):
         assert_refused_naming(call, repr(bad))

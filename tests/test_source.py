@@ -320,3 +320,18 @@ def test_separable_run_does_not_reread_its_own_spinors():
               for node in ast.walk(_function("dynamics.py", "evolve_separable_state"))
               if isinstance(node, ast.Call)}
     assert "reconstruct" not in called, "evolve_separable_state calls reconstruct"
+
+
+def test_recurrence_sine_takes_its_band_from_angles():
+    # the sine quotient takes chi, both thetas and the band refusals from states._angles, in
+    # its words, and the partial trace is written once, in _bloch
+    body = _function("states.py", "recurrence_sine")
+    called = {getattr(node.func, "id", None) for node in ast.walk(body)
+              if isinstance(node, ast.Call)}
+    assert "_angles" in called, "recurrence_sine does not call _angles"
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    found = named & {"_entangled", "_spherical", "_bloch", "_chi", "HALF_PI"}
+    assert not found, f"recurrence_sine names {sorted(found)}"
+    found = _nodes(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_reduced",
+                   "states.py")
+    assert not found, f"_reduced defined at {found}"

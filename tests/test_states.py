@@ -253,6 +253,20 @@ class TestAngleConversions:
         with pytest.raises(qp.MaximalEntanglement):
             qp.angles_from_state(SINGLET)
 
+    @pytest.mark.parametrize("psi, error", [
+        (qp.sample_fixed_concurrence(1, 0, 0.0)[0], qp.SeparableGamma),
+        (SINGLET, qp.MaximalEntanglement)], ids=["separable", "maximal"])
+    def test_recurrence_sine_refuses_where_angles_from_state_does(self, psi, error):
+        # the same exception in the same words; the separable one carries the same partial angles
+        with pytest.raises(error) as projected:
+            qp.angles_from_state(psi)
+        with pytest.raises(error) as quotient:
+            qp.recurrence_sine(psi)
+        assert type(quotient.value) is error and str(quotient.value) == str(projected.value)
+        if error is qp.SeparableGamma:
+            assert quotient.value.angles is not None
+            assert quotient.value.angles == projected.value.angles
+
     def test_pole_raises_only_in_recurrence_sine(self):
         psi = qp.state_from_angles(qp.AngleSet(0.6, 0.0, 0.0, 1.2, 0.3, 0.9))
         got = qp.angles_from_state(psi)  # the projection is total here
