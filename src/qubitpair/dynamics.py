@@ -268,7 +268,7 @@ def _rotated(spinor: list[complex], schedule: Schedule) -> np.ndarray:
     return np.array([big_a * u + big_b * l, big_a.conjugate() * l - big_b.conjugate() * u])
 
 
-def _summed_phase(schedule: Schedule, *start: float) -> tuple[float, float]:
+def _summed_phase(schedule: Schedule, qubit: int, *start: float) -> tuple[float, float]:
     # (beta, remainder): the exact sum of start, a ledger's finite phases, and the steps'
     # h_i * dt, as Python floats (a numpy product would warn on overflow), rounded once, and
     # what that rounding leaves
@@ -277,8 +277,11 @@ def _summed_phase(schedule: Schedule, *start: float) -> tuple[float, float]:
         beta = math.fsum(terms)
         return beta, math.fsum([*terms, -beta])
     except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
-        raise StepOverflow(f"the summed phase h_i * dt overflows: largest |term| = "
-                           f"{max(map(abs, terms))!r}") from None
+        sizes = list(map(abs, terms))
+        k = sizes.index(max(sizes)) - len(start)  # the first largest; below 0, a start term
+        where = f"step {k}" if k >= 0 else "the ledger's phases"
+        raise StepOverflow(f"qubit {qubit}'s summed phase h_i * dt overflows: largest |term| = "
+                           f"{max(sizes)!r}, at {where}") from None
 
 
 def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
@@ -287,8 +290,8 @@ def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
     and book each qubit's phases exactly; qubit 1's sum takes in the ledger's remainder."""
     chi, spinor1, spinor2 = _read_decomposition(d)
     schedule1, schedule2 = as_schedule(schedule1), as_schedule(schedule2)
-    beta1, rest1 = _summed_phase(schedule1, ledger.beta1, ledger.remainder)
-    beta2, rest2 = _summed_phase(schedule2, ledger.beta2)
+    beta1, rest1 = _summed_phase(schedule1, 1, ledger.beta1, ledger.remainder)
+    beta2, rest2 = _summed_phase(schedule2, 2, ledger.beta2)
     return (SpinorDecomposition(chi, _rotated(spinor1, schedule1), _rotated(spinor2, schedule2)),
             PhaseLedger(beta1, beta2, rest1 + rest2))
 

@@ -10,11 +10,9 @@ loading a saved file reproduces every value bit for bit.
                  gamma may be null
 * spinor file:   {"chi", "spinor1": [[re, im] * 2], "spinor2": ...}
 * schedule file: one qubit's steps, applied in order (piecewise constant),
-                 written as columns, {"qubit": 1|2, "h_i": [S reals],
+                 as columns, {"qubit": 1|2, "h_i": [S reals],
                  "v": [3S reals, x y z per step], "duration": [S reals]};
-                 the entry list [{"qubit": 1|2, "h_i": x, "v": [vx, vy, vz],
-                 "duration": dt}, ...] still loads; either loads as one
-                 dynamics.Schedule of arrays (see load_schedule)
+                 loads as one dynamics.Schedule of arrays (see load_schedule)
 
 Every writer refuses what its loader refuses, in its words (ParseError), and writes nothing.
 """
@@ -27,7 +25,6 @@ import json
 import math
 import sys
 import warnings
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -185,37 +182,20 @@ def _reals(values: list, name: str) -> np.ndarray:
     return np.array([_real(x, name) for x in values])
 
 
-def _tag(tags: list) -> int:
-    # the one qubit tag of a file's steps, each a JSON integer: true and 1.0 equal 1
-    if not (set(map(type, tags)) <= {int} and all(map((1, 2).__contains__, tags))):
-        raise ParseError(f"qubit must be 1 or 2, got {tags[-1]!r}")
-    if len(set(tags)) > 1:
-        raise ParseError("mixed qubit tags in one schedule file")
-    return tags[0]
-
-
-def _entry_columns(entries: list) -> tuple[int, list, list, list]:
-    # (qubit, h_i, flat v, duration) of an entry list, each structural rule checked over all
-    # entries; once every shorter prefix passes, a failing rule fails at the last entry alone,
-    # so the messages quote the last entry
-    if not all(map(isinstance, entries, repeat(dict))):
-        raise ParseError("expected an object")
-    qubit = _tag(list(map(dict.get, entries, repeat("qubit"))))
-    h = list(map(dict.get, entries, repeat("h_i"), repeat(0.0)))
-    vs = list(map(dict.get, entries, repeat("v")))
-    if not (all(map(isinstance, vs, repeat(list))) and set(map(len, vs)) == {3}):
-        _reals(h, "h_i")  # an entry's h_i is checked before its v's shape
-        raise ParseError("v must be a real 3-vector")
-    return qubit, h, list(chain.from_iterable(vs)), list(map(dict.get, entries, repeat("duration")))
+def _tag(tag) -> int:
+    # a file's one qubit tag, a JSON integer: true and 1.0 equal 1 but are refused
+    if type(tag) is not int or tag not in (1, 2):
+        raise ParseError(f"qubit must be 1 or 2, got {tag!r}")
+    return tag
 
 
 def _file_columns(obj: dict) -> tuple[int, list, list, list]:
-    # the column layout's own rules, each about the whole file: every column present, one tag,
+    # a schedule file's own rules, each about the whole file: every column present, one tag,
     # and S >= 1 h_i and duration values beside 3S v components
     missing = [name for name in ("qubit", "h_i", "v", "duration") if name not in obj]
     if missing:
         raise ParseError(f"missing column {missing[0]!r}")
-    qubit, columns = _tag([obj["qubit"]]), (obj["h_i"], obj["v"], obj["duration"])
+    qubit, columns = _tag(obj["qubit"]), (obj["h_i"], obj["v"], obj["duration"])
     lengths = [len(c) if isinstance(c, list) else None for c in columns]  # None: not a list
     if not (lengths[0] and lengths == [lengths[0], 3 * lengths[0], lengths[0]]):
         raise ParseError(f"h_i, v and duration must list S >= 1, 3S and S values, "
@@ -263,16 +243,13 @@ def _column_schedule(obj: dict, path) -> tuple[int, Schedule]:
 
 
 def load_schedule(path) -> tuple[int, Schedule]:
-    """Read one qubit's schedule file, in either layout, as (qubit, Schedule), each rule
-    checked over whole columns; the last, the magnitude rule, is the Schedule's own.
-    A rejection names the first offending entry and the first rule it breaks."""
+    """Read one qubit's column schedule file as (qubit, Schedule), each rule checked over whole
+    columns, the magnitude rule last, by the Schedule. A rejection names the first offending
+    entry (step k) and the first rule it breaks; the file's own faults name the file alone."""
     obj = read_json(path)
-    if isinstance(obj, dict):
-        return _column_schedule(obj, path)
-    if not (isinstance(obj, list) and obj):
-        raise ParseError(f"{path}: expected a non-empty list of schedule entries "
-                         f"or an object of schedule columns")
-    return _bisected(lambda count: _checked(*_entry_columns(obj[:count])), len(obj), path)
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected an object of schedule columns")
+    return _column_schedule(obj, path)
 
 
 # states per dumps call: a state's lists, dict and text cost ~1.6 kB while it is written, so
@@ -286,7 +263,7 @@ def save_state_list(path, states) -> None:
     the bytes of one dumps of the whole list; a refusal names the first failing state."""
     states = np.asarray(states, dtype=complex).reshape(len(states), 4)
     with np.errstate(over="ignore"):  # an overflowing square is inf, which fails the rule
-        nsq = sum(z.real * z.real + z.imag * z.imag for z in states.T)  # _norm_sq's order
+        nsq = _norm_sq(states.T)
     failing = np.flatnonzero(~(np.abs(np.sqrt(nsq) - 1.0) <= 1e-6))
     if len(failing):
         k = int(failing[0])

@@ -369,8 +369,8 @@ class SpinorDecomposition:
     spinor2: np.ndarray
 
 
-def _angles(amps) -> tuple[float, float, float, float, float, float]:
-    # angles_from_state's six angles on the Python complexes of a unit state, with its refusals
+def _bloch_angles(amps) -> tuple[float, float, float, float, float]:
+    # chi and both Bloch angle pairs on the Python complexes of a unit state, with the band refusals
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
     if chi > HALF_PI - EPS_DEGEN:
@@ -382,6 +382,12 @@ def _angles(amps) -> tuple[float, float, float, float, float, float]:
         raise SeparableGamma(
             "the recurrence of a separable state is indistinguishable from a global phase",
             angles=AngleSet(chi, theta1, phi1, theta2, phi2, None))
+    return chi, theta1, phi1, theta2, phi2
+
+
+def _angles(amps) -> tuple[float, float, float, float, float, float]:
+    # angles_from_state's six angles: the Bloch angles, and gamma by projection
+    chi, theta1, phi1, theta2, phi2 = _bloch_angles(amps)
     overlap = _vdot2(_half_angle(theta2, phi2),
                      _contract(_half_angle(theta1, phi1), _det_fixed(amps)[0]))
     return chi, theta1, phi1, theta2, phi2, wrap_angle(2.0 * cmath.phase(overlap))
@@ -418,7 +424,7 @@ def recurrence_sine(psi) -> float:
     in its words, and at the Bloch poles (PoleSingularity below EPS_POLE).
     """
     amps = _unit(psi, 4)
-    chi, theta1, _, theta2, _, _ = _angles(amps)
+    chi, theta1, _, theta2, _ = _bloch_angles(amps)
     s1, s2 = math.sin(theta1), math.sin(theta2)
     if min(s1, s2) < EPS_POLE:
         raise PoleSingularity("a Bloch vector lies within EPS_POLE of a z-axis pole")

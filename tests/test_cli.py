@@ -233,11 +233,14 @@ class TestEvolve:
     def test_non_finite_schedule_value_is_parse_error(self, tmp_path, capsys, backend, literal):
         state, _, s2 = self._files(tmp_path, seed=66)
         s1 = tmp_path / "bad.json"
-        s1.write_text('[{"qubit": 1, "h_i": %s, "v": [0, 0, 1], "duration": 0.1}]' % literal)
+        s1.write_text('{"qubit": 1, "h_i": [%s], "v": [0, 0, 1], "duration": [0.1]}' % literal)
         code = main(["evolve", "--in", state, "--schedule1", str(s1), "--schedule2", s2,
                      "--backend", backend])
         assert code == 2
-        assert stdout_json(capsys)["error"]["code"] == "PARSE"
+        error = stdout_json(capsys)["error"]
+        assert error["code"] == "PARSE"
+        assert error["message"] == (f"{s1}: entry 0: h_i: expected a finite real number, "
+                                    f"got {float(literal)!r}")
 
     @pytest.mark.parametrize("backend", ["full", "separable", "both"])
     @pytest.mark.parametrize("tag", ["true", "1.0"])
@@ -245,13 +248,13 @@ class TestEvolve:
         # JSON's true and 1.0 compare equal to 1, but a tag is the integer 1 or 2
         state, _, s2 = self._files(tmp_path, seed=68)
         s1 = tmp_path / "tagged.json"
-        s1.write_text('[{"qubit": %s, "h_i": 0.5, "v": [0, 0, 1], "duration": 0.1}]' % tag)
+        s1.write_text('{"qubit": %s, "h_i": [0.5], "v": [0, 0, 1], "duration": [0.1]}' % tag)
         code = main(["evolve", "--in", state, "--schedule1", str(s1), "--schedule2", s2,
                      "--backend", backend])
         assert code == 2
         error = stdout_json(capsys)["error"]
         assert error["code"] == "PARSE"
-        assert "entry 0: qubit must be 1 or 2, got " in error["message"]
+        assert error["message"].startswith(f"{s1}: qubit must be 1 or 2, got ")
 
     @pytest.mark.parametrize("backend", ["full", "separable", "both"])
     @pytest.mark.parametrize("columns, message", [
@@ -273,21 +276,38 @@ class TestEvolve:
         assert error["code"] == "PARSE" and error["message"] == f"{s1}: {message}"
 
     @pytest.mark.parametrize("backend", ["full", "separable", "both"])
-    @pytest.mark.parametrize("entries", [
-        '{"qubit": 1, "h_i": 0, "v": [1e200, 0, 0], "duration": 1e200}',
-        '{"qubit": 1, "h_i": 1e200, "v": [0, 0, 1], "duration": 1e200}',
+    @pytest.mark.parametrize("columns, entry", [
+        ('"h_i": [0], "v": [1e200, 0, 0], "duration": [1e200]', 0),
+        ('"h_i": [1e200], "v": [0, 0, 1], "duration": [1e200]', 0),
         # each phase is finite, their sum is not
-        '{"qubit": 1, "h_i": 1e154, "v": [0, 0, 1], "duration": 1e154}, ' * 2
-        + '{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
+        ('"h_i": [1e154, 1e154, 0], "v": [0, 0, 1, 0, 0, 1, 0, 0, 1], '
+         '"duration": [1e154, 1e154, 1]', 1),
     ])
-    def test_overflowing_schedule_angle_is_parse_error(self, tmp_path, capsys, backend, entries):
+    def test_overflowing_schedule_angle_is_parse_error(self, tmp_path, capsys, backend, columns,
+                                                       entry):
         state, _, s2 = self._files(tmp_path, seed=67)
         s1 = tmp_path / "huge.json"
-        s1.write_text("[%s]" % entries)
+        s1.write_text('{"qubit": 1, %s}' % columns)
         code = main(["evolve", "--in", state, "--schedule1", str(s1), "--schedule2", s2,
                      "--backend", backend])
         assert code == 2
-        assert stdout_json(capsys)["error"]["code"] == "PARSE"
+        error = stdout_json(capsys)["error"]
+        assert error["code"] == "PARSE"
+        assert error["message"] == (f"{s1}: entry {entry}: the schedule's phases and rotation "
+                                    f"angles overflow")
+
+    @pytest.mark.parametrize("backend", ["full", "separable", "both"])
+    def test_entry_list_schedule_is_parse_error(self, tmp_path, capsys, backend):
+        # a list of step objects, a layout no writer makes, is refused as a whole
+        state, _, s2 = self._files(tmp_path, seed=70)
+        s1 = tmp_path / "entries.json"
+        s1.write_text('[{"qubit": 1, "h_i": 0.5, "v": [0.1, -0.2, 0.3], "duration": 0.25}]')
+        code = main(["evolve", "--in", state, "--schedule1", str(s1), "--schedule2", s2,
+                     "--backend", backend])
+        assert code == 2
+        error = stdout_json(capsys)["error"]
+        assert error == {"code": "PARSE",
+                         "message": f"{s1}: expected an object of schedule columns"}
 
     @pytest.mark.parametrize("backend", ["full", "separable", "both"])
     def test_phases_whose_sum_overflows_stay_finite(self, tmp_path, backend):
@@ -296,7 +316,7 @@ class TestEvolve:
         paths = []
         for qubit in (1, 2):
             path = tmp_path / f"s{qubit}.json"
-            path.write_text('[{"qubit": %d, "h_i": 1e154, "v": [0, 0, 1], "duration": 1e154}]'
+            path.write_text('{"qubit": %d, "h_i": [1e154], "v": [0, 0, 1], "duration": [1e154]}'
                             % qubit)
             paths.append(str(path))
         out = tmp_path / "out.json"

@@ -400,6 +400,22 @@ class TestSeparableState:
         with pytest.raises(qp.StepOverflow, match="summed phase"):
             qp.evolve_separable_schedule(qp.decompose(psi), qp.PhaseLedger(1e308), phase, [])
 
+    @pytest.mark.parametrize("ledger, schedule1, schedule2, message", [
+        (qp.PhaseLedger(1e308), [(qp.LocalHamiltonian(h, [0.0, 0.0, 0.0]), 1.0)
+                                 for h in (0.5, 1.7e308)], [],
+         "qubit 1's summed phase h_i * dt overflows: largest |term| = 1.7e+308, at step 1"),
+        (qp.PhaseLedger(0.0, 1.5e308), [], [(qp.LocalHamiltonian(1e308, [0.0, 0.0, 0.0]), 1.0)],
+         "qubit 2's summed phase h_i * dt overflows: largest |term| = 1.5e+308, "
+         "at the ledger's phases"),
+    ], ids=["step", "ledger"])
+    def test_summed_phase_refusal_names_its_largest_term(self, ledger, schedule1, schedule2,
+                                                         message):
+        # the refusal names the qubit whose sum overflows and where its largest term sits
+        d = qp.decompose(entangled_state(42))
+        with pytest.raises(qp.StepOverflow) as caught:
+            qp.evolve_separable_schedule(d, ledger, schedule1, schedule2)
+        assert str(caught.value) == message
+
     def test_long_run_of_one_hamiltonian_returns(self):
         # 20,000 equal steps: the composed SU(2)'s rounding grows with the step count and takes
         # a rotated spinor past the 1e-12 unit-norm rule, so the run must not read its own

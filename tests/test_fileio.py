@@ -3,8 +3,10 @@ import json
 import math
 import re
 import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,19 +450,24 @@ class TestScheduleFiles:
         for name in ("h", "v", "dt"):
             assert getattr(loaded, name).tobytes() == getattr(schedule, name).tobytes()
 
-    @pytest.mark.parametrize("text", [
-        "[]",
-        '[{"qubit": 3, "h_i": 0, "v": [0, 0, 0], "duration": 1}]',
-        '[{"qubit": 1, "h_i": 0, "v": [0, 0], "duration": 1}]',
-        '[{"qubit": 1, "h_i": 0, "v": [0, 0, 0], "duration": 0}]',
-        '[{"qubit": 1, "h_i": 0, "v": [0, 0, 0], "duration": 1},'
-        ' {"qubit": 2, "h_i": 0, "v": [0, 0, 0], "duration": 1}]',
+    @pytest.mark.parametrize("text, message", [
+        ('{"qubit": 1, "h_i": [], "v": [], "duration": []}',
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [0, 0, 0]"),
+        ('{"qubit": 3, "h_i": [0], "v": [0, 0, 0], "duration": [1]}',
+         "qubit must be 1 or 2, got 3"),
+        ('{"qubit": 1, "h_i": [0], "v": [0, 0], "duration": [1]}',
+         "h_i, v and duration must list S >= 1, 3S and S values, got lengths [1, 2, 1]"),
+        ('{"qubit": 1, "h_i": [0], "v": [0, 0, 0], "duration": [0]}',
+         "entry 0: duration must be positive, got 0.0"),
+        ('{"qubit": [1, 2], "h_i": [0, 0], "v": [0, 0, 0, 0, 0, 0], "duration": [1, 1]}',
+         "qubit must be 1 or 2, got [1, 2]"),
     ])
-    def test_invalid_schedules_rejected(self, tmp_path, text):
+    def test_invalid_schedules_rejected(self, tmp_path, text, message):
         path = tmp_path / "sched.json"
         path.write_text(text)
-        with pytest.raises(fileio.ParseError):
+        with pytest.raises(fileio.ParseError) as caught:
             fileio.load_schedule(path)
+        assert str(caught.value) == f"{path}: {message}"
 
 
 GOOD_ENTRY = '{"qubit": 1, "h_i": 0.5, "v": [0.1, -0.2, 0.3], "duration": 0.25}'
@@ -474,8 +481,9 @@ def entry_list(qubit, schedule):
 
 def as_columns(entries):
     """An entry list's steps written as the column layout, value for value (a missing h_i as
-    the loader's 0.0, a missing duration as null), or None where columns cannot hold them: an
-    entry that is not an object, a tag that is not one integer 1 or 2, a v not a list of 3."""
+    reference_load_schedule's 0.0, a missing duration as null), or None where columns cannot
+    hold them: an entry that is not an object, a tag that is not one integer 1 or 2, a v not a
+    list of 3."""
     if not all(isinstance(e, dict) for e in entries):
         return None
     tags = [e.get("qubit") for e in entries]
@@ -488,11 +496,8 @@ def as_columns(entries):
             "duration": [e.get("duration") for e in entries]}
 
 
-LAYOUTS = {"entries": lambda entries: entries, "columns": as_columns}
-
-
-def write_layout(path, entries, layout):
-    path.write_text(json.dumps(LAYOUTS[layout](entries)))
+def write_columns(path, entries):
+    path.write_text(json.dumps(as_columns(entries)))
 
 
 VALUE_FAULTS = [  # rules on one step's values: a column file can break each at any step
@@ -510,43 +515,36 @@ VALUE_FAULTS = [  # rules on one step's values: a column file can break each at 
      "duration: expected a finite real number, got None"),
     ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": 0}',
      "duration must be positive, got 0.0"),
+    ('{"qubit": 1, "h_i": 0, "v": [0, 0, 1], "duration": -0.25}',
+     "duration must be positive, got -0.25"),
+    ('{"qubit": 1, "h_i": null, "v": [0, 0, 1], "duration": 1}',
+     "h_i: expected a finite real number, got None"),
 ]
 
 
 class TestScheduleLoader:
-    @pytest.mark.parametrize("bad, message", [
-        ('"step"', "expected an object"),
-        ('{"qubit": 3, "h_i": 0, "v": [0, 0, 1], "duration": 1}', "qubit must be 1 or 2"),
-        # JSON's true, 1.0 and 2.0 compare equal to 1 or 2, but a tag is an integer; after
-        # entries tagged 1, true was also let through by the one-tag rule
-        ('{"qubit": true, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
-         "qubit must be 1 or 2, got True"),
-        ('{"qubit": 1.0, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
-         "qubit must be 1 or 2, got 1.0"),
-        ('{"qubit": 2.0, "h_i": 0, "v": [0, 0, 1], "duration": 1}',
-         "qubit must be 1 or 2, got 2.0"),
-        ('{"qubit": 2, "h_i": 0, "v": [0, 0, 1], "duration": 1}', "mixed qubit tags"),
-        ('{"qubit": 1, "h_i": 0, "v": [0, 0], "duration": 1}', "v must be a real 3-vector"),
-        ('{"qubit": 1, "h_i": 0, "v": {"x": 1, "y": 0, "z": 0}, "duration": 1}',
-         "v must be a real 3-vector"),
-        # an entry's h_i is checked before its v's shape
-        ('{"qubit": 1, "h_i": NaN, "v": [0, 0], "duration": 1}',
-         "h_i: expected a finite real number, got nan"),
-    ] + VALUE_FAULTS)
-    def test_rejection_names_the_entry(self, tmp_path, bad, message):
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_entry_list_is_refused(self, tmp_path, entries):
+        # the one layout is the column object save_schedule writes; a list of step objects is
+        # refused as a whole, whatever its entries hold
         path = tmp_path / "sched.json"
-        path.write_text(f"[{GOOD_ENTRY}, {GOOD_ENTRY}, {bad}, {GOOD_ENTRY}]")
-        with pytest.raises(fileio.ParseError, match=re.escape(f"{path}: entry 2: {message}")):
+        path.write_text("[" + ", ".join([GOOD_ENTRY] * entries) + "]")
+        with pytest.raises(fileio.ParseError) as caught:
             fileio.load_schedule(path)
+        assert str(caught.value) == f"{path}: expected an object of schedule columns"
 
     @pytest.mark.parametrize("bad, message", VALUE_FAULTS)
-    def test_column_rejection_names_the_entry(self, tmp_path, bad, message):
-        # the same four steps written as columns: the same entry and the same words
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    def test_column_rejection_names_the_entry(self, tmp_path, bad, message, index):
+        # one bad step among four good ones, at the first, a middle and the last step: the
+        # search for the shortest failing prefix names that step at either end of the file
+        entries = [json.loads(GOOD_ENTRY)] * 4
+        entries[index] = json.loads(bad)
         path = tmp_path / "sched.json"
-        write_layout(path, json.loads(f"[{GOOD_ENTRY}, {GOOD_ENTRY}, {bad}, {GOOD_ENTRY}]"),
-                     "columns")
-        with pytest.raises(fileio.ParseError, match=re.escape(f"{path}: entry 2: {message}")):
+        write_columns(path, entries)
+        with pytest.raises(fileio.ParseError) as caught:
             fileio.load_schedule(path)
+        assert str(caught.value) == f"{path}: entry {index}: {message}"
 
     @pytest.mark.parametrize("columns, message", [
         ({"h_i": [0.5], "v": [0, 0, 1], "duration": [1]}, "missing column 'qubit'"),
@@ -569,6 +567,12 @@ class TestScheduleLoader:
          "qubit must be 1 or 2, got True"),
         ({"qubit": [1], "h_i": [0.5], "v": [0, 0, 1], "duration": [1]},
          "qubit must be 1 or 2, got [1]"),
+        ({"qubit": 1.0, "h_i": [0.5], "v": [0, 0, 1], "duration": [1]},
+         "qubit must be 1 or 2, got 1.0"),
+        ({"qubit": 2.0, "h_i": [0.5], "v": [0, 0, 1], "duration": [1]},
+         "qubit must be 1 or 2, got 2.0"),
+        ({"qubit": "1", "h_i": [0.5], "v": [0, 0, 1], "duration": [1]},
+         "qubit must be 1 or 2, got '1'"),
     ])
     def test_column_layout_faults_name_the_file(self, tmp_path, columns, message):
         # a column file's own rules are about the whole file, so no entry is named
@@ -578,62 +582,69 @@ class TestScheduleLoader:
             fileio.load_schedule(path)
         assert str(caught.value) == f"{path}: {message}"
 
-    def test_bad_first_entry_is_named(self, tmp_path):
-        path = tmp_path / "sched.json"
-        path.write_text(f'[{{"qubit": "1", "v": [0, 0, 1], "duration": 1}}, {GOOD_ENTRY}]')
-        with pytest.raises(fileio.ParseError, match="entry 0: qubit must be 1 or 2"):
-            fileio.load_schedule(path)
-
     def test_overflowing_span_names_the_entry(self, tmp_path):
         # each entry adds 1e308 to the running |h_i| dt + |v| dt: entry 2 overflows it
         big = '{"qubit": 1, "h_i": 0, "v": [1e300, 0, 0], "duration": 1e8}'
         path = tmp_path / "sched.json"
-        path.write_text(f"[{GOOD_ENTRY}, {big}, {big}, {GOOD_ENTRY}]")
+        write_columns(path, json.loads(f"[{GOOD_ENTRY}, {big}, {big}, {GOOD_ENTRY}]"))
         with pytest.raises(fileio.ParseError, match="entry 2: the schedule's phases and rotation"):
             fileio.load_schedule(path)
 
     def test_first_offending_entry_wins(self, tmp_path):
         # a non-finite value in entry 1 is reported before a type error in entry 2
         path = tmp_path / "sched.json"
-        path.write_text(f'[{GOOD_ENTRY}, {GOOD_ENTRY.replace("0.5", "-Infinity")}, '
-                        f'{GOOD_ENTRY.replace("0.5", "false")}]')
+        write_columns(path, json.loads(f'[{GOOD_ENTRY}, {GOOD_ENTRY.replace("0.5", "-Infinity")}, '
+                                       f'{GOOD_ENTRY.replace("0.5", "false")}]'))
         with pytest.raises(fileio.ParseError, match="entry 1: h_i: expected a finite real number"):
             fileio.load_schedule(path)
 
-    @pytest.mark.parametrize("layout", ["columns", "entries"])
-    def test_schedule_reloads_bit_exact(self, tmp_path, layout):
+    def test_schedule_reloads_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
         scale = 10.0 ** rng.integers(-300, 290, size=(200, 3))
         schedule = qp.Schedule(rng.normal(size=200), rng.normal(size=(200, 3)) * scale,
                                rng.uniform(1e-3, 1.0, size=200))
         path = tmp_path / "sched.json"
-        if layout == "columns":
-            fileio.save_schedule(path, 2, schedule)
-        else:
-            write_layout(path, entry_list(2, schedule), layout)
+        fileio.save_schedule(path, 2, schedule)
         qubit, loaded = fileio.load_schedule(path)
         assert qubit == 2 and isinstance(loaded, qp.Schedule) and len(loaded) == 200
         assert np.array_equal(loaded.h, schedule.h)
         assert np.array_equal(loaded.v, schedule.v)
         assert np.array_equal(loaded.dt, schedule.dt)
 
-    @pytest.mark.parametrize("layout", ["columns"])
-    def test_long_file_loads_without_a_collection(self, tmp_path, collections_during, layout):
-        # a column file, the layout save_schedule writes, parses into 3 lists whatever its
-        # length, so its load needs no collector pause (an entry file's parse keeps a dict and a
-        # v list per entry alive at once, and may set off collections)
+    def test_readme_recipe_converts_an_entry_list(self, tmp_path, monkeypatch):
+        # README's conversion of the refused one-object-per-step layout, run as printed there,
+        # writes the same steps as a column file, bit for bit
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        recipe, = [textwrap.dedent(block) for block in re.findall(r"```python\n(.*?)```",
+                                                                  readme, re.S)
+                   if "old.json" in block]
+        rng = np.random.default_rng(12)
+        scale = 10.0 ** rng.integers(-300, 290, size=(200, 3))
+        schedule = qp.Schedule(rng.normal(size=200), rng.normal(size=(200, 3)) * scale,
+                               rng.uniform(1e-3, 1.0, size=200))
+        (tmp_path / "old.json").write_text(json.dumps(entry_list(1, schedule)))
+        monkeypatch.chdir(tmp_path)
+        exec(recipe, {})
+        qubit, loaded = fileio.load_schedule(tmp_path / "new.json")
+        assert qubit == 1
+        for name in ("h", "v", "dt"):
+            assert getattr(loaded, name).tobytes() == getattr(schedule, name).tobytes()
+
+    def test_long_file_loads_without_a_collection(self, tmp_path, collections_during):
+        # a schedule file parses into 3 lists whatever its length, so its load needs no
+        # collector pause
         rng = np.random.default_rng(29)
         schedule = qp.Schedule(rng.normal(size=2000), rng.normal(size=(2000, 3)),
                                rng.uniform(0.01, 1.0, 2000))
         path = tmp_path / "sched.json"
-        write_layout(path, entry_list(1, schedule), layout)
+        fileio.save_schedule(path, 1, schedule)
         loaded = []
         assert collections_during(lambda: loaded.append(fileio.load_schedule(path))) == []
         assert loaded[0][0] == 1 and np.array_equal(loaded[0][1].v, schedule.v)
 
     def test_integer_values_load_as_floats(self, tmp_path):
         path = tmp_path / "sched.json"
-        path.write_text('[{"qubit": 1, "v": [0, 3, 9007199254740993], "duration": 2}]')
+        path.write_text('{"qubit": 1, "h_i": [0], "v": [0, 3, 9007199254740993], "duration": [2]}')
         _, loaded = fileio.load_schedule(path)
         assert loaded.h.tolist() == [0.0] and loaded.dt.tolist() == [2.0]
         assert loaded.v.tolist() == [[0.0, 3.0, float(9007199254740993)]]
@@ -745,27 +756,24 @@ class TestColumnLoaderAgainstEntryLoop:
     def test_seeded_random_files(self, tmp_path):
         rng = np.random.default_rng(2024)
         path = tmp_path / "sched.json"
-        kinds = {(layout, kind): 0 for layout in LAYOUTS for kind in ("valid", "error")}
+        kinds = {"valid": 0, "error": 0}
         for _ in range(2500):
             entries = random_schedule_file(rng)
             path.write_text(json.dumps(entries))
             expected = outcome(reference_load_schedule, path)
             # the same steps as columns, where columns can hold them, load or fail the same
-            for layout in LAYOUTS:
-                if LAYOUTS[layout](entries) is not None:
-                    write_layout(path, entries, layout)
-                    assert outcome(column_load, path) == expected, path.read_text()
-                    kinds[layout, "error" if expected[0] == "error" else "valid"] += 1
+            if as_columns(entries) is not None:
+                write_columns(path, entries)
+                assert outcome(column_load, path) == expected, path.read_text()
+                kinds["error" if expected[0] == "error" else "valid"] += 1
         # both outcomes well represented; most faults the generator draws are structural, which
         # columns cannot hold, so fewer failing files have a column form
-        assert min(kinds["entries", "valid"], kinds["entries", "error"]) >= 500, kinds
-        assert min(kinds["columns", "valid"], kinds["columns", "error"]) >= 200, kinds
+        assert min(kinds["valid"], kinds["error"]) >= 200, kinds
 
     @pytest.mark.parametrize("index", [0, 1000, 1999])
     @pytest.mark.parametrize("fault", [{"h_i": math.nan}, {"v": [0.5, 1.0]}, {"duration": 0},
                                        {"h_i": 1.7e308, "v": [0.0, 1.7e308, 0.0]}])
-    @pytest.mark.parametrize("layout", ["entries", "columns"])
-    def test_long_file_names_its_one_bad_entry(self, tmp_path, index, fault, layout):
+    def test_long_file_names_its_one_bad_entry(self, tmp_path, index, fault):
         rng = np.random.default_rng(index)
         entries = [{"qubit": 1, "h_i": float(h), "v": v.tolist(), "duration": float(dt)}
                    for h, v, dt in zip(rng.normal(size=2000), rng.normal(size=(2000, 3)),
@@ -775,13 +783,12 @@ class TestColumnLoaderAgainstEntryLoop:
         path.write_text(json.dumps(entries))
         expected = outcome(reference_load_schedule, path)
         assert expected[0] == "error" and f"entry {index}: " in expected[1]
-        if layout == "columns":
-            columns = as_columns(entries)
-            if columns is None:  # the 2-vector leaves the v column one short: a whole-file fault
-                columns = {"qubit": 1, "h_i": [e["h_i"] for e in entries],
-                           "v": [x for e in entries for x in e["v"]],
-                           "duration": [e["duration"] for e in entries]}
-                expected = ("error", f"{path}: h_i, v and duration must list S >= 1, 3S and S "
-                                     f"values, got lengths [2000, 5999, 2000]")
-            path.write_text(json.dumps(columns))
+        columns = as_columns(entries)
+        if columns is None:  # the 2-vector leaves the v column one short: a whole-file fault
+            columns = {"qubit": 1, "h_i": [e["h_i"] for e in entries],
+                       "v": [x for e in entries for x in e["v"]],
+                       "duration": [e["duration"] for e in entries]}
+            expected = ("error", f"{path}: h_i, v and duration must list S >= 1, 3S and S "
+                                 f"values, got lengths [2000, 5999, 2000]")
+        path.write_text(json.dumps(columns))
         assert outcome(column_load, path) == expected

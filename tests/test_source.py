@@ -323,12 +323,18 @@ def test_separable_run_does_not_reread_its_own_spinors():
 
 
 def test_recurrence_sine_takes_its_band_from_angles():
-    # the sine quotient takes chi, both thetas and the band refusals from states._angles, in
-    # its words, and the partial trace is written once, in _bloch
+    # the sine quotient takes chi, both thetas and the band refusals from states._bloch_angles,
+    # the core of angles_from_state's _angles, in its words, and projects no gamma; the partial
+    # trace is written once, in _bloch
+    def calls(body):
+        return {getattr(node.func, "id", None) for node in ast.walk(body)
+                if isinstance(node, ast.Call)}
+
     body = _function("states.py", "recurrence_sine")
-    called = {getattr(node.func, "id", None) for node in ast.walk(body)
-              if isinstance(node, ast.Call)}
-    assert "_angles" in called, "recurrence_sine does not call _angles"
+    assert "_bloch_angles" in calls(body), "recurrence_sine does not call _bloch_angles"
+    assert "_angles" not in calls(body), "recurrence_sine calls _angles, which projects gamma"
+    assert "_bloch_angles" in calls(_function("states.py", "_angles")), \
+        "_angles does not call _bloch_angles"
     named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     found = named & {"_entangled", "_spherical", "_bloch", "_chi", "HALF_PI"}
     assert not found, f"recurrence_sine names {sorted(found)}"
