@@ -113,9 +113,13 @@ class Schedule:
             values = f"h = {float(h[k])!r}, v = {v[k].tolist()!r}, dt = {float(dt[k])!r}"
             # each value on its own, since a sum of finite values can overflow
             if all(map(math.isfinite, (h[k], speed[k], dt[k]))):
-                raise StepOverflow(f"the schedule's phases and rotation angles overflow at "
-                                   f"step {k}: {values}")
-            raise ValueError(f"schedule entries and each |v| must be finite: step {k} has {values}")
+                refusal = StepOverflow(f"the schedule's phases and rotation angles overflow at "
+                                       f"step {k}: {values}")
+            else:
+                refusal = ValueError(f"schedule entries and each |v| must be finite: step {k} "
+                                     f"has {values}")
+            refusal.step = k  # the step as data too: the schedule loader names its entry by it
+            raise refusal
         for name, a in zip(("h", "v", "dt"), arrays):
             a.flags.writeable = False  # so the checks above hold for the object's whole life
             object.__setattr__(self, name, a)

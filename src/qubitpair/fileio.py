@@ -171,15 +171,18 @@ def save_schedule(path, qubit: int, schedule) -> None:
     write_json(path, obj)
 
 
-def _reals(values: list, name: str) -> np.ndarray:
-    # _real's rule over a whole column: ints compared exactly with the float range, floats
-    # finite; where it fails, _real itself raises at the first offending value
+def _reals(values: list) -> np.ndarray:
+    # _real's rule over a whole column, as floats: ints compared exactly with the float range,
+    # floats finite; where it fails, the values before the first offending one
     kinds = set(map(type, values))
     if kinds <= {int, float} and (int not in kinds or max(map(abs, values)) <= sys.float_info.max):
         column = np.array(values, dtype=float)
         if np.isfinite(column).all():
             return column
-    return np.array([_real(x, name) for x in values])
+    top = sys.float_info.max  # a fault: found by the same rule, at about 120 ns a value
+    bad = next(i for i, x in enumerate(values)
+               if type(x) not in (int, float) or not -top <= x <= top)
+    return np.array(values[:bad], dtype=float)
 
 
 def _tag(tag) -> int:
@@ -203,49 +206,35 @@ def _file_columns(obj: dict) -> tuple[int, list, list, list]:
     return (qubit, *columns)
 
 
-def _checked(qubit: int, h: list, v: list, dt: list) -> tuple[int, Schedule]:
-    # the value rules, each once over a whole column, in the order they apply to one step
-    h, v, dt = _reals(h, "h_i"), _reals(v, "v").reshape(-1, 3), _reals(dt, "duration")
-    if not (dt > 0.0).all():
-        raise ParseError(f"duration must be positive, got {dt[-1].item()!r}")
-    try:  # Schedule's magnitude rule; on finite reals only the running span can fail it
-        return qubit, Schedule(h, v, dt)
-    except ValueError:
-        raise ParseError("the schedule's phases and rotation angles overflow") from None
-
-
-def _bisected(prefix, steps: int, path) -> tuple[int, Schedule]:
-    # prefix(steps), the first steps entries checked; where that fails, the shortest failing
-    # prefix's error, naming its last entry: every rule that fails on a prefix of the steps
-    # fails on each longer one, so bisection finds the shortest
-    try:
-        return prefix(steps)
-    except ParseError as whole:
-        passing, failing, error = 0, steps, whole
-        while failing - passing > 1:
-            mid = (passing + failing) // 2
-            try:
-                prefix(mid)
-                passing = mid
-            except ParseError as shorter:
-                failing, error = mid, shorter
-        raise ParseError(f"{path}: entry {failing - 1}: {error}") from None
-
-
 def _column_schedule(obj: dict, path) -> tuple[int, Schedule]:
-    # a column object checked as load_schedule reads it, by the writer and the reader alike
+    # a column object checked as load_schedule reads it, by the writer and the reader alike, in
+    # one pass: each column read once, and one Schedule built, on the m steps before entry m, the
+    # first to break a value rule (the least of each rule's first failing entry)
     try:
-        qubit, h, v, dt = _file_columns(obj)
+        qubit, hs, vs, ds = _file_columns(obj)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return _bisected(lambda count: _checked(qubit, h[:count], v[:3 * count], dt[:count]),
-                     len(h), path)
+    h, v, dt = _reals(hs), _reals(vs), _reals(ds)
+    positive = dt > 0.0
+    m = min(len(h), len(v) // 3, len(dt) if positive.all() else int(positive.argmin()))
+    try:  # Schedule's magnitude rule; on finite reals only the running span can fail it
+        schedule = Schedule(h[:m], v[:3 * m].reshape(m, 3), dt[:m])
+    except ValueError as exc:  # the refusal carries its step: the first past the span's limit
+        raise ParseError(f"{path}: entry {exc.step}: the schedule's phases and rotation angles "
+                         f"overflow") from None
+    if m == len(hs):
+        return qubit, schedule
+    # entry m's values, rule by rule in step order: the words are the first rule it breaks
+    for name, x in [("h_i", hs[m]), *(("v", x) for x in vs[3 * m:3 * m + 3]), ("duration", ds[m])]:
+        _real(x, f"{path}: entry {m}: {name}")
+    raise ParseError(f"{path}: entry {m}: duration must be positive, got {dt[m].item()!r}")
 
 
 def load_schedule(path) -> tuple[int, Schedule]:
     """Read one qubit's column schedule file as (qubit, Schedule), each rule checked over whole
-    columns, the magnitude rule last, by the Schedule. A rejection names the first offending
-    entry (step k) and the first rule it breaks; the file's own faults name the file alone."""
+    columns in one pass, the magnitude rule last, by the Schedule. A rejection names the first
+    offending entry (step k) and the first rule it breaks, and costs about one load; the file's
+    own faults name the file alone."""
     obj = read_json(path)
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected an object of schedule columns")

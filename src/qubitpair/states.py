@@ -200,9 +200,12 @@ def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
 
 
 def _direction(x: float, y: float, z: float) -> tuple[complex, complex]:
-    # _decomposed passes qubit 1's Bloch vector of a unit state inside the band, so r = |n1| lies
-    # in [1e-9, 1] to rounding: r + |z| and k can neither overflow nor lose bits to subnormals
+    # the spinor along a unit state's qubit-1 Bloch vector; +z where r = |n1| is rounding noise
+    # (<= 16u; exact pi/2 states read up to 11u), where every direction works. Above it r + |z|
+    # and k neither overflow nor lose bits to subnormals, and an error of u/r costs spinor2 ~u
     r = math.hypot(x, y, z)
+    if r <= 16.0 * _UNIT_ROUNDOFF:
+        return 1.0 + 0j, 0j
     if z >= 0.0:
         k = math.hypot(r + z, x, y)
         return complex((r + z) / k), complex(x / k, y / k)
@@ -459,7 +462,7 @@ def _decomposed(amps) -> tuple[SpinorDecomposition, float]:
     chi = _chi(amps, n1)
     carries = _carries_det_phase(amps, chi)
     amps, turn = _det_fixed(amps) if carries else (amps, 0.0)
-    u1 = (1.0 + 0j, 0j) if chi > HALF_PI - EPS_DEGEN else _direction(*n1)
+    u1 = _direction(*n1)
     x, y = _contract(u1, amps)
     r = math.hypot(x.real, x.imag, y.real, y.imag)
     u2 = (x / r, y / r)
@@ -480,12 +483,13 @@ def decompose(psi) -> SpinorDecomposition:
     separable input keeps its phase, and so does input within 16u of
     EPS_DEGEN whose largest amplitude, not its ad - bc, is fixed (the form
     fix_global_phase gives below the band).  spinor1 points along qubit 1's
-    partial-trace Bloch vector, except at maximal entanglement, where every
-    direction works and +z is the convention.  spinor2 then comes from
-    contracting spinor1's direction with the 2x2 amplitude matrix, which
-    pins qubit 2's direction *and* the remaining phase in one
-    well-conditioned step: the state's overlap with spinor1 x spinor2 is
-    real and positive, so reconstruct() returns the turned input exactly.
+    partial-trace Bloch vector, except where that is rounding noise (|n1| <=
+    16u, as at chi = pi/2): there every direction works and +z is the
+    convention.  spinor2 then comes from contracting spinor1's direction with
+    the 2x2 amplitude matrix, which pins qubit 2's direction *and* the
+    remaining phase in one well-conditioned step: the state's overlap with
+    spinor1 x spinor2 is real and positive, so reconstruct() returns the
+    turned input exactly.
     Below the band (0 < chi < EPS_DEGEN) the phase of ad - bc is gamma,
     which is not carried: every decomposition rebuilds ad - bc >= 0, so
     reconstruct() can miss the input, fix_global_phase's included, by up

@@ -536,8 +536,8 @@ class TestScheduleLoader:
     @pytest.mark.parametrize("bad, message", VALUE_FAULTS)
     @pytest.mark.parametrize("index", [0, 2, 3])
     def test_column_rejection_names_the_entry(self, tmp_path, bad, message, index):
-        # one bad step among four good ones, at the first, a middle and the last step: the
-        # search for the shortest failing prefix names that step at either end of the file
+        # one bad step among four good ones, at the first, a middle and the last step: the one
+        # pass over the columns names that step at either end of the file
         entries = [json.loads(GOOD_ENTRY)] * 4
         entries[index] = json.loads(bad)
         path = tmp_path / "sched.json"
@@ -641,6 +641,37 @@ class TestScheduleLoader:
         loaded = []
         assert collections_during(lambda: loaded.append(fileio.load_schedule(path))) == []
         assert loaded[0][0] == 1 and np.array_equal(loaded[0][1].v, schedule.v)
+
+    @pytest.mark.parametrize("index", [0, 1000, 1999])
+    @pytest.mark.parametrize("bad, message", [(None, None), *VALUE_FAULTS, (
+        '{"qubit": 1, "h_i": 1.7e308, "v": [0, 1.7e308, 0], "duration": 1}',
+        "the schedule's phases and rotation angles overflow")])
+    def test_one_pass_over_the_columns(self, tmp_path, monkeypatch, bad, message, index):
+        # each column is read once and one Schedule is built, whichever entry breaks a rule
+        # first, so a rejected file costs about one load
+        counts = {"_reals": 0, "Schedule": 0}
+
+        def counted(name, function):
+            def call(*args):
+                counts[name] += 1
+                return function(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(fileio, name, counted(name, getattr(fileio, name)))
+        entries = [json.loads(GOOD_ENTRY)] * 2000
+        if bad is not None:
+            entries[index] = json.loads(bad)
+        path = tmp_path / "sched.json"
+        write_columns(path, entries)
+        if bad is None:
+            assert len(fileio.load_schedule(path)[1]) == 2000
+            assert counts == {"_reals": 3, "Schedule": 1}
+            return
+        with pytest.raises(fileio.ParseError) as caught:
+            fileio.load_schedule(path)
+        assert str(caught.value) == f"{path}: entry {index}: {message}"
+        assert counts["_reals"] == 3 and counts["Schedule"] <= 1
 
     def test_integer_values_load_as_floats(self, tmp_path):
         path = tmp_path / "sched.json"
@@ -752,6 +783,9 @@ def column_load(path):
     return qubit, schedule.h, schedule.v, schedule.dt
 
 
+HALF_SPAN = {"v": [1e300, 0.0, 0.0], "duration": 1e8}  # adds 1e308 to the running span
+
+
 class TestColumnLoaderAgainstEntryLoop:
     def test_seeded_random_files(self, tmp_path):
         rng = np.random.default_rng(2024)
@@ -769,6 +803,30 @@ class TestColumnLoaderAgainstEntryLoop:
         # both outcomes well represented; most faults the generator draws are structural, which
         # columns cannot hold, so fewer failing files have a column form
         assert min(kinds["valid"], kinds["error"]) >= 200, kinds
+
+    @pytest.mark.parametrize("faults, entry", [
+        ({1: {"v": [0.0, "1", 1.0]}, 2: {"h_i": math.nan}}, 1),
+        ({2: {"v": [0.0, 0.0, math.inf]}, 3: {"h_i": True}}, 2),
+        ({1: HALF_SPAN, 2: HALF_SPAN, 3: {"duration": 0}}, 2),
+        ({0: {"h_i": 1.7e308, "v": [0.0, 1.7e308, 0.0]}, 1: {"h_i": None}}, 0),
+        ({1: HALF_SPAN, 2: {**HALF_SPAN, "h_i": None}}, 2),
+        ({1: {"h_i": "0.5", "duration": -1.0}}, 1),
+        ({3: {"h_i": math.inf, "v": [0.0, None, 0.0], "duration": 0}}, 3),
+    ], ids=["v before h_i", "v before h_i, last component", "span before value",
+            "span at the first entry", "value at the span's entry", "h_i before duration",
+            "h_i before v before duration"])
+    def test_the_first_fault_in_step_order_wins(self, tmp_path, faults, entry):
+        # faults in several columns, or several rules at one entry: the entry loop's first
+        # failure, found by one pass over the columns; HALF_SPAN twice overflows the span
+        entries = [json.loads(GOOD_ENTRY) for _ in range(5)]
+        for index, fault in faults.items():
+            entries[index].update(fault)
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(entries))
+        expected = outcome(reference_load_schedule, path)
+        assert expected[0] == "error" and f"entry {entry}: " in expected[1]
+        write_columns(path, entries)
+        assert outcome(column_load, path) == expected
 
     @pytest.mark.parametrize("index", [0, 1000, 1999])
     @pytest.mark.parametrize("fault", [{"h_i": math.nan}, {"v": [0.5, 1.0]}, {"duration": 0},

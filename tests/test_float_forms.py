@@ -90,10 +90,11 @@ def ref_decompose(psi):
     if ref_chi(psi) >= EPS_DEGEN:
         psi = ref_fix_global_phase(psi)
     chi = ref_chi(psi)
-    if chi > HALF_PI - EPS_DEGEN:
+    n1 = ref_bloch(psi, 1)
+    if np.linalg.norm(n1) <= 16 * 2.0 ** -53:  # rounding noise, as at chi = pi/2: +z
         u1 = np.array([1.0, 0.0], dtype=complex)
     else:
-        u1 = ref_direction(ref_bloch(psi, 1))
+        u1 = ref_direction(n1)
     u2 = u1.conj() @ psi.reshape(2, 2)
     u2 = u2 / np.linalg.norm(u2)
     phase = np.exp(1j * np.angle(np.vdot(np.kron(u1, u2), psi)))

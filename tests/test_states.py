@@ -371,6 +371,20 @@ class TestDecomposition:
             d = qp.decompose(psi)
             assert np.max(np.abs(qp.reconstruct(d) - psi)) < 1e-10
 
+    @pytest.mark.parametrize("gap", [1e-9, 9e-10, 5e-10, 1e-10, 1e-12, 0.0])
+    def test_roundtrip_in_the_upper_band(self, gap):
+        # between pi/2 - EPS_DEGEN and pi/2 spinor1 follows qubit 1's Bloch vector down to its
+        # rounding noise, so the round trip keeps 1e-10 where +z missed by up to 0.8 gap, and at
+        # exact pi/2, where the vector is noise, spinor1 stays +z bit for bit; only
+        # angles_from_state refuses the band, where theta and phi lose meaning
+        for psi in qp.sample_fixed_concurrence(300, 11, np.pi / 2 - gap):
+            d = qp.decompose(psi)
+            assert np.max(np.abs(qp.reconstruct(d) - psi)) <= 1e-10
+            assert gap > 0.0 or d.spinor1.tolist() == [1, 0]
+            if gap < qp.EPS_DEGEN:
+                with pytest.raises(qp.MaximalEntanglement):
+                    qp.angles_from_state(psi)
+
     def test_roundtrip_keeps_global_sign(self):
         for psi in haar(200, 57):
             d = qp.decompose(-psi)
@@ -396,22 +410,19 @@ class TestDecomposition:
         assert np.max(np.abs(qp.spinor_bloch_vector(qp.decompose(psi).spinor1) - n)) < 1e-12
 
     def test_decomposed_spinor1_at_the_shortest_bloch_vector(self):
-        # just inside the maximal band edge |n1| is EPS_DEGEN, the shortest vector decompose
-        # turns into a direction; rounding puts some chis past the edge, where spinor1 is +z
+        # at the maximal band edge |n1| is EPS_DEGEN, and rounding puts some chis past the edge;
+        # on both sides spinor1 is n1's direction, as everywhere above |n1|'s rounding noise
         chi = qp.states.HALF_PI - qp.EPS_DEGEN * (1 + 1e-7)
-        directed = 0
+        past_the_edge = 0
         for psi in qp.sample_fixed_concurrence(2000, 113, chi):
             d = qp.decompose(psi)
             assert abs(np.linalg.norm(d.spinor1) - 1.0) < 1e-15
-            if d.chi > qp.states.HALF_PI - qp.EPS_DEGEN:
-                assert np.array_equal(d.spinor1, [1, 0])
-                continue
-            directed += 1
+            past_the_edge += d.chi > qp.states.HALF_PI - qp.EPS_DEGEN
             n = qp.state_bloch_vector(psi, 1)
             r = np.linalg.norm(n)
             assert r > qp.EPS_DEGEN * (1 - 1e-6)
             assert np.max(np.abs(qp.spinor_bloch_vector(d.spinor1) - n / r)) < 1e-9
-        assert directed > 1000
+        assert past_the_edge > 0
 
     def test_reconstruction_paths_agree(self):
         for psi in haar(1000, 61):
