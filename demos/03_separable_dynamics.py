@@ -60,8 +60,8 @@ def main():
     print(f"  without ledger: deviation {np.max(np.abs(naive - full)):.3e}")
     print()
 
-    print("an input off the canonical phase keeps its global phase: decompose turns")
-    print("i*psi back to the canonical phase and the ledger starts at that turn:")
+    print("an input off the canonical phase keeps its global phase: the run turns")
+    print("i*psi to ad - bc >= 0, decomposes that, and the ledger starts at the turn:")
     off = 1j * psi0
     schedule1 = [(random_hamiltonian(rng), float(rng.uniform(0.01, 0.1))) for _ in range(steps)]
     schedule2 = [(random_hamiltonian(rng), float(rng.uniform(0.01, 0.1))) for _ in range(steps)]

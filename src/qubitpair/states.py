@@ -171,20 +171,11 @@ def _largest_fixed(amps) -> bool:
 
 
 def _carries_det_phase(amps, chi: float) -> bool:
-    # decompose's and the ledger's band test: does ad - bc fix the global phase?  In the edge
-    # window, input whose largest amplitude is fixed and whose ad - bc is not keeps its phase
+    # decompose's band test alone: does ad - bc fix the global phase?  In the edge window,
+    # input whose largest amplitude is fixed and whose ad - bc is not keeps its phase
     if _edge(chi):
         return _det_fixed(amps)[1] == 0.0 or not _largest_fixed(amps)
     return _entangled(chi)
-
-
-def _ledger_decomposed(amps) -> tuple[SpinorDecomposition, float]:
-    # _decomposed for a run whose ledger carries the phase, and the turn; where decompose keeps
-    # the phase but rebuilds ad - bc >= 0, amps take _det_fixed's turn first
-    carries = _carries_det_phase(amps, _chi(amps, _bloch(amps, 1)))
-    amps, turn = (amps, 0.0) if carries else _det_fixed(amps)
-    d, again = _decomposed(amps)
-    return d, turn + again
 
 
 def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
@@ -480,16 +471,18 @@ def decompose(psi) -> SpinorDecomposition:
     Entangled input is first turned to the canonical global phase ((ad - bc)
     real and non-negative; no turn when already canonical, else a global
     phase that dynamics.evolve_separable_state books into its ledger);
-    separable input keeps its phase, and so does input within 16u of
-    EPS_DEGEN whose largest amplitude, not its ad - bc, is fixed (the form
-    fix_global_phase gives below the band).  spinor1 points along qubit 1's
-    partial-trace Bloch vector, except where that is rounding noise (|n1| <=
-    16u, as at chi = pi/2): there every direction works and +z is the
-    convention.  spinor2 then comes from contracting spinor1's direction with
-    the 2x2 amplitude matrix, which pins qubit 2's direction *and* the
-    remaining phase in one well-conditioned step: the state's overlap with
-    spinor1 x spinor2 is real and positive, so reconstruct() returns the
-    turned input exactly.
+    separable input keeps its phase.  Within 16u of EPS_DEGEN, where a turn
+    can move chi across it, input is kept as it is only where its largest
+    amplitude (the form fix_global_phase gives below the band) or its
+    ad - bc is already fixed; elsewhere it is turned, on either side of the
+    edge, and the round trip returns the turned input.  spinor1 points
+    along qubit 1's partial-trace Bloch vector, except where that is
+    rounding noise (|n1| <= 16u, as at chi = pi/2): there every direction
+    works and +z is the convention.  spinor2 then comes from contracting
+    spinor1's direction with the 2x2 amplitude matrix, which pins qubit 2's
+    direction *and* the remaining phase in one well-conditioned step: the
+    state's overlap with spinor1 x spinor2 is real and positive, so
+    reconstruct() returns the turned input exactly.
     Below the band (0 < chi < EPS_DEGEN) the phase of ad - bc is gamma,
     which is not carried: every decomposition rebuilds ad - bc >= 0, so
     reconstruct() can miss the input, fix_global_phase's included, by up

@@ -313,7 +313,7 @@ def assert_runs_from_state_to_state(rng, psi):
 
 class TestSeparableState:
     """evolve_separable_state keeps the input's global phase: the ledger starts at the turn
-    decompose gives the input, so the backends agree on every unit state."""
+    that brings the input to ad - bc >= 0, so the backends agree on every unit state."""
 
     @pytest.mark.parametrize("chi", STATE_CHIS)
     def test_turned_inputs_keep_their_phase(self, chi):
@@ -369,9 +369,9 @@ class TestSeparableState:
     @pytest.mark.parametrize("chi", [math.nextafter(qp.EPS_DEGEN, 0.0), qp.EPS_DEGEN,
                                      math.nextafter(qp.EPS_DEGEN, 1.0)])
     def test_band_edge_window_runs_from_state_to_state(self, chi):
-        # within 16u of EPS_DEGEN the input's own phase form picks decompose's rule, and the
-        # ledger takes the same pick: turned or phase-fixed, the empty run returns its input to
-        # rounding and both backends agree
+        # within 16u of EPS_DEGEN, where the input's own phase form picks decompose's rule, the
+        # run turns every input to ad - bc >= 0 first: turned or phase-fixed, the empty run
+        # returns its input to rounding and both backends agree
         rng = np.random.default_rng(75)
         for k, x in enumerate(qp.sample_fixed_concurrence(300, 32, chi)):
             turned = cmath.exp(1j * rng.uniform(-np.pi, np.pi)) * x
@@ -381,6 +381,21 @@ class TestSeparableState:
                     report = qp.compare_backends(y, random_schedule(rng, 10, True),
                                                  random_schedule(rng, 10, True))
                     assert qp.dynamics.backends_agree(report.max_component_deviation)
+
+    @pytest.mark.parametrize("chi", [2e-9, 0.3, math.pi / 4, qp.states.HALF_PI - 5e-10])
+    def test_run_starts_from_the_phase_fixed_input(self, chi):
+        # every input takes one start: the turn to ad - bc >= 0, then decompose of the turned
+        # state; so the empty run is decompose(fix_global_phase(x)) bit for bit, and beta1 is
+        # the angle that turns x into fix_global_phase(x)
+        rng = np.random.default_rng(76)
+        for x in qp.sample_fixed_concurrence(300, 32, chi):
+            x = cmath.exp(1j * rng.uniform(-np.pi, np.pi)) * x
+            fixed = qp.fix_global_phase(x)
+            d, ledger, _ = qp.evolve_separable_state(x, [], [])
+            d0 = qp.decompose(fixed)
+            assert d.chi == d0.chi
+            assert np.array_equal(d.spinor1, d0.spinor1) and np.array_equal(d.spinor2, d0.spinor2)
+            assert np.array_equal([cmath.rect(1.0, ledger.beta1) * v for v in x.tolist()], fixed)
 
     def test_overflowing_schedule_is_a_typed_refusal(self):
         # an angle |v| * dt and a summed phase past the float range are refused where the

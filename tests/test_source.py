@@ -341,3 +341,22 @@ def test_recurrence_sine_takes_its_band_from_angles():
     found = _nodes(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_reduced",
                    "states.py")
     assert not found, f"_reduced defined at {found}"
+
+
+def test_separable_run_takes_one_start_rule():
+    # every input's run turns psi to ad - bc >= 0 by _det_fixed and decomposes that with
+    # decompose's own core; _carries_det_phase is decompose's band test alone
+    def band_test(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_carries_det_phase"
+
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(_function("dynamics.py", "evolve_separable_state"))
+              if isinstance(node, ast.Call)}
+    assert {"_det_fixed", "_decomposed"} <= called, f"evolve_separable_state calls {called}"
+    found = _nodes(lambda node: isinstance(node, ast.FunctionDef)
+                   and node.name == "_ledger_decomposed", "states.py")
+    assert not found, f"_ledger_decomposed defined at {found}"
+    sites = _nodes(band_test)
+    inside = [f"states.py:{node.lineno}"
+              for node in ast.walk(_function("states.py", "_decomposed")) if band_test(node)]
+    assert len(inside) == 1 and sites == inside, f"_carries_det_phase called at {sites}"

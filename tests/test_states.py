@@ -456,6 +456,27 @@ class TestDecomposition:
             worst = max(worst, float(np.max(np.abs(qp.reconstruct(qp.decompose(psi)) - psi))))
         assert 0.9 * floor < worst <= floor
 
+    def test_band_edge_window_keeps_only_input_canonical_by_one_rule(self):
+        # within 16u of EPS_DEGEN decompose keeps input as it is only where its largest
+        # amplitude or its ad - bc is already fixed; input canonical by neither rule is turned
+        # to ad - bc >= 0 on either side of the edge, as entangled input is, and the round trip
+        # returns the turned input, not the input
+        rng = np.random.default_rng(77)
+        turned_below = 0
+        for chi in BAND_EDGE_CHIS:
+            floor = 2.0 * math.sin(chi / 2.0)
+            for x in qp.sample_fixed_concurrence(300, 32, chi):
+                psi = np.exp(1j * rng.uniform(-np.pi, np.pi)) * x
+                a, b, c, d = psi
+                turned = np.exp(-0.5j * np.angle(a * d - b * c)) * psi
+                back = qp.reconstruct(qp.decompose(psi))
+                assert np.max(np.abs(back - turned)) < 1e-15
+                turned_below += (qp.concurrence_angle(psi) < qp.EPS_DEGEN
+                                 and np.max(np.abs(back - psi)) > floor)
+                for kept in (qp.fix_global_phase(psi), turned):
+                    assert np.max(np.abs(qp.reconstruct(qp.decompose(kept)) - kept)) <= floor
+        assert turned_below > 0
+
     def test_fix_global_phase_is_idempotent_at_the_band_edge(self):
         # a turn moves chi by a few u, so the first call's output can read on the other side of
         # the band test; within 16u of the edge canonical input by either rule stays put
