@@ -303,15 +303,14 @@ def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
 
 def evolve_separable_state(psi, schedule1,
                            schedule2) -> tuple[SpinorDecomposition, PhaseLedger, np.ndarray]:
-    """(decomposition, ledger, amplitudes) after evolve_separable_schedule from one start for
-    every psi: the turn to ad - bc >= 0 (exactly 0.0 where it already is, to rounding), decompose
-    of the turned state, and beta1 at that turn plus any decompose takes, which is rounding; the
-    amplitudes, ledger.phase * reconstruct(decomposition), carry psi's global phase.  Only psi
-    is read as a unit state: the rotated spinors' rounding grows with the step count, past the
-    unit-norm rule reconstruct holds its callers to."""
+    """(decomposition, ledger, amplitudes) after evolve_separable_schedule from one start for every
+    psi: the turn to ad - bc >= 0 (exactly 0.0 where it already is, to rounding), decompose of the
+    turned state, and beta1 at that turn; the amplitudes, ledger.phase * reconstruct(decomposition),
+    carry psi's global phase.  Only psi is read as a unit state: the rotated spinors' rounding grows
+    with the step count, past the unit-norm rule reconstruct holds its callers to."""
     amps, turn = _det_fixed(_unit(psi, 4))
-    d, again = _decomposed(amps)
-    d, ledger = evolve_separable_schedule(d, PhaseLedger(turn + again), schedule1, schedule2)
+    d, ledger = evolve_separable_schedule(_decomposed(amps), PhaseLedger(turn),
+                                          schedule1, schedule2)
     return d, ledger, ledger.phase * _schmidt_sum(d.chi, d.spinor1.tolist(), d.spinor2.tolist())
 
 

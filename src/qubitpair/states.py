@@ -147,9 +147,13 @@ def _entangled(chi: float) -> bool:
 
 def _det_fixed(amps) -> tuple[list[complex], float]:
     # amps turned to ad - bc real and positive, and the angle; exactly 0.0, unturned, where the
-    # turn is rounding: ad - bc so already, or noise, to within 4u(|ad| + |bc|) (fix_global_phase)
+    # turn is rounding: ad - bc so already, or noise, to within 16u(|ad| + |bc|), the most this
+    # turn leaves (5.5u measured over 1.2 million turns): sqrt(5)u per complex product (Brent,
+    # Percival, Zimmermann 2007) for ad, bc, the turned amps and their ad, bc is 8.9u(|ad| + |bc|)
+    # to first order, and the angle (an ulp of pi), the turn and the two subtractions add at
+    # most 7u|ad - bc|
     ad, bc = amps[0] * amps[3], amps[1] * amps[2]
-    det, slack = ad - bc, 4.0 * _UNIT_ROUNDOFF * (abs(ad) + abs(bc))
+    det, slack = ad - bc, 16.0 * _UNIT_ROUNDOFF * (abs(ad) + abs(bc))
     if abs(det) <= slack or (det.real > 0.0 and abs(det.imag) <= slack):
         return list(amps), 0.0
     angle = -0.5 * cmath.phase(det)
@@ -163,18 +167,24 @@ def _edge(chi: float) -> bool:
     return abs(chi - EPS_DEGEN) <= 16.0 * _UNIT_ROUNDOFF
 
 
-def _largest_fixed(amps) -> bool:
-    # the separable rule's canonical form: the largest amplitude real and positive within 4u
-    # (the rule's own turn leaves at most 3.1u, measured over 400,000 amplitudes)
-    m = max(amps, key=abs)
-    return m.real > 0.0 and abs(m.imag) <= 4.0 * _UNIT_ROUNDOFF * m.real
+def _largest_fixed(amps) -> tuple[list[complex], float]:
+    # amps turned to the largest amplitude real and positive (the first of those within 16u of
+    # it: a turn moves each by 3.3u at most, so a float tie keeps its pick), and the angle; 0.0,
+    # unturned, where it already is to within 4u (its turn left 3.4u at most in 450,000 turns)
+    top = max(map(abs, amps))
+    m = next(v for v in amps if abs(v) >= (1.0 - 16.0 * _UNIT_ROUNDOFF) * top)
+    if m.real > 0.0 and abs(m.imag) <= 4.0 * _UNIT_ROUNDOFF * m.real:
+        return list(amps), 0.0
+    angle = -cmath.phase(m)
+    turn = cmath.rect(1.0, angle)
+    return [turn * v for v in amps], angle
 
 
 def _carries_det_phase(amps, chi: float) -> bool:
-    # decompose's band test alone: does ad - bc fix the global phase?  In the edge window,
-    # input whose largest amplitude is fixed and whose ad - bc is not keeps its phase
+    # the one band test for the global phase, decompose's and fix_global_phase's: does ad - bc
+    # fix it?  In the edge window only input whose largest amplitude alone is fixed keeps its phase
     if _edge(chi):
-        return _det_fixed(amps)[1] == 0.0 or not _largest_fixed(amps)
+        return _det_fixed(amps)[1] == 0.0 or _largest_fixed(amps)[1] != 0.0
     return _entangled(chi)
 
 
@@ -247,32 +257,24 @@ def concurrence_angle(psi) -> float:
 
 
 def _canonical_phase(amps) -> list[complex]:
-    # fix_global_phase on Python complexes; in the edge window input canonical by either rule
-    # stays as it is, so a second call cannot take the other rule
-    chi = _chi(amps, _bloch(amps, 1))
-    if _edge(chi) and (_largest_fixed(amps) or _det_fixed(amps)[1] == 0.0):
-        return list(amps)
-    if _entangled(chi):
-        return _det_fixed(amps)[0]
-    turn = cmath.rect(1.0, -cmath.phase(max(amps, key=abs)))
-    return [turn * v for v in amps]
+    # fix_global_phase on Python complexes: decompose's band test picks the rule
+    carries = _carries_det_phase(amps, _chi(amps, _bloch(amps, 1)))
+    return (_det_fixed if carries else _largest_fixed)(amps)[0]
 
 
 def fix_global_phase(psi) -> np.ndarray:
-    """Rotate the global phase so that (ad - bc) is real and non-negative.
+    """Rotate the global phase by decompose()'s rule: (ad - bc) real and non-negative.
 
-    Separable states (chi below EPS_DEGEN, the band where gamma is
-    undefined too) carry no usable determinant phase, so the dominant
-    amplitude is made real and non-negative instead (ties resolved in
-    amplitude order).  Input that is already canonical to rounding
-    (Re(ad - bc) > 0 and |Im(ad - bc)| within 4u(|ad| + |bc|), u = 2^-53)
-    is returned unturned: near separability half the determinant's phase
-    is rounding noise of order ulp/|ad - bc|, and a turn by it would move
-    every amplitude that far.  So +psi and -psi stay distinct; that
-    leftover sign freedom is resolved by decompose(), which measures its
-    phase from the actual input.  Within 16u of the band edge, where a turn
-    can move chi across EPS_DEGEN, input canonical by either rule is
-    returned unturned, so a second call never changes the rule.
+    Wherever decompose() keeps the input's phase instead (below the band,
+    chi < EPS_DEGEN, where gamma is undefined too), the largest amplitude
+    is made real and non-negative; magnitudes within 16u of it (u = 2^-53)
+    tie, and the first is taken.  Input already fixed to rounding by its
+    rule is never turned, so a second call changes no bit: a largest
+    amplitude within 4u of real, or Re(ad - bc) > 0 with |Im(ad - bc)|
+    within 16u(|ad| + |bc|), the most a turn leaves.  Near separability
+    half the determinant's phase is rounding noise of order ulp/|ad - bc|,
+    and a turn by it would move every amplitude that far.  So +psi and -psi
+    stay distinct; decompose() resolves that sign from the actual input.
     """
     return np.array(_canonical_phase(_unit(psi, 4)))
 
@@ -447,12 +449,12 @@ def state_from_angles(angles: AngleSet) -> np.ndarray:
                         _half_angle(angles.theta2, angles.phi2))
 
 
-def _decomposed(amps) -> tuple[SpinorDecomposition, float]:
-    # decompose on Python complexes, and the angle it turned amps by: exactly 0.0 if unturned
+def _decomposed(amps) -> SpinorDecomposition:
+    # decompose on Python complexes
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
     carries = _carries_det_phase(amps, chi)
-    amps, turn = _det_fixed(amps) if carries else (amps, 0.0)
+    amps = _det_fixed(amps)[0] if carries else amps
     u1 = _direction(*n1)
     x, y = _contract(u1, amps)
     r = math.hypot(x.real, x.imag, y.real, y.imag)
@@ -462,33 +464,30 @@ def _decomposed(amps) -> tuple[SpinorDecomposition, float]:
     rest = _vdot2(_parity(*u2), _contract(_parity(*u1), amps))
     if abs((rest if carries else abs(rest)) - math.sin(chi / 2)) > EPS_MATCH:
         raise ValueError("decomposition consistency check failed; input is not a unit state")
-    return SpinorDecomposition(chi, np.array(u1), np.array(u2)), turn
+    return SpinorDecomposition(chi, np.array(u1), np.array(u2))
 
 
 def decompose(psi) -> SpinorDecomposition:
     """Split a state into (chi, spinor1, spinor2) with no phase ambiguity.
 
-    Entangled input is first turned to the canonical global phase ((ad - bc)
-    real and non-negative; no turn when already canonical, else a global
-    phase that dynamics.evolve_separable_state books into its ledger);
-    separable input keeps its phase.  Within 16u of EPS_DEGEN, where a turn
-    can move chi across it, input is kept as it is only where its largest
-    amplitude (the form fix_global_phase gives below the band) or its
-    ad - bc is already fixed; elsewhere it is turned, on either side of the
-    edge, and the round trip returns the turned input.  spinor1 points
-    along qubit 1's partial-trace Bloch vector, except where that is
-    rounding noise (|n1| <= 16u, as at chi = pi/2): there every direction
-    works and +z is the convention.  spinor2 then comes from contracting
-    spinor1's direction with the 2x2 amplitude matrix, which pins qubit 2's
-    direction *and* the remaining phase in one well-conditioned step: the
-    state's overlap with spinor1 x spinor2 is real and positive, so
-    reconstruct() returns the turned input exactly.
-    Below the band (0 < chi < EPS_DEGEN) the phase of ad - bc is gamma,
-    which is not carried: every decomposition rebuilds ad - bc >= 0, so
-    reconstruct() can miss the input, fix_global_phase's included, by up
-    to 2 sin(chi/2), the representation's floor.
+    Input is first turned as fix_global_phase turns it, to (ad - bc) real
+    and non-negative, with no turn where it already is to rounding, but
+    separable input (chi below EPS_DEGEN) keeps its phase.  Within 16u of
+    EPS_DEGEN, where a turn can move chi across it, input keeps its phase
+    only where its largest amplitude is fixed and its ad - bc is not.
+    spinor1 points along qubit 1's partial-trace Bloch vector, except where
+    that is rounding noise (|n1| <= 16u, as at chi = pi/2): there every
+    direction works and +z is the convention.  spinor2 then comes from
+    contracting spinor1's direction with the 2x2 amplitude matrix, which
+    pins qubit 2's direction *and* the remaining phase in one
+    well-conditioned step: the state's overlap with spinor1 x spinor2 is
+    real and positive, so reconstruct() returns fix_global_phase(psi)
+    exactly wherever the input is turned.  Below the band the phase of
+    ad - bc is gamma, which is not carried: every decomposition rebuilds
+    ad - bc >= 0, so reconstruct() can miss input that keeps its phase by
+    up to 2 sin(chi/2), the representation's floor.
     """
-    return _decomposed(_unit(psi, 4))[0]
+    return _decomposed(_unit(psi, 4))
 
 
 def reconstruct(d: SpinorDecomposition) -> np.ndarray:

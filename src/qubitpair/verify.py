@@ -156,7 +156,6 @@ def dynamics_suite(trials: int, seed: int) -> list[PropertyResult]:
 
     worst = 0.0
     for psi in corpus[: max(trials // 2, 4)]:
-        psi = states.fix_global_phase(psi)
         out = dynamics.evolve_full_schedule(
             psi, random_schedule(rng, 5, False), random_schedule(rng, 5, False))
         det = out[0] * out[3] - out[1] * out[2]
@@ -165,7 +164,7 @@ def dynamics_suite(trials: int, seed: int) -> list[PropertyResult]:
 
     # scalar parts rotate (ad - bc) into the complex plane; expect a signal,
     # not a bound, so "worst" here is the largest imaginary part seen
-    psi = states.fix_global_phase(measurement.sample_haar(1, seed + 99)[0])
+    psi = measurement.sample_haar(1, seed + 99)[0]
     out = dynamics.evolve_full_schedule(psi, [(dynamics.LocalHamiltonian(0.3, np.zeros(3)), 1.0)],
                                         [(dynamics.ZERO_HAMILTONIAN, 1.0)])
     det = out[0] * out[3] - out[1] * out[2]

@@ -33,11 +33,14 @@ def ref_fix_global_phase(psi):
     if ref_chi(psi) >= EPS_DEGEN:
         ad, bc = psi[0] * psi[3], psi[1] * psi[2]
         det = ad - bc
-        # a determinant real and positive to within its rounding (u = 2^-53) is not turned
-        if det.real > 0 and abs(det.imag) <= 4 * 2.0 ** -53 * (abs(ad) + abs(bc)):
+        # a determinant real and positive to within the rounding of a turn (u = 2^-53) is
+        # not turned
+        if det.real > 0 and abs(det.imag) <= 16 * 2.0 ** -53 * (abs(ad) + abs(bc)):
             return psi
         return np.exp(-0.5j * np.angle(det)) * psi
-    return np.exp(-1j * np.angle(psi[np.argmax(np.abs(psi))])) * psi
+    # magnitudes within 16u of the largest tie, and the first is taken
+    size = np.abs(psi)
+    return np.exp(-1j * np.angle(psi[np.argmax(size >= (1 - 16 * 2.0 ** -53) * size.max())])) * psi
 
 
 def ref_bloch(psi, qubit):

@@ -48,6 +48,27 @@ class TestGlobalPhase:
             # residual rotation angle is Im(det) rounding over |det|
             assert np.max(np.abs(qp.fix_global_phase(psi) - psi)) < 1e-13
 
+    @pytest.mark.parametrize("chi", [0.0, 3e-10, *BAND_EDGE_CHIS, 2e-9, math.pi / 4,
+                                     qp.states.HALF_PI, "haar", "tied"])
+    def test_fix_global_phase_is_bit_idempotent(self, chi):
+        # each rule leaves input already fixed to its own rounding alone, and the band test
+        # picks the same rule for a state and its turned self, so a second call changes no
+        # bit: on either side of the band edge, above it, on Haar states, and on products
+        # whose amplitudes tie in pairs (qubit 1 on the Bloch equator), where rounding can
+        # reorder the largest magnitudes
+        rng = np.random.default_rng(74)
+        if chi == "haar":
+            corpus = haar(20_000, 75)
+        elif chi == "tied":
+            corpus = [np.kron(qp.spinor_from_angles(math.pi / 2, p1),
+                              qp.spinor_from_angles(abs(t2), p2))
+                      for t2, p1, p2 in rng.uniform(-np.pi, np.pi, (20_000, 3))]
+        else:
+            corpus = qp.sample_fixed_concurrence(20_000, 32, chi)
+        for x in corpus:
+            psi = qp.fix_global_phase(np.exp(1j * rng.uniform(-np.pi, np.pi)) * x)
+            assert np.array_equal(qp.fix_global_phase(psi), psi)
+
     def test_separable_fallback_makes_largest_amplitude_real(self):
         psi = np.exp(0.77j) * np.array([SQ2, 0, SQ2, 0], dtype=complex)
         fixed = qp.fix_global_phase(psi)
@@ -447,14 +468,18 @@ class TestDecomposition:
     def test_round_trip_below_the_band_misses_by_at_most_the_floor(self, chi):
         # below EPS_DEGEN a decomposition does not carry gamma, the determinant's phase: it
         # rebuilds ad - bc >= 0, so a phase-fixed separable state comes back within
-        # 2 sin(chi/2) of itself, and that floor is reached; at the band edge a state's
-        # rounding can put it on either side of the band test, and the floor still holds
+        # 2 sin(chi/2) of itself, and that floor is reached; at the band edge fix_global_phase
+        # takes decompose's rule, which turns these states to ad - bc >= 0 on either side of
+        # the band test, so their round trip is exact
         rng = np.random.default_rng(73)
         floor, worst = 2.0 * math.sin(chi / 2.0), 0.0
         for x in qp.sample_fixed_concurrence(300, 32, chi):
             psi = qp.fix_global_phase(np.exp(1j * rng.uniform(-np.pi, np.pi)) * x)
             worst = max(worst, float(np.max(np.abs(qp.reconstruct(qp.decompose(psi)) - psi))))
-        assert 0.9 * floor < worst <= floor
+        if chi in BAND_EDGE_CHIS:
+            assert worst <= 1e-15
+        else:
+            assert 0.9 * floor < worst <= floor
 
     def test_band_edge_window_keeps_only_input_canonical_by_one_rule(self):
         # within 16u of EPS_DEGEN decompose keeps input as it is only where its largest
@@ -477,14 +502,17 @@ class TestDecomposition:
                     assert np.max(np.abs(qp.reconstruct(qp.decompose(kept)) - kept)) <= floor
         assert turned_below > 0
 
-    def test_fix_global_phase_is_idempotent_at_the_band_edge(self):
-        # a turn moves chi by a few u, so the first call's output can read on the other side of
-        # the band test; within 16u of the edge canonical input by either rule stays put
-        rng = np.random.default_rng(74)
-        for chi in BAND_EDGE_CHIS:
-            for x in qp.sample_fixed_concurrence(300, 32, chi):
-                psi = qp.fix_global_phase(np.exp(1j * rng.uniform(-np.pi, np.pi)) * x)
-                assert np.max(np.abs(qp.fix_global_phase(psi) - psi)) < 1e-12
+    @pytest.mark.parametrize("chi", BAND_EDGE_CHIS)
+    def test_band_edge_window_fixes_the_phase_by_decompose_rule(self, chi):
+        # fix_global_phase and decompose take one rule in the 16u window below EPS_DEGEN too:
+        # the round trip of raw input returns fix_global_phase's output, and the separable run
+        # of that output starts from an unturned ledger
+        rng = np.random.default_rng(78)
+        for x in qp.sample_fixed_concurrence(3000, 32, chi):
+            psi = np.exp(1j * rng.uniform(-np.pi, np.pi)) * x
+            fixed = qp.fix_global_phase(psi)
+            assert np.max(np.abs(qp.reconstruct(qp.decompose(psi)) - fixed)) <= 1e-15
+            assert qp.evolve_separable_state(fixed, [], [])[1].beta1 == 0.0
 
 
 class TestUnitCoercion:
