@@ -264,6 +264,3 @@ def main(argv=None) -> int:
 def entry() -> None:
     raise SystemExit(main())
 
-
-if __name__ == "__main__":
-    entry()

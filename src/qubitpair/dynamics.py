@@ -304,10 +304,11 @@ def evolve_separable_schedule(d: SpinorDecomposition, ledger: PhaseLedger,
 def evolve_separable_state(psi, schedule1,
                            schedule2) -> tuple[SpinorDecomposition, PhaseLedger, np.ndarray]:
     """(decomposition, ledger, amplitudes) after evolve_separable_schedule from one start for every
-    psi: the turn to ad - bc >= 0 (exactly 0.0 where it already is, to rounding), decompose of the
-    turned state, and beta1 at that turn; the amplitudes, ledger.phase * reconstruct(decomposition),
-    carry psi's global phase.  Only psi is read as a unit state: the rotated spinors' rounding grows
-    with the step count, past the unit-norm rule reconstruct holds its callers to."""
+    psi: fix_global_phase's turn to ad - bc >= 0 (exactly 0.0 where it would be rounding), the
+    split of the turned state, which is decompose(psi) bit for bit, and beta1 at that turn; the
+    amplitudes, ledger.phase * reconstruct(decomposition), carry psi's global phase.  Only psi is
+    read as a unit state: the rotated spinors' rounding grows with the step count, past the
+    unit-norm rule reconstruct holds its callers to."""
     amps, turn = _det_fixed(_unit(psi, 4))
     d, ledger = evolve_separable_schedule(_decomposed(amps), PhaseLedger(turn),
                                           schedule1, schedule2)

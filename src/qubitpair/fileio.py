@@ -49,7 +49,8 @@ def write_json(path, value) -> None:
 def read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and the int-digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
 
 

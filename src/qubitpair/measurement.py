@@ -16,9 +16,9 @@ import numpy as np
 
 from .states import (
     ConsistencyError,
-    _canonical_phase,
     _check_chi,
     _contract,
+    _det_fixed,
     _half_angle,
     _parity,
     _require_qubit,
@@ -62,11 +62,11 @@ def born_local(chi: float, spinor, direction) -> float:
 
 
 def sample_haar(count: int, seed: int) -> np.ndarray:
-    """Haar-random pure states, one per row, canonically phase-fixed.
+    """Haar-random pure states, one per row, phase-fixed as fix_global_phase fixes them.
 
     Eight standard normals per state become four complex amplitudes
-    (re, im interleaved), which are normalized and phase-fixed.  Identical
-    seeds give bit-identical output.
+    (re, im interleaved), which are normalized and turned to (ad - bc)
+    real and non-negative.  Identical seeds give bit-identical output.
     """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, 8))
@@ -77,7 +77,7 @@ def sample_haar(count: int, seed: int) -> np.ndarray:
     flat = states.ravel().tolist()
     fixed = []
     for amps in zip(*[iter(flat)] * 4):
-        fixed += _canonical_phase(amps)
+        fixed += _det_fixed(amps)[0]
     return np.array(fixed, dtype=complex).reshape(count, 4)
 
 

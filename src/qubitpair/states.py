@@ -140,18 +140,20 @@ def _chi(amps, n1) -> float:
 
 
 def _entangled(chi: float) -> bool:
-    # the one band test: from here on the determinant's phase fixes the global phase and
-    # gamma is defined; chi does not change under a global phase, so it is taken before fixing
+    # the one band test: from here on gamma is defined; chi does not change under a global
+    # phase, so it is taken before fixing
     return chi >= EPS_DEGEN
 
 
 def _det_fixed(amps) -> tuple[list[complex], float]:
-    # amps turned to ad - bc real and positive, and the angle; exactly 0.0, unturned, where the
-    # turn is rounding: ad - bc so already, or noise, to within 16u(|ad| + |bc|), the most this
-    # turn leaves (5.5u measured over 1.2 million turns): sqrt(5)u per complex product (Brent,
-    # Percival, Zimmermann 2007) for ad, bc, the turned amps and their ad, bc is 8.9u(|ad| + |bc|)
-    # to first order, and the angle (an ulp of pi), the turn and the two subtractions add at
-    # most 7u|ad - bc|
+    # the package's one phase turn, taken by fix_global_phase, decompose, sample_haar,
+    # evolve_separable_state, angles_from_state and recurrence_sine: amps turned to ad - bc real
+    # and positive, and the angle; exactly 0.0, unturned, where the turn is rounding: ad - bc so
+    # already, or noise, as a product's is, to within 16u(|ad| + |bc|), the most this turn
+    # leaves (5.5u measured over 1.2 million turns): sqrt(5)u per complex product (Brent,
+    # Percival, Zimmermann 2007) for ad, bc, the turned amps and their ad, bc is
+    # 8.9u(|ad| + |bc|) to first order, and the angle (an ulp of pi), the turn and the two
+    # subtractions add at most 7u|ad - bc|
     ad, bc = amps[0] * amps[3], amps[1] * amps[2]
     det, slack = ad - bc, 16.0 * _UNIT_ROUNDOFF * (abs(ad) + abs(bc))
     if abs(det) <= slack or (det.real > 0.0 and abs(det.imag) <= slack):
@@ -159,33 +161,6 @@ def _det_fixed(amps) -> tuple[list[complex], float]:
     angle = -0.5 * cmath.phase(det)
     turn = cmath.rect(1.0, angle)
     return [turn * v for v in amps], angle
-
-
-def _edge(chi: float) -> bool:
-    # chi within 16u of EPS_DEGEN, the only place a state and its turned self can read on two
-    # sides of the band test: a global turn moves chi by 2.4u at most in 210,000 measured turns
-    return abs(chi - EPS_DEGEN) <= 16.0 * _UNIT_ROUNDOFF
-
-
-def _largest_fixed(amps) -> tuple[list[complex], float]:
-    # amps turned to the largest amplitude real and positive (the first of those within 16u of
-    # it: a turn moves each by 3.3u at most, so a float tie keeps its pick), and the angle; 0.0,
-    # unturned, where it already is to within 4u (its turn left 3.4u at most in 450,000 turns)
-    top = max(map(abs, amps))
-    m = next(v for v in amps if abs(v) >= (1.0 - 16.0 * _UNIT_ROUNDOFF) * top)
-    if m.real > 0.0 and abs(m.imag) <= 4.0 * _UNIT_ROUNDOFF * m.real:
-        return list(amps), 0.0
-    angle = -cmath.phase(m)
-    turn = cmath.rect(1.0, angle)
-    return [turn * v for v in amps], angle
-
-
-def _carries_det_phase(amps, chi: float) -> bool:
-    # the one band test for the global phase, decompose's and fix_global_phase's: does ad - bc
-    # fix it?  In the edge window only input whose largest amplitude alone is fixed keeps its phase
-    if _edge(chi):
-        return _det_fixed(amps)[1] == 0.0 or _largest_fixed(amps)[1] != 0.0
-    return _entangled(chi)
 
 
 def _spherical(x: float, y: float, z: float) -> tuple[float, float]:
@@ -256,27 +231,23 @@ def concurrence_angle(psi) -> float:
     return _chi(amps, _bloch(amps, 1))
 
 
-def _canonical_phase(amps) -> list[complex]:
-    # fix_global_phase on Python complexes: decompose's band test picks the rule
-    carries = _carries_det_phase(amps, _chi(amps, _bloch(amps, 1)))
-    return (_det_fixed if carries else _largest_fixed)(amps)[0]
-
-
 def fix_global_phase(psi) -> np.ndarray:
-    """Rotate the global phase by decompose()'s rule: (ad - bc) real and non-negative.
+    """Rotate the global phase to (ad - bc) real and non-negative, the one rule of decompose()
+    and the separable run.
 
-    Wherever decompose() keeps the input's phase instead (below the band,
-    chi < EPS_DEGEN, where gamma is undefined too), the largest amplitude
-    is made real and non-negative; magnitudes within 16u of it (u = 2^-53)
-    tie, and the first is taken.  Input already fixed to rounding by its
-    rule is never turned, so a second call changes no bit: a largest
-    amplitude within 4u of real, or Re(ad - bc) > 0 with |Im(ad - bc)|
-    within 16u(|ad| + |bc|), the most a turn leaves.  Near separability
-    half the determinant's phase is rounding noise of order ulp/|ad - bc|,
-    and a turn by it would move every amplitude that far.  So +psi and -psi
-    stay distinct; decompose() resolves that sign from the actual input.
+    Input is not turned where the turn would be rounding: where (ad - bc)
+    has positive real part and imaginary part within 16u(|ad| + |bc|)
+    (u = 2^-53), the most a turn leaves, or where |ad - bc| is itself within
+    that bound, as for every product, which comes back with no phase
+    chosen.  So a second call changes no bit.  Near separability the turn's
+    angle is known only to about u(|ad| + |bc|)/|ad - bc|, the rounding of
+    ad and bc over their difference: the outputs for one state taken at 8
+    global phases spread (modulo sign) by up to 3e-4 at chi = 1e-12, 8e-7
+    at chi = 1e-10 and 6e-8 at chi = 2e-9 (worst of 200 states each).  +psi
+    and -psi stay
+    distinct; decompose() resolves that sign from the actual input.
     """
-    return np.array(_canonical_phase(_unit(psi, 4)))
+    return np.array(_det_fixed(_unit(psi, 4))[0])
 
 
 def state_bloch_vector(psi, qubit: int) -> np.ndarray:
@@ -450,19 +421,16 @@ def state_from_angles(angles: AngleSet) -> np.ndarray:
 
 
 def _decomposed(amps) -> SpinorDecomposition:
-    # decompose on Python complexes
+    # decompose on the Python complexes of a state _det_fixed has turned
     n1 = _bloch(amps, 1)
     chi = _chi(amps, n1)
-    carries = _carries_det_phase(amps, chi)
-    amps = _det_fixed(amps)[0] if carries else amps
     u1 = _direction(*n1)
     x, y = _contract(u1, amps)
     r = math.hypot(x.real, x.imag, y.real, y.imag)
     u2 = (x / r, y / r)
-    # the parity pair must carry the rest of the state, with weight sin(chi/2); where the
-    # input keeps its phase, the pair's phase is free
+    # the parity pair must carry the rest of the state, with weight sin(chi/2)
     rest = _vdot2(_parity(*u2), _contract(_parity(*u1), amps))
-    if abs((rest if carries else abs(rest)) - math.sin(chi / 2)) > EPS_MATCH:
+    if abs(rest - math.sin(chi / 2)) > EPS_MATCH:
         raise ValueError("decomposition consistency check failed; input is not a unit state")
     return SpinorDecomposition(chi, np.array(u1), np.array(u2))
 
@@ -471,23 +439,18 @@ def decompose(psi) -> SpinorDecomposition:
     """Split a state into (chi, spinor1, spinor2) with no phase ambiguity.
 
     Input is first turned as fix_global_phase turns it, to (ad - bc) real
-    and non-negative, with no turn where it already is to rounding, but
-    separable input (chi below EPS_DEGEN) keeps its phase.  Within 16u of
-    EPS_DEGEN, where a turn can move chi across it, input keeps its phase
-    only where its largest amplitude is fixed and its ad - bc is not.
-    spinor1 points along qubit 1's partial-trace Bloch vector, except where
-    that is rounding noise (|n1| <= 16u, as at chi = pi/2): there every
+    and non-negative, with no turn where the turn would be rounding, at
+    every chi: the start of evolve_separable_state bit for bit.  spinor1
+    points along qubit 1's partial-trace Bloch vector, except where that
+    is rounding noise (|n1| <= 16u, as at chi = pi/2): there every
     direction works and +z is the convention.  spinor2 then comes from
     contracting spinor1's direction with the 2x2 amplitude matrix, which
     pins qubit 2's direction *and* the remaining phase in one
     well-conditioned step: the state's overlap with spinor1 x spinor2 is
-    real and positive, so reconstruct() returns fix_global_phase(psi)
-    exactly wherever the input is turned.  Below the band the phase of
-    ad - bc is gamma, which is not carried: every decomposition rebuilds
-    ad - bc >= 0, so reconstruct() can miss input that keeps its phase by
-    up to 2 sin(chi/2), the representation's floor.
+    real and positive, so reconstruct() returns fix_global_phase(psi) to
+    rounding at every chi.
     """
-    return _decomposed(_unit(psi, 4))
+    return _decomposed(_det_fixed(_unit(psi, 4))[0])
 
 
 def reconstruct(d: SpinorDecomposition) -> np.ndarray:

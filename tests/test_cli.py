@@ -468,7 +468,9 @@ def test_negative_seed_is_usage_error(argv, capsys):
 @pytest.mark.parametrize("content", [
     b'\xff{"amplitudes": []}',       # not UTF-8: a UnicodeDecodeError while reading
     b"[" * 2000 + b"]" * 2000,       # nested past the parser's recursion limit
-], ids=["undecodable", "deeply-nested"])
+    # an integer past the int-from-string digit limit: a plain ValueError while parsing
+    b'{"amplitudes": [[1' + b"0" * 5000 + b', 0], [0, 0], [0, 0], [0, 0]]}',
+], ids=["undecodable", "deeply-nested", "long-integer"])
 @pytest.mark.parametrize("command", ["convert", "evolve"])
 def test_unparseable_file_is_parse_error(tmp_path, capsys, content, command):
     bad = tmp_path / "bad.json"

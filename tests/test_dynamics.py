@@ -299,8 +299,10 @@ class TestSeparableBackend:
 # angle, just past it, near maximal entanglement, and inside
 STATE_CHIS = [0.0, 1.2e-9, 1.5e-9, 1.9e-9, 2e-9, 0.7,
               qp.states.HALF_PI - 2e-9, qp.states.HALF_PI - qp.EPS_DEGEN, qp.states.HALF_PI]
-# below EPS_DEGEN a state keeps its phase, and a decomposition has ad - bc >= 0
+# below EPS_DEGEN, where gamma is undefined; a decomposition has ad - bc >= 0 there too
 SEPARABLE_BAND_CHIS = [5e-10, math.nextafter(qp.EPS_DEGEN, 0.0)]
+# chi just below, at and just above EPS_DEGEN
+BAND_EDGE_CHIS = [math.nextafter(qp.EPS_DEGEN, 0.0), qp.EPS_DEGEN, math.nextafter(qp.EPS_DEGEN, 1.0)]
 
 
 def assert_runs_from_state_to_state(rng, psi):
@@ -360,18 +362,17 @@ class TestSeparableState:
 
     @pytest.mark.parametrize("chi", SEPARABLE_BAND_CHIS)
     def test_separable_band_round_trip_off_the_canonical_phase(self, chi):
-        # below EPS_DEGEN decompose keeps the input's phase, but a decomposition always has
-        # ad - bc >= 0: the run turns the input to that phase first and books the turn
+        # below EPS_DEGEN too a decomposition has ad - bc >= 0: the run turns the input to that
+        # phase first and books the turn
         rng = np.random.default_rng(40)
         for psi in qp.sample_fixed_concurrence(4, 41, chi):
             assert_runs_from_state_to_state(rng, 1j * psi)
 
-    @pytest.mark.parametrize("chi", [math.nextafter(qp.EPS_DEGEN, 0.0), qp.EPS_DEGEN,
-                                     math.nextafter(qp.EPS_DEGEN, 1.0)])
+    @pytest.mark.parametrize("chi", BAND_EDGE_CHIS)
     def test_band_edge_window_runs_from_state_to_state(self, chi):
-        # within 16u of EPS_DEGEN, where the input's own phase form picks decompose's rule, the
-        # run turns every input to ad - bc >= 0 first: turned or phase-fixed, the empty run
-        # returns its input to rounding and both backends agree
+        # at EPS_DEGEN and either side of it the run turns every input to ad - bc >= 0 first:
+        # turned or phase-fixed, the empty run returns its input to rounding and both backends
+        # agree
         rng = np.random.default_rng(75)
         for k, x in enumerate(qp.sample_fixed_concurrence(300, 32, chi)):
             turned = cmath.exp(1j * rng.uniform(-np.pi, np.pi)) * x
@@ -382,19 +383,22 @@ class TestSeparableState:
                                                  random_schedule(rng, 10, True))
                     assert qp.dynamics.backends_agree(report.max_component_deviation)
 
-    @pytest.mark.parametrize("chi", [2e-9, 0.3, math.pi / 4, qp.states.HALF_PI - 5e-10])
+    @pytest.mark.parametrize("chi", [0.0, 1e-12, 5e-10, *BAND_EDGE_CHIS, 2e-9, 0.3, math.pi / 4,
+                                     qp.states.HALF_PI - 5e-10])
     def test_run_starts_from_the_phase_fixed_input(self, chi):
-        # every input takes one start: the turn to ad - bc >= 0, then decompose of the turned
-        # state; so the empty run is decompose(fix_global_phase(x)) bit for bit, and beta1 is
-        # the angle that turns x into fix_global_phase(x)
+        # every input takes one start, below the band too: the turn to ad - bc >= 0, then
+        # decompose of the turned state; so the empty run is decompose(x) and
+        # decompose(fix_global_phase(x)) bit for bit, and beta1 is the angle that turns x into
+        # fix_global_phase(x)
         rng = np.random.default_rng(76)
         for x in qp.sample_fixed_concurrence(300, 32, chi):
             x = cmath.exp(1j * rng.uniform(-np.pi, np.pi)) * x
             fixed = qp.fix_global_phase(x)
             d, ledger, _ = qp.evolve_separable_state(x, [], [])
-            d0 = qp.decompose(fixed)
-            assert d.chi == d0.chi
-            assert np.array_equal(d.spinor1, d0.spinor1) and np.array_equal(d.spinor2, d0.spinor2)
+            for d0 in (qp.decompose(x), qp.decompose(fixed)):
+                assert d.chi == d0.chi
+                assert np.array_equal(d.spinor1, d0.spinor1)
+                assert np.array_equal(d.spinor2, d0.spinor2)
             assert np.array_equal([cmath.rect(1.0, ledger.beta1) * v for v in x.tolist()], fixed)
 
     def test_overflowing_schedule_is_a_typed_refusal(self):

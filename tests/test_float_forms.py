@@ -30,17 +30,14 @@ def ref_chi(psi):
 
 
 def ref_fix_global_phase(psi):
-    if ref_chi(psi) >= EPS_DEGEN:
-        ad, bc = psi[0] * psi[3], psi[1] * psi[2]
-        det = ad - bc
-        # a determinant real and positive to within the rounding of a turn (u = 2^-53) is
-        # not turned
-        if det.real > 0 and abs(det.imag) <= 16 * 2.0 ** -53 * (abs(ad) + abs(bc)):
-            return psi
-        return np.exp(-0.5j * np.angle(det)) * psi
-    # magnitudes within 16u of the largest tie, and the first is taken
-    size = np.abs(psi)
-    return np.exp(-1j * np.angle(psi[np.argmax(size >= (1 - 16 * 2.0 ** -53) * size.max())])) * psi
+    ad, bc = psi[0] * psi[3], psi[1] * psi[2]
+    det = ad - bc
+    # a determinant real and positive, or zero, to within the rounding of a turn (u = 2^-53)
+    # is not turned
+    slack = 16 * 2.0 ** -53 * (abs(ad) + abs(bc))
+    if abs(det) <= slack or (det.real > 0 and abs(det.imag) <= slack):
+        return psi
+    return np.exp(-0.5j * np.angle(det)) * psi
 
 
 def ref_bloch(psi, qubit):
@@ -90,8 +87,7 @@ def ref_state_from_angles(chi, theta1, phi1, theta2, phi2, gamma):
 
 
 def ref_decompose(psi):
-    if ref_chi(psi) >= EPS_DEGEN:
-        psi = ref_fix_global_phase(psi)
+    psi = ref_fix_global_phase(psi)
     chi = ref_chi(psi)
     n1 = ref_bloch(psi, 1)
     if np.linalg.norm(n1) <= 16 * 2.0 ** -53:  # rounding noise, as at chi = pi/2: +z
@@ -139,7 +135,7 @@ def angle_gap(a, b):
 def corpus():
     pinned = [qp.sample_fixed_concurrence(100, 90 + i, chi)
               for i, chi in enumerate((0.0, 0.3, np.pi / 4, HALF_PI))]
-    # inside the band just above EPS_DEGEN, where the phase fix switches on
+    # just above EPS_DEGEN, where gamma is defined again
     pinned.append(qp.sample_fixed_concurrence(100, 95, 1.5e-9))
     special = np.array([[1, 0, 0, 0], [SQ2, 0, SQ2, 0], [SQ2, 0, 0, SQ2],
                         [0, SQ2, -SQ2, 0], [0, 0, 0, 1j]], dtype=complex)

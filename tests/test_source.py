@@ -344,36 +344,37 @@ def test_recurrence_sine_takes_its_band_from_angles():
 
 
 def test_separable_run_takes_one_start_rule():
-    # one rule fixes the global phase: _carries_det_phase, the band test decompose and
-    # fix_global_phase share, picks _det_fixed or the largest-amplitude rule, with no edge branch
-    # of fix_global_phase's own; each turn leaves its own output alone, so the run's one turn,
-    # _det_fixed's, starts the ledger and _decomposed returns no second one
-    def band_test(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_carries_det_phase"
+    # one turn fixes the global phase: _det_fixed, which fix_global_phase, decompose, sample_haar
+    # and the separable run each reach once, with no second rule and no band or edge branch;
+    # the turn leaves its own output alone, so the run's turn starts the ledger and
+    # _decomposed, which only splits the state it is given, turns nothing
+    def calls(body, name):
+        return [node for node in ast.walk(body) if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name]
 
+    gone = {"_largest_fixed", "_edge", "_carries_det_phase", "_canonical_phase"}
+    found = _nodes(lambda node: isinstance(node, ast.FunctionDef) and node.name in gone
+                   or isinstance(node, ast.Name) and node.id in gone)
+    assert not found, f"a second phase rule or its band test at {found}"
+    for module, name in (("states.py", "fix_global_phase"), ("states.py", "decompose"),
+                         ("measurement.py", "sample_haar"),
+                         ("dynamics.py", "evolve_separable_state")):
+        assert len(calls(_function(module, name), "_det_fixed")) == 1, \
+            f"{name} does not reach _det_fixed once"
     run = _function("dynamics.py", "evolve_separable_state")
-    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-              for node in ast.walk(run) if isinstance(node, ast.Call)}
-    assert {"_det_fixed", "_decomposed"} <= called, f"evolve_separable_state calls {called}"
+    assert calls(run, "_decomposed"), "evolve_separable_state does not call _decomposed"
     turns = {target.id for node in ast.walk(run)
              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
              and getattr(node.value.func, "id", None) == "_det_fixed"
              for target in ast.walk(node.targets[0]) if isinstance(target, ast.Name)}
-    starts = [node for node in ast.walk(run)
-              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PhaseLedger"]
+    starts = calls(run, "PhaseLedger")
     assert len(starts) == 1 and not starts[0].keywords and len(starts[0].args) == 1 \
         and getattr(starts[0].args[0], "id", None) in turns, \
         f"the ledger starts at {[ast.unparse(node) for node in starts]}"
-    returns = [node.value for node in ast.walk(_function("states.py", "_decomposed"))
-               if isinstance(node, ast.Return)]
+    split = _function("states.py", "_decomposed")
+    assert not calls(split, "_det_fixed"), "_decomposed turns its input"
+    returns = [node.value for node in ast.walk(split) if isinstance(node, ast.Return)]
     assert not any(isinstance(value, ast.Tuple) for value in returns), "_decomposed returns a turn"
     found = _nodes(lambda node: isinstance(node, ast.FunctionDef)
                    and node.name == "_ledger_decomposed", "states.py")
     assert not found, f"_ledger_decomposed defined at {found}"
-    sites = _nodes(band_test)
-    inside = sorted(f"states.py:{node.lineno}" for name in ("_decomposed", "_canonical_phase")
-                    for node in ast.walk(_function("states.py", name)) if band_test(node))
-    assert len(inside) == 2 and sorted(sites) == inside, f"_carries_det_phase called at {sites}"
-    named = {node.id for node in ast.walk(_function("states.py", "_canonical_phase"))
-             if isinstance(node, ast.Name)}
-    assert "_edge" not in named, "_canonical_phase has an edge branch of its own"

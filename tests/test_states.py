@@ -51,11 +51,10 @@ class TestGlobalPhase:
     @pytest.mark.parametrize("chi", [0.0, 3e-10, *BAND_EDGE_CHIS, 2e-9, math.pi / 4,
                                      qp.states.HALF_PI, "haar", "tied"])
     def test_fix_global_phase_is_bit_idempotent(self, chi):
-        # each rule leaves input already fixed to its own rounding alone, and the band test
-        # picks the same rule for a state and its turned self, so a second call changes no
-        # bit: on either side of the band edge, above it, on Haar states, and on products
-        # whose amplitudes tie in pairs (qubit 1 on the Bloch equator), where rounding can
-        # reorder the largest magnitudes
+        # the turn leaves input already fixed to its own rounding alone, and input whose
+        # ad - bc is noise unturned, so a second call changes no bit: on either side of
+        # EPS_DEGEN, above it, on Haar states, and on products whose amplitudes tie in pairs
+        # (qubit 1 on the Bloch equator)
         rng = np.random.default_rng(74)
         if chi == "haar":
             corpus = haar(20_000, 75)
@@ -69,10 +68,16 @@ class TestGlobalPhase:
             psi = qp.fix_global_phase(np.exp(1j * rng.uniform(-np.pi, np.pi)) * x)
             assert np.array_equal(qp.fix_global_phase(psi), psi)
 
-    def test_separable_fallback_makes_largest_amplitude_real(self):
-        psi = np.exp(0.77j) * np.array([SQ2, 0, SQ2, 0], dtype=complex)
-        fixed = qp.fix_global_phase(psi)
-        assert abs(fixed[0].imag) < 1e-12 and fixed[0].real > 0
+    def test_products_come_back_unturned(self):
+        # a product's ad - bc is the rounding of two complex products, within the turn's noise
+        # test, so no phase is chosen for it: randomly phased products come back bit for bit
+        rng = np.random.default_rng(79)
+        products = [np.array([SQ2, 0, SQ2, 0], dtype=complex)]
+        products += [np.kron(qp.spinor_from_angles(abs(t1), p1), qp.spinor_from_angles(abs(t2), p2))
+                     for t1, p1, t2, p2 in rng.uniform(-np.pi, np.pi, (20_000, 4))]
+        for x in products:
+            psi = np.exp(1j * rng.uniform(-np.pi, np.pi)) * x
+            assert np.array_equal(qp.fix_global_phase(psi), psi)
 
 
 class TestConcurrence:
@@ -465,27 +470,36 @@ class TestDecomposition:
             qp.decompose([1, 0, 0, 1])
 
     @pytest.mark.parametrize("chi", [1e-11, 1e-10, 5e-10, *BAND_EDGE_CHIS])
-    def test_round_trip_below_the_band_misses_by_at_most_the_floor(self, chi):
-        # below EPS_DEGEN a decomposition does not carry gamma, the determinant's phase: it
-        # rebuilds ad - bc >= 0, so a phase-fixed separable state comes back within
-        # 2 sin(chi/2) of itself, and that floor is reached; at the band edge fix_global_phase
-        # takes decompose's rule, which turns these states to ad - bc >= 0 on either side of
-        # the band test, so their round trip is exact
+    def test_round_trip_below_the_band_is_exact(self, chi):
+        # below EPS_DEGEN a decomposition does not carry gamma, but the phase fix turns every
+        # input to the ad - bc >= 0 that a decomposition rebuilds, so a phase-fixed separable
+        # state comes back to rounding, as an entangled one does
         rng = np.random.default_rng(73)
-        floor, worst = 2.0 * math.sin(chi / 2.0), 0.0
+        worst = 0.0
         for x in qp.sample_fixed_concurrence(300, 32, chi):
             psi = qp.fix_global_phase(np.exp(1j * rng.uniform(-np.pi, np.pi)) * x)
             worst = max(worst, float(np.max(np.abs(qp.reconstruct(qp.decompose(psi)) - psi))))
-        if chi in BAND_EDGE_CHIS:
-            assert worst <= 1e-15
-        else:
-            assert 0.9 * floor < worst <= floor
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("chi", [0.0, 1e-15, 1e-12, 1e-10, 5e-10, *BAND_EDGE_CHIS, 2e-9, 0.3,
+                                     math.pi / 4, qp.states.HALF_PI - 5e-10, qp.states.HALF_PI,
+                                     "haar"])
+    def test_round_trip_of_raw_input_returns_the_phase_fixed_input(self, chi):
+        # decompose and fix_global_phase take one turn at every chi, so the round trip of input
+        # at any global phase rebuilds fix_global_phase's output to rounding
+        rng = np.random.default_rng(80)
+        corpus = haar(2000, 81) if chi == "haar" else qp.sample_fixed_concurrence(2000, 82, chi)
+        worst = 0.0
+        for x in corpus:
+            psi = np.exp(1j * rng.uniform(-np.pi, np.pi)) * x
+            back = qp.reconstruct(qp.decompose(psi))
+            worst = max(worst, float(np.max(np.abs(back - qp.fix_global_phase(psi)))))
+        assert worst <= 1e-15
 
     def test_band_edge_window_keeps_only_input_canonical_by_one_rule(self):
-        # within 16u of EPS_DEGEN decompose keeps input as it is only where its largest
-        # amplitude or its ad - bc is already fixed; input canonical by neither rule is turned
-        # to ad - bc >= 0 on either side of the edge, as entangled input is, and the round trip
-        # returns the turned input, not the input
+        # at EPS_DEGEN and either side of it decompose keeps input as it is only where its
+        # ad - bc is already fixed or is noise; other input is turned to ad - bc >= 0, as it is
+        # at every chi, and the round trip returns the turned input, not the input
         rng = np.random.default_rng(77)
         turned_below = 0
         for chi in BAND_EDGE_CHIS:
@@ -504,9 +518,9 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("chi", BAND_EDGE_CHIS)
     def test_band_edge_window_fixes_the_phase_by_decompose_rule(self, chi):
-        # fix_global_phase and decompose take one rule in the 16u window below EPS_DEGEN too:
-        # the round trip of raw input returns fix_global_phase's output, and the separable run
-        # of that output starts from an unturned ledger
+        # fix_global_phase and decompose take one rule on either side of EPS_DEGEN too: the
+        # round trip of raw input returns fix_global_phase's output, and the separable run of
+        # that output starts from an unturned ledger
         rng = np.random.default_rng(78)
         for x in qp.sample_fixed_concurrence(3000, 32, chi):
             psi = np.exp(1j * rng.uniform(-np.pi, np.pi)) * x
